@@ -97,6 +97,30 @@ def _prepare_cloud(args, cfg: PipelineConfig):
     return random_downsample(cloud, args.points, cfg.search.seed)
 
 
+def _read_cache(path: Path, parse):
+    """``parse`` of the cached JSON document, or None on a miss. A cache
+    that fails to parse or lacks its keys is a miss, so it is rebuilt."""
+    if not path.exists():
+        return None
+    try:
+        return parse(json.loads(path.read_text()))
+    except (ValueError, LookupError, TypeError, SkelgrowError) as exc:
+        log.warning("rebuilding unreadable cache %s: %s", path.name, exc)
+        return None
+
+
+def _write_cache(path: Path, doc) -> None:
+    """Write through a temporary file in the same directory and rename it,
+    so an interrupted run never leaves a partial cache behind."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict):
     """Build (or reuse cached) superpoint graph and edge scores."""
     scorer = _parse_scorer(args.scorer)
@@ -108,27 +132,29 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict):
                   cfg.search.seed, args.points, cfg.crop_min, cfg.crop_max)
     graph_cache = out / f"cache_graph_{key}.json"
     t0 = time.perf_counter()
-    if graph_cache.exists():
-        graph, _ = graph_from_dict(json.loads(graph_cache.read_text()))
+    cached = _read_cache(graph_cache, graph_from_dict)
+    if cached is not None:
+        graph = cached[0]
         log.info("reusing cached superpoint graph %s", graph_cache.name)
     else:
         graph = build_graph(cloud, cfg.search.r_super, cfg.search.seed)
-        graph_cache.write_text(json.dumps(graph_to_dict(graph)))
+        _write_cache(graph_cache, graph_to_dict(graph))
     timings["superpoints_seconds"] = time.perf_counter() - t0
 
     score_key = _digest(key, scorer)
     score_cache = out / f"cache_scores_{score_key}.json"
     t0 = time.perf_counter()
-    if score_cache.exists() and scorer[0] != "override":
-        doc = json.loads(score_cache.read_text())
-        conf = ConfidenceMap(values=np.asarray(doc["values"]),
-                             provenance=doc["provenance"])
+    conf = None
+    if scorer[0] != "override":
+        conf = _read_cache(score_cache, lambda doc: ConfidenceMap(
+            values=np.asarray(doc["values"]), provenance=doc["provenance"]))
+    if conf is not None:
         log.info("reusing cached edge scores %s", score_cache.name)
     else:
         conf = score_all_edges(cloud, graph, scorer, cfg.search)
-        score_cache.write_text(json.dumps(
-            {"values": [float(v) for v in conf.values],
-             "provenance": conf.provenance}))
+        _write_cache(score_cache,
+                     {"values": [float(v) for v in conf.values],
+                      "provenance": conf.provenance})
     timings["scoring_seconds"] = time.perf_counter() - t0
     return cloud, graph, conf
 

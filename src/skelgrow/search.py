@@ -9,10 +9,10 @@ rank-product weighted resampling.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -20,10 +20,10 @@ from scipy.stats import rankdata
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
 from .errors import SearchStalledError, NoTipsError
-from .geometry import edge_score, grow_angle
+from .geometry import edge_score, grow_penalty, turn_angle, turn_penalty
 from .labels import Label, STRUCTURAL_LABELS
 from .seeds import SeedSet
-from .skeleton import LabeledSkeleton
+from .skeleton import LabeledSkeleton, label_rule_violation
 from .superpoints import SuperpointGraph
 
 DirEdge = tuple[int, int]  # directed (tail, head): traversal tail -> head
@@ -35,21 +35,8 @@ def edge_cost(e_s, e_p, length: float, conf: float,
     Len * (1 - Conf) plus the unlabeled turn penalty."""
     cost = length * (1.0 - conf)
     if e_p is not None:
-        ang = _turn_angle_vecs(e_s, e_p)
-        if ang > cfg.theta_turn_min:
-            cost += cfg.c_turn * (ang - cfg.theta_turn_min) ** cfg.p_turn
+        cost += turn_penalty(e_s, e_p, Label.NONE, Label.NONE, cfg)
     return cost
-
-
-def _turn_angle_vecs(a, b) -> float:
-    na = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-    nb = math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
-    dot = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2]) / (na * nb)
-    if dot > 1.0:
-        dot = 1.0
-    elif dot < -1.0:
-        dot = -1.0
-    return math.acos(dot)
 
 
 class SearchContext:
@@ -66,7 +53,7 @@ class SearchContext:
         self.vec: dict[DirEdge, tuple] = {}
         self.escore: dict[DirEdge, float] = {}
         self.len_noconf: dict[DirEdge, float] = {}
-        self.grow_pen: dict[DirEdge, tuple] = {}  # (support, leader)
+        self.grow_pen: dict[DirEdge, dict] = {}  # label -> penalty
         for k, (i, j) in enumerate(graph.edges):
             i, j = int(i), int(j)
             length = float(graph.lengths[k])
@@ -75,16 +62,12 @@ class SearchContext:
             lnc = length * (1.0 - c)
             for u, v in ((i, j), (j, i)):
                 d = pos[v] - pos[u]
-                self.vec[(u, v)] = (float(d[0]), float(d[1]), float(d[2]))
+                vec = (float(d[0]), float(d[1]), float(d[2]))
+                self.vec[(u, v)] = vec
                 self.escore[(u, v)] = es
                 self.len_noconf[(u, v)] = lnc
-                ga = grow_angle(d)
-                sup = ga - cfg.theta_grow_min
-                lead = (math.pi / 2 - ga) - cfg.theta_grow_min
-                self.grow_pen[(u, v)] = (
-                    cfg.c_grow * sup ** cfg.p_grow if sup > 0 else 0.0,
-                    cfg.c_grow * lead ** cfg.p_grow if lead > 0 else 0.0,
-                )
+                self.grow_pen[(u, v)] = {
+                    lab: grow_penalty(vec, lab, cfg) for lab in Label}
         self._angle_cache: dict[tuple, float] = {}
         self._pen_cache: dict[tuple, float] = {}
 
@@ -93,36 +76,29 @@ class SearchContext:
         key = (a, b, c)
         ang = self._angle_cache.get(key)
         if ang is None:
-            ang = _turn_angle_vecs(self.vec[(b, c)], self.vec[(a, b)])
+            ang = turn_angle(self.vec[(b, c)], self.vec[(a, b)])
             self._angle_cache[key] = ang
             self._angle_cache[(c, b, a)] = ang
         return ang
 
     def turn_pen_none(self, a: int, b: int, c: int) -> float:
+        """Unlabeled turn penalty of the turn a->b then b->c."""
         key = (a, b, c)
         pen = self._pen_cache.get(key)
         if pen is None:
-            ang = self.turn_angle(a, b, c)
-            cfg = self.cfg
-            pen = (cfg.c_turn * (ang - cfg.theta_turn_min) ** cfg.p_turn
-                   if ang > cfg.theta_turn_min else 0.0)
+            pen = turn_penalty(self.vec[(b, c)], self.vec[(a, b)],
+                               Label.NONE, Label.NONE, self.cfg)
             self._pen_cache[key] = pen
             self._pen_cache[(c, b, a)] = pen
         return pen
 
-    def same_label_turn_pen(self, a: int, b: int, c: int) -> float:
-        return self.turn_pen_none(a, b, c)
-
     def reward(self, state: DirEdge, label: Label,
                pred_tail: int | None, pred_label: Label | None) -> float:
+        """:func:`geometry.reward` of the edge, from the cached tables."""
         r = self.escore[state]
         if pred_tail is not None and pred_label is label:
             r -= self.turn_pen_none(pred_tail, state[0], state[1])
-        if label is Label.SUPPORT:
-            r -= self.grow_pen[state][0]
-        elif label is Label.LEADER:
-            r -= self.grow_pen[state][1]
-        return r
+        return r - self.grow_pen[state][label]
 
 
 class PathPrior:
@@ -188,17 +164,6 @@ class PathPrior:
                     dist[prev] = nd
                     heapq.heappush(heap, (nd, prev, state))
 
-    def reachable(self, state: DirEdge) -> bool:
-        return state in self.cost
-
-    def path_edges(self, state: DirEdge) -> list[DirEdge]:
-        out = []
-        cur: DirEdge | None = state
-        while cur is not None:
-            out.append(cur)
-            cur = self.succ[cur]
-        return out
-
     def path_nodes(self, state: DirEdge) -> frozenset:
         """Nodes on the path excluding the state's tail node."""
         cached = self._nodes.get(state)
@@ -222,14 +187,6 @@ class PathPrior:
         if drop <= 0:
             return sums[0]
         return max(sums[min(drop, 2)], 0.0)
-
-
-def compute_path_priors(graph: SuperpointGraph, conf: ConfidenceMap,
-                        tip: int, cfg: SearchConfig,
-                        ctx: SearchContext | None = None) -> PathPrior:
-    if ctx is None:
-        ctx = SearchContext(graph, conf, cfg)
-    return PathPrior(ctx, tip)
 
 
 @dataclass(frozen=True)
@@ -286,45 +243,40 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
         key=(cand.key[0] + 1, cand.key[1] ^ _edge_label_hash(state, label)))
 
 
+# Memoised: the arguments range over a few short label tuples, so the
+# cache stays small, and it spares the search most rule evaluations.
+@functools.cache
+def _allowed_labels(pred_label: Label | None, siblings: tuple,
+                    candidates: tuple) -> tuple:
+    """The candidate labels that break no label rule below ``pred_label``
+    next to ``siblings``."""
+    return tuple(lab for lab in candidates
+                 if label_rule_violation(pred_label, siblings, lab) is None)
+
+
 def eligible_pairs(cand: Candidate, prior: PathPrior,
                    ctx: SearchContext) -> list[tuple[DirEdge, Label]]:
     """All (directed edge, label) pairs that may extend the candidate
     toward the prior's tip without topology or label violations."""
     skel = cand.skeleton
-    first_edge = skel.num_edges == 0
+    # The skeleton's first edge is always Trunk.
+    candidates = (Label.TRUNK,) if skel.num_edges == 0 else STRUCTURAL_LABELS
     pairs = []
-    pred_cache: dict[int, tuple] = {}
+    pred_cache: dict[int, tuple] = {}  # parent node -> allowed labels
     for state in sorted(cand.frontier):
         if state not in prior.cost:
             continue
         if not prior.path_nodes(state).isdisjoint(cand.nodes):
             continue
         u = state[0]
-        cached = pred_cache.get(u)
-        if cached is None:
+        labels = pred_cache.get(u)
+        if labels is None:
             pred = skel.parent_edge(u)
-            pred_label = None if pred is None else skel.label_of(pred)
-            succ_labels = tuple(lab for _, lab in skel.children_of(u))
-            cached = (pred_label, succ_labels)
-            pred_cache[u] = cached
-        pred_label, succ_labels = cached
-        if first_edge:
-            labels = (Label.TRUNK,)
-        else:
-            labels = STRUCTURAL_LABELS
+            labels = _allowed_labels(
+                None if pred is None else skel.label_of(pred),
+                tuple(lab for _, lab in skel.children_of(u)), candidates)
+            pred_cache[u] = labels
         for lab in labels:
-            if pred_label is not None:
-                if pred_label.order > lab.order:
-                    continue
-                if pred_label is lab and lab in succ_labels:
-                    continue
-                if pred_label is Label.TRUNK:
-                    combined = succ_labels + (lab,)
-                    trunkish = [s is Label.TRUNK for s in combined]
-                    if any(trunkish) and not all(trunkish):
-                        continue
-                    if sum(s is Label.SUPPORT for s in combined) > 2:
-                        continue
             pairs.append((state, lab))
     return pairs
 
@@ -395,14 +347,12 @@ class _PoolEntry:
 
 
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
-               cfg: SearchConfig, manifest: dict | None = None,
-               ctx: SearchContext | None = None):
+               cfg: SearchConfig, manifest: dict | None = None):
     """Grow the population until every candidate has reached or abandoned
     every tip; returns (best skeleton, manifest dict)."""
     if not seeds.tips:
         raise NoTipsError("no tip candidates; nothing to grow toward")
-    if ctx is None:
-        ctx = SearchContext(graph, conf, cfg)
+    ctx = SearchContext(graph, conf, cfg)
     tips = tuple(sorted(seeds.tips))
     tipset = frozenset(tips)
     t0 = time.perf_counter()
@@ -467,12 +417,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 for ci in members:
                     stuck = population[ci]
                     add_carried(
-                        Candidate(
-                            skeleton=stuck.skeleton, score=stuck.score,
-                            nodes=stuck.nodes, frontier=stuck.frontier,
-                            reached=stuck.reached,
-                            abandoned=stuck.abandoned | {tip},
-                            key=stuck.key),
+                        replace(stuck, abandoned=stuck.abandoned | {tip}),
                         float(score_ranks[ci]))
                 continue
             new_scores = []
@@ -485,14 +430,14 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 ns = cand.score + ctx.reward(state, lab, pred_tail,
                                              pred_label)
                 new_scores.append(ns)
-                pots.append(ns + prior.esum[state]
-                            - prior.dropped_pen(state, lab))
+                pots.append(potential(cand, prior, (state, lab), ctx,
+                                      new_score=ns))
             pot_ranks = rank(pots)
             group_score_rank = sum(float(score_ranks[ci]) for ci in members)
             for p, (state, lab) in enumerate(pairs):
                 pkey = (cand.key[0] + 1,
                         cand.key[1] ^ _edge_label_hash(state, lab))
-                w = group_score_rank * float(pot_ranks[p])
+                w = weight(group_score_rank, float(pot_ranks[p]))
                 entry = pool.get(pkey)
                 if entry is None:
                     pool[pkey] = _PoolEntry(

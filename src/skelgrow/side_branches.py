@@ -7,8 +7,9 @@ import math
 
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
+from .geometry import turn_angle
 from .labels import Label
-from .search import SearchContext, _turn_angle_vecs
+from .search import SearchContext
 from .skeleton import LabeledSkeleton
 from .superpoints import SuperpointGraph
 
@@ -31,8 +32,8 @@ def _leader_direction(skeleton: LabeledSkeleton, node: int, ctx):
 
 
 def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
-                       conf: ConfidenceMap, cfg: SearchConfig,
-                       ctx: SearchContext | None = None) -> LabeledSkeleton:
+                       conf: ConfidenceMap,
+                       cfg: SearchConfig) -> LabeledSkeleton:
     """Grow side-branch paths from leader nodes through the off-skeleton
     part of the confident dense graph.
 
@@ -41,8 +42,7 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
     graph is grown as one minimum-cost path whose consecutive turn angles
     stay within pi/2.
     """
-    if ctx is None:
-        ctx = SearchContext(graph, conf, cfg)
+    ctx = SearchContext(graph, conf, cfg)
     in_skel = set(skeleton.nodes)
     leader_nodes = set()
     for (p, c), lab in skeleton.edge_labels.items():
@@ -87,7 +87,7 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
         for x, eid in graph.neighbors(a):
             if x in in_skel or conf[eid] < cfg.alpha_conf:
                 continue
-            ang = _turn_angle_vecs(ctx.vec[(a, x)], direction)
+            ang = turn_angle(ctx.vec[(a, x)], direction)
             if not (_ANGLE_LO <= ang <= _ANGLE_HI):
                 continue
             cost = ctx.len_noconf[(a, x)]

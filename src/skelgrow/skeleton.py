@@ -71,37 +71,6 @@ class LabeledSkeleton:
         return hash((self.base, frozenset(self._labels.items())))
 
     # -- label rules ------------------------------------------------------
-    def check_label_progression(self, e_new: Edge, l_new: Label) -> bool:
-        """Predecessor label order must not exceed the new label's order."""
-        if l_new is Label.NONE:
-            raise ValueError("Label.NONE is never assigned during growth")
-        pred = self.parent_edge(e_new[0])
-        if pred is None:
-            return True
-        return self._labels[pred].order <= l_new.order
-
-    def check_label_linearity(self, e_new: Edge, l_new: Label) -> bool:
-        """No predecessor edge may end up with two same-label successors
-        while itself carrying that label (prevents same-label Y junctions)."""
-        pred = self.parent_edge(e_new[0])
-        if pred is None or self._labels[pred] is not l_new:
-            return True
-        return not any(lab is l_new for _, lab in self.children_of(e_new[0]))
-
-    def check_trunk_support_split(self, e_new: Edge, l_new: Label) -> bool:
-        """Successors of a Trunk edge are either all Trunk, or all non-Trunk
-        with at most two Supports (the support split sits atop the trunk)."""
-        pred = self.parent_edge(e_new[0])
-        if pred is None or self._labels[pred] is not Label.TRUNK:
-            return True
-        succ_labels = [lab for _, lab in self.children_of(e_new[0])]
-        combined = succ_labels + [l_new]
-        if all(lab is Label.TRUNK for lab in combined):
-            return True
-        if any(lab is Label.TRUNK for lab in combined):
-            return False
-        return sum(lab is Label.SUPPORT for lab in combined) <= 2
-
     def check_all(self, e_new: Edge, l_new: Label) -> str | None:
         """Name of the first violated rule, or None if the attach is legal."""
         parent, child = e_new
@@ -111,13 +80,10 @@ class LabeledSkeleton:
             return "out-tree"
         if self.has_node(child):
             return "out-tree"
-        if not self.check_label_progression(e_new, l_new):
-            return "label-progression"
-        if not self.check_label_linearity(e_new, l_new):
-            return "label-linearity"
-        if not self.check_trunk_support_split(e_new, l_new):
-            return "trunk-support-split"
-        return None
+        pred = self.parent_edge(parent)
+        return label_rule_violation(
+            None if pred is None else self._labels[pred],
+            tuple(lab for _, lab in self.children_of(parent)), l_new)
 
     # -- growth -----------------------------------------------------------
     def attach(self, e_new: Edge, l_new: Label) -> "LabeledSkeleton":
@@ -146,7 +112,11 @@ class LabeledSkeleton:
             self.base, [(p, c) for (p, c) in self._labels])
 
     def label_violations(self) -> list[str]:
-        """Check the three label rules over the whole skeleton."""
+        """Check the three label rules over the whole skeleton.
+
+        Written independently of :func:`label_rule_violation` so that tests
+        can check each attach decision against a whole-skeleton verdict.
+        """
         out = []
         for (parent, child), label in self._labels.items():
             pred = self.parent_edge(parent)
@@ -172,6 +142,40 @@ class LabeledSkeleton:
                 if sum(lab is Label.SUPPORT for lab in labs) > 2:
                     out.append(f"trunk-support-split: node {node} >2 supports")
         return out
+
+
+def label_rule_violation(pred_label: Label | None, sibling_labels: tuple,
+                         new_label: Label) -> str | None:
+    """Name of the label rule broken by a new edge labelled ``new_label``,
+    or None.
+
+    ``pred_label`` is the label of the edge into the new edge's parent node
+    (None at the base) and ``sibling_labels`` the labels of the parent
+    node's existing child edges. The rules, checked in this order:
+
+    - label-progression: the predecessor's order must not exceed the new
+      label's;
+    - label-linearity: an edge may not have two successors with its own
+      label (no same-label Y junctions);
+    - trunk-support-split: the successors of a Trunk edge are either all
+      Trunk, or all non-Trunk with at most two Supports.
+    """
+    if new_label is Label.NONE:
+        raise ValueError("Label.NONE is never assigned during growth")
+    if pred_label is None:
+        return None
+    if pred_label.order > new_label.order:
+        return "label-progression"
+    if pred_label is new_label and new_label in sibling_labels:
+        return "label-linearity"
+    if pred_label is Label.TRUNK:
+        combined = sibling_labels + (new_label,)
+        trunks = sum(lab is Label.TRUNK for lab in combined)
+        if 0 < trunks < len(combined):
+            return "trunk-support-split"
+        if sum(lab is Label.SUPPORT for lab in combined) > 2:
+            return "trunk-support-split"
+    return None
 
 
 def topology_violations(base: int, edges: list[Edge]) -> list[str]:

@@ -86,6 +86,23 @@ def test_end_to_end_skeletonize_and_eval(synth_dir, tmp_path):
     assert doc["global"]["ratio"] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["graph", "scores"])
+def test_truncated_cache_is_rebuilt(synth_dir, tmp_path, kind):
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+            "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    first = (out / "skeleton.json").read_bytes()
+    (cache,) = out.glob(f"cache_{kind}_*.json")
+    data = cache.read_bytes()
+    cache.write_bytes(data[:len(data) // 2])
+    assert main(argv) == EXIT_OK
+    assert (out / "skeleton.json").read_bytes() == first
+    assert cache.read_bytes() == data  # rewritten in full
+    assert not list(out.glob("*.tmp"))
+
+
 def test_eval_empty_reference(synth_dir, tmp_path):
     empty = _write_json(tmp_path / "empty.json", {
         "base": 0, "nodes": [{"id": 0, "pos": [0, 0, 0]}], "edges": []})

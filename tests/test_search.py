@@ -9,12 +9,13 @@ from scipy.stats import chisquare
 from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
-from skelgrow.labels import Label
+from skelgrow.geometry import reward, turn_penalty
+from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow.search import (PathPrior, SearchContext, edge_cost,
                              eligible_pairs, grow_candidate,
                              make_root_candidate, potential, rank, resample,
                              run_search, weight)
-from skelgrow.seeds import SeedSet, find_tips
+from skelgrow.seeds import SeedSet, find_tips, resolve_base
 from skelgrow.superpoints import build_graph
 from skelgrow.synth import SynthSpec, generate
 from skelgrow.evaluation import edit_distance
@@ -120,9 +121,13 @@ def test_prior_straight_chain_zero_cost(chain_graph):
     prior = PathPrior(ctx, tip=4)
     for k in range(4):
         state = (k, k + 1)
-        assert prior.reachable(state)
+        assert state in prior.cost
         assert prior.cost[state] == pytest.approx(0.0, abs=1e-12)
-        assert prior.path_edges(state) == [(j, j + 1) for j in range(k, 4)]
+        path, cur = [], state
+        while cur is not None:
+            path.append(cur)
+            cur = prior.succ[cur]
+        assert path == [(j, j + 1) for j in range(k, 4)]
     assert prior.path_nodes((0, 1)) == frozenset({1, 2, 3, 4})
 
 
@@ -130,8 +135,8 @@ def test_prior_isolated_tip_unreachable():
     graph = make_graph([(0, 0, 0), (0.1, 0, 0), (5, 5, 5)], [(0, 1)])
     ctx = SearchContext(graph, uniform_conf(graph), CFG)
     prior = PathPrior(ctx, tip=2)
-    assert not prior.reachable((0, 1))
-    assert not prior.reachable((1, 0))
+    assert (0, 1) not in prior.cost
+    assert (1, 0) not in prior.cost
 
 
 def _brute_force_costs(ctx, tip):
@@ -240,6 +245,71 @@ def test_eligible_tip_already_reached_empty():
         cand = grow_candidate(cand, state, Label.TRUNK, 0.0, ctx,
                               frozenset({3}))
     assert eligible_pairs(cand, prior, ctx) == []
+
+
+def _synthetic_context():
+    cloud, truth = generate(SynthSpec(n_leaders=3, seed=2))
+    graph = build_graph(cloud, CFG.r_super, 2)
+    conf = truth.oracle_confidences(graph)
+    return graph, conf, SearchContext(graph, conf, CFG)
+
+
+def test_context_tables_match_geometry():
+    """The search's cached turn penalties and rewards equal the geometry
+    formulas exactly, for every directed edge and turn of a tree."""
+    graph, conf, ctx = _synthetic_context()
+    edge_data = {}
+    for k, (i, j) in enumerate(graph.edges):
+        edge_data[(i, j)] = edge_data[(j, i)] = (float(graph.lengths[k]),
+                                                 conf[k])
+    for (u, v), vec in ctx.vec.items():
+        length, c = edge_data[(u, v)]
+        for lab in STRUCTURAL_LABELS:
+            assert ctx.reward((u, v), lab, None, None) == reward(
+                vec, length, c, lab, None, None, CFG)
+        for w, _eid in ctx.adj[u]:
+            if w == v:
+                continue
+            pvec = ctx.vec[(w, u)]
+            assert ctx.turn_pen_none(w, u, v) == turn_penalty(
+                vec, pvec, Label.NONE, Label.NONE, CFG)
+            for lab in STRUCTURAL_LABELS:
+                for plab in STRUCTURAL_LABELS:
+                    assert ctx.reward((u, v), lab, w, plab) == reward(
+                        vec, length, c, lab, pvec, plab, CFG)
+
+
+def test_eligible_labels_match_check_all():
+    """Along random lineages on a synthetic tree, every frontier state that
+    passes the prior's reachability and path filters gets exactly the
+    labels ``check_all`` accepts (Trunk alone for the first edge)."""
+    graph, conf, ctx = _synthetic_context()
+    base = resolve_base(graph, "lowest-z")
+    tips = frozenset(t for t in find_tips(graph, conf, CFG) if t != base)
+    priors = [PathPrior(ctx, t) for t in sorted(tips)]
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _lineage in range(30):
+        cand = make_root_candidate(base, ctx, tips)
+        for _step in range(80):
+            prior = priors[int(rng.integers(len(priors)))]
+            pairs = eligible_pairs(cand, prior, ctx)
+            skel = cand.skeleton
+            for state in sorted(cand.frontier):
+                if state not in prior.cost or not prior.path_nodes(
+                        state).isdisjoint(cand.nodes):
+                    continue
+                if skel.num_edges == 0:
+                    expected = [Label.TRUNK]
+                else:
+                    expected = [lab for lab in STRUCTURAL_LABELS
+                                if skel.check_all(state, lab) is None]
+                assert [lab for s, lab in pairs if s == state] == expected
+                checked += 1
+            if pairs:
+                state, lab = pairs[int(rng.integers(len(pairs)))]
+                cand = grow_candidate(cand, state, lab, 0.0, ctx, tips)
+    assert checked > 1000
 
 
 def test_potential_no_penalties_is_score_plus_esum():

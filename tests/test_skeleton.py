@@ -48,12 +48,12 @@ def test_attach_is_immutable():
 
 def test_progression_support_to_leader_ok():
     skel = chain(Label.TRUNK, Label.SUPPORT)
-    assert skel.check_label_progression((2, 3), Label.LEADER)
+    assert skel.check_all((2, 3), Label.LEADER) is None
 
 
 def test_progression_leader_to_support_rejected():
     skel = chain(Label.TRUNK, Label.SUPPORT, Label.LEADER)
-    assert not skel.check_label_progression((3, 4), Label.SUPPORT)
+    assert skel.check_all((3, 4), Label.SUPPORT) == "label-progression"
     with pytest.raises(AttachmentError) as err:
         skel.attach((3, 4), Label.SUPPORT)
     assert err.value.rule == "label-progression"
@@ -62,12 +62,12 @@ def test_progression_leader_to_support_rejected():
 def test_progression_first_edge_any_label():
     skel = LabeledSkeleton(0)
     for lab in (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH):
-        assert skel.check_label_progression((0, 1), lab)
+        assert skel.check_all((0, 1), lab) is None
 
 
 def test_progression_none_label_invalid():
     with pytest.raises(ValueError):
-        LabeledSkeleton(0).check_label_progression((0, 1), Label.NONE)
+        LabeledSkeleton(0).check_all((0, 1), Label.NONE)
     with pytest.raises(AttachmentError):
         LabeledSkeleton(0).attach((0, 1), Label.NONE)
 
@@ -76,7 +76,7 @@ def test_linearity_same_label_y_junction_rejected():
     skel = chain(Label.TRUNK, Label.LEADER, Label.LEADER)
     # Edge (1,2) is Leader with Leader successor (2,3); a second Leader
     # child of node 2 would make a same-label Y junction.
-    assert not skel.check_label_linearity((2, 4), Label.LEADER)
+    assert skel.check_all((2, 4), Label.LEADER) == "label-linearity"
     with pytest.raises(AttachmentError) as err:
         skel.attach((2, 4), Label.LEADER)
     assert err.value.rule == "label-linearity"
@@ -85,19 +85,19 @@ def test_linearity_same_label_y_junction_rejected():
 def test_linearity_differing_successor_ok():
     skel = chain(Label.TRUNK, Label.LEADER)
     skel = skel.attach((2, 3), Label.SIDE_BRANCH)
-    assert skel.check_label_linearity((2, 4), Label.LEADER)
+    assert skel.check_all((2, 4), Label.LEADER) is None
     skel.attach((2, 4), Label.LEADER)
 
 
 def test_linearity_no_successors_ok():
     skel = chain(Label.TRUNK, Label.LEADER)
-    assert skel.check_label_linearity((2, 3), Label.LEADER)
+    assert skel.check_all((2, 3), Label.LEADER) is None
 
 
 def test_trunk_split_two_supports_ok():
     skel = chain(Label.TRUNK)
     skel = skel.attach((1, 2), Label.SUPPORT)
-    assert skel.check_trunk_support_split((1, 3), Label.SUPPORT)
+    assert skel.check_all((1, 3), Label.SUPPORT) is None
     skel = skel.attach((1, 3), Label.SUPPORT)
     assert skel.label_violations() == []
 
@@ -105,7 +105,7 @@ def test_trunk_split_two_supports_ok():
 def test_trunk_split_third_support_rejected():
     skel = chain(Label.TRUNK)
     skel = skel.attach((1, 2), Label.SUPPORT).attach((1, 3), Label.SUPPORT)
-    assert not skel.check_trunk_support_split((1, 4), Label.SUPPORT)
+    assert skel.check_all((1, 4), Label.SUPPORT) == "trunk-support-split"
     with pytest.raises(AttachmentError) as err:
         skel.attach((1, 4), Label.SUPPORT)
     assert err.value.rule == "trunk-support-split"
@@ -114,13 +114,16 @@ def test_trunk_split_third_support_rejected():
 def test_trunk_split_trunk_after_support_rejected():
     skel = chain(Label.TRUNK)
     skel = skel.attach((1, 2), Label.SUPPORT)
-    assert not skel.check_trunk_support_split((1, 3), Label.TRUNK)
+    assert skel.check_all((1, 3), Label.TRUNK) == "trunk-support-split"
 
 
 def test_trunk_split_all_trunk_ok():
     skel = chain(Label.TRUNK)
+    assert skel.check_all((1, 2), Label.TRUNK) is None
     skel = skel.attach((1, 2), Label.TRUNK)
-    assert skel.check_trunk_support_split((1, 3), Label.TRUNK)
+    # All-Trunk successors pass the split rule; a second Trunk successor
+    # is still a same-label Y junction.
+    assert skel.check_all((1, 3), Label.TRUNK) == "label-linearity"
 
 
 def test_attach_rejects_cycle_and_reuse():
