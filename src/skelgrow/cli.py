@@ -132,29 +132,31 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict):
                   cfg.search.seed, args.points, cfg.crop_min, cfg.crop_max)
     graph_cache = out / f"cache_graph_{key}.json"
     t0 = time.perf_counter()
-    cached = _read_cache(graph_cache, graph_from_dict)
-    if cached is not None:
-        graph = cached[0]
+    graph = _read_cache(graph_cache, graph_from_dict)
+    if graph is not None:
         log.info("reusing cached superpoint graph %s", graph_cache.name)
     else:
         graph = build_graph(cloud, cfg.search.r_super, cfg.search.seed)
         _write_cache(graph_cache, graph_to_dict(graph))
     timings["superpoints_seconds"] = time.perf_counter() - t0
 
-    score_key = _digest(key, scorer)
-    score_cache = out / f"cache_scores_{score_key}.json"
     t0 = time.perf_counter()
-    conf = None
-    if scorer[0] != "override":
+    if scorer[0] == "override":
+        # Overrides are read from their file on every run; nothing to cache.
+        conf = score_all_edges(cloud, graph, scorer, cfg.search)
+    else:
+        # A model is keyed by its file's bytes, so editing it rescores.
+        model = [Path(scorer[1]).read_bytes()] if scorer[0] == "model" else []
+        score_cache = out / f"cache_scores_{_digest(key, scorer, *model)}.json"
         conf = _read_cache(score_cache, lambda doc: ConfidenceMap(
             values=np.asarray(doc["values"]), provenance=doc["provenance"]))
-    if conf is not None:
-        log.info("reusing cached edge scores %s", score_cache.name)
-    else:
-        conf = score_all_edges(cloud, graph, scorer, cfg.search)
-        _write_cache(score_cache,
-                     {"values": [float(v) for v in conf.values],
-                      "provenance": conf.provenance})
+        if conf is not None:
+            log.info("reusing cached edge scores %s", score_cache.name)
+        else:
+            conf = score_all_edges(cloud, graph, scorer, cfg.search)
+            _write_cache(score_cache,
+                         {"values": [float(v) for v in conf.values],
+                          "provenance": conf.provenance})
     timings["scoring_seconds"] = time.perf_counter() - t0
     return cloud, graph, conf
 
@@ -337,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--base-node", type=int)
     base.add_argument("--base-point", type=float, nargs=3,
                       metavar=("X", "Y", "Z"))
-    base.add_argument("--base-heuristic", action="store_true",
-                      help="lowest-Z superpoint (default)")
     ps.add_argument("--out", required=True)
     ps.add_argument("--threads", type=int, default=1,
                     help="worker cap; does not change results")

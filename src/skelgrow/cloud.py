@@ -167,11 +167,10 @@ def _read_ply(path: Path):
     return points, edges
 
 
-def export_cloud(cloud: PointCloud, path: str | Path,
-                 binary: bool = True) -> None:
-    """Write a plain x,y,z PLY (binary little-endian by default)."""
+def export_cloud(cloud: PointCloud, path: str | Path) -> None:
+    """Write a plain x,y,z binary little-endian PLY."""
     _write_ply(path, cloud.points, colors=None, skel_verts=None,
-               skel_colors=None, skel_edges=None, binary=binary)
+               skel_colors=None, skel_edges=None)
 
 
 def random_downsample(cloud: PointCloud, n: int, seed: int) -> PointCloud:
@@ -198,8 +197,8 @@ def crop_cloud(cloud: PointCloud, crop_min, crop_max) -> PointCloud:
     return PointCloud(cloud.points[mask])
 
 
-def export_colored(cloud: PointCloud, skeleton, positions, path: str | Path,
-                   binary: bool = True) -> None:
+def export_colored(cloud: PointCloud, skeleton, positions,
+                   path: str | Path) -> None:
     """Write cloud points (grey) plus label-colored skeleton polylines.
 
     ``positions`` maps skeleton node id -> 3D position. Skeleton edges are
@@ -217,18 +216,16 @@ def export_colored(cloud: PointCloud, skeleton, positions, path: str | Path,
         edge_rows.append((node_row[parent], node_row[child]))
         vert_colors[row_of[child]] = LABEL_COLORS[label]
     _write_ply(path, cloud.points, grey, skel_verts, vert_colors,
-               np.asarray(edge_rows, dtype=np.int64).reshape(-1, 2),
-               binary=binary)
+               np.asarray(edge_rows, dtype=np.int64).reshape(-1, 2))
 
 
-def _write_ply(path, points, colors, skel_verts, skel_colors, skel_edges,
-               binary=True):
+def _write_ply(path, points, colors, skel_verts, skel_colors, skel_edges):
     n_skel = 0 if skel_verts is None else skel_verts.shape[0]
     n_vert = points.shape[0] + n_skel
     n_edge = 0 if skel_edges is None else skel_edges.shape[0]
     with_color = colors is not None
     header = ["ply",
-              "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+              "format binary_little_endian 1.0",
               f"element vertex {n_vert}",
               "property float x", "property float y", "property float z"]
     if with_color:
@@ -257,19 +254,8 @@ def _write_ply(path, points, colors, skel_verts, skel_colors, skel_edges,
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(varr.tobytes())
-            fh.write(earr.tobytes())
-        else:
-            for row in varr:
-                cols = [repr(float(row[k])) for k in ("x", "y", "z")]
-                if with_color:
-                    cols += [str(int(row[k]))
-                             for k in ("red", "green", "blue")]
-                fh.write((" ".join(cols) + "\n").encode("ascii"))
-            for row in earr:
-                fh.write(f"{int(row['vertex1'])} {int(row['vertex2'])}\n"
-                         .encode("ascii"))
+        fh.write(varr.tobytes())
+        fh.write(earr.tobytes())
 
 
 def read_ply_with_edges(path: str | Path):

@@ -88,6 +88,16 @@ def grow_penalty(e, label: Label, cfg: SearchConfig) -> float:
     return cfg.c_grow * (delta - cfg.theta_grow_min) ** cfg.p_grow
 
 
+def edge_cost(e_s, e_p, length: float, conf: float,
+              cfg: SearchConfig) -> float:
+    """Transition cost for entering edge e_s after e_p (None at path start):
+    Len * (1 - Conf) plus the unlabeled turn penalty."""
+    cost = length * (1.0 - conf)
+    if e_p is not None:
+        cost += turn_penalty(e_s, e_p, Label.NONE, Label.NONE, cfg)
+    return cost
+
+
 def reward(e, length: float, conf: float, label: Label,
            pred_vec, pred_label: Label | None, cfg: SearchConfig) -> float:
     """Edge score minus turn and growth penalties.

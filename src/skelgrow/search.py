@@ -20,7 +20,7 @@ from scipy.stats import rankdata
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
 from .errors import SearchStalledError, NoTipsError
-from .geometry import edge_score, grow_penalty, turn_angle, turn_penalty
+from .geometry import edge_cost, edge_score, grow_penalty, turn_penalty
 from .labels import Label, STRUCTURAL_LABELS
 from .seeds import SeedSet
 from .skeleton import LabeledSkeleton, label_rule_violation
@@ -29,24 +29,12 @@ from .superpoints import SuperpointGraph
 DirEdge = tuple[int, int]  # directed (tail, head): traversal tail -> head
 
 
-def edge_cost(e_s, e_p, length: float, conf: float,
-              cfg: SearchConfig) -> float:
-    """Transition cost for entering edge e_s after e_p (None at path start):
-    Len * (1 - Conf) plus the unlabeled turn penalty."""
-    cost = length * (1.0 - conf)
-    if e_p is not None:
-        cost += turn_penalty(e_s, e_p, Label.NONE, Label.NONE, cfg)
-    return cost
-
-
 class SearchContext:
     """Precomputed per-directed-edge quantities shared by priors and the
     growth loop."""
 
     def __init__(self, graph: SuperpointGraph, conf: ConfidenceMap,
                  cfg: SearchConfig):
-        self.graph = graph
-        self.conf = conf
         self.cfg = cfg
         self.adj = [graph.neighbors(i) for i in range(graph.num_nodes)]
         pos = graph.positions
@@ -59,7 +47,7 @@ class SearchContext:
             length = float(graph.lengths[k])
             c = conf[k]
             es = edge_score(length, c, cfg.alpha_conf)
-            lnc = length * (1.0 - c)
+            lnc = edge_cost(None, None, length, c, cfg)
             for u, v in ((i, j), (j, i)):
                 d = pos[v] - pos[u]
                 vec = (float(d[0]), float(d[1]), float(d[2]))
@@ -68,18 +56,7 @@ class SearchContext:
                 self.len_noconf[(u, v)] = lnc
                 self.grow_pen[(u, v)] = {
                     lab: grow_penalty(vec, lab, cfg) for lab in Label}
-        self._angle_cache: dict[tuple, float] = {}
         self._pen_cache: dict[tuple, float] = {}
-
-    def turn_angle(self, a: int, b: int, c: int) -> float:
-        """Angle of the turn a->b then b->c."""
-        key = (a, b, c)
-        ang = self._angle_cache.get(key)
-        if ang is None:
-            ang = turn_angle(self.vec[(b, c)], self.vec[(a, b)])
-            self._angle_cache[key] = ang
-            self._angle_cache[(c, b, a)] = ang
-        return ang
 
     def turn_pen_none(self, a: int, b: int, c: int) -> float:
         """Unlabeled turn penalty of the turn a->b then b->c."""
@@ -118,12 +95,12 @@ class PathPrior:
         self.esum: dict[DirEdge, float] = {}
         # pen_minus[state] = (sum, sum - top1, sum - top1 - top2)
         self.pen_minus: dict[DirEdge, tuple] = {}
-        self._top2: dict[DirEdge, tuple] = {}
         self._nodes: dict[DirEdge, frozenset] = {}
         self._run(ctx, tip)
 
     def _run(self, ctx: SearchContext, tip: int):
         dist: dict[DirEdge, float] = {}
+        top2: dict[DirEdge, tuple] = {}  # two largest turn penalties
         heap = []
         for nbr, _eid in ctx.adj[tip]:
             state = (nbr, tip)
@@ -139,17 +116,17 @@ class PathPrior:
             self.succ[state] = via
             if via is None:
                 self.esum[state] = ctx.escore[state]
-                self._top2[state] = (0.0, 0.0)
+                top2[state] = (0.0, 0.0)
                 self.pen_minus[state] = (0.0, 0.0, 0.0)
             else:
                 pen = ctx.turn_pen_none(state[0], state[1], via[1])
                 self.esum[state] = ctx.escore[state] + self.esum[via]
-                t1, t2 = self._top2[via]
+                t1, t2 = top2[via]
                 if pen >= t1:
                     t1, t2 = pen, t1
                 elif pen > t2:
                     t2 = pen
-                self._top2[state] = (t1, t2)
+                top2[state] = (t1, t2)
                 total = self.pen_minus[via][0] + pen
                 self.pen_minus[state] = (total, total - t1, total - t1 - t2)
             u, v = state
@@ -197,8 +174,7 @@ class Candidate:
     score: float
     nodes: frozenset
     frontier: frozenset  # directed edges (in-skeleton -> outside)
-    reached: frozenset
-    abandoned: frozenset
+    abandoned: frozenset  # tips with no eligible pair left
     key: tuple  # (edge count, order-independent 64-bit content hash)
 
 
@@ -214,19 +190,16 @@ def _edge_label_hash(state: DirEdge, label: Label) -> int:
     return x
 
 
-def make_root_candidate(base: int, ctx: SearchContext,
-                        tips: frozenset) -> Candidate:
+def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
     skel = LabeledSkeleton(base)
     frontier = frozenset((base, w) for w, _ in ctx.adj[base])
     return Candidate(
         skeleton=skel, score=0.0, nodes=frozenset((base,)),
-        frontier=frontier, reached=frozenset({base} & tips),
-        abandoned=frozenset(), key=(0, 0))
+        frontier=frontier, abandoned=frozenset(), key=(0, 0))
 
 
 def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
-                   new_score: float, ctx: SearchContext,
-                   tips: frozenset) -> Candidate:
+                   new_score: float, ctx: SearchContext) -> Candidate:
     u, v = state
     skel = cand.skeleton.attach((u, v), label)
     nodes = cand.nodes | {v}
@@ -235,11 +208,9 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
         frontier.discard((w, v))
         if w not in nodes:
             frontier.add((v, w))
-    reached = cand.reached | ({v} & tips)
     return Candidate(
         skeleton=skel, score=new_score, nodes=frozenset(nodes),
-        frontier=frozenset(frontier), reached=reached,
-        abandoned=cand.abandoned,
+        frontier=frozenset(frontier), abandoned=cand.abandoned,
         key=(cand.key[0] + 1, cand.key[1] ^ _edge_label_hash(state, label)))
 
 
@@ -281,19 +252,12 @@ def eligible_pairs(cand: Candidate, prior: PathPrior,
     return pairs
 
 
-def potential(cand: Candidate, prior: PathPrior, pair, ctx: SearchContext,
-              new_score: float | None = None) -> float:
-    """Score of the grown skeleton plus the path prior's edge scores minus
-    its turn penalties after the label-dependent drop."""
+def potential(prior: PathPrior, pair, new_score: float) -> float:
+    """``new_score`` (the grown skeleton's score) plus the path prior's
+    edge scores minus its turn penalties after the label-dependent drop."""
     state, label = pair
     if state not in prior.cost:
         raise ValueError(f"edge {state} unreachable from tip {prior.tip}")
-    if new_score is None:
-        pred = cand.skeleton.parent_edge(state[0])
-        pred_label = None if pred is None else cand.skeleton.label_of(pred)
-        pred_tail = None if pred is None else pred[0]
-        new_score = cand.score + ctx.reward(state, label, pred_tail,
-                                            pred_label)
     return new_score + prior.esum[state] - prior.dropped_pen(state, label)
 
 
@@ -354,12 +318,11 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         raise NoTipsError("no tip candidates; nothing to grow toward")
     ctx = SearchContext(graph, conf, cfg)
     tips = tuple(sorted(seeds.tips))
-    tipset = frozenset(tips)
     t0 = time.perf_counter()
     priors = {t: PathPrior(ctx, t) for t in tips}
     prior_time = time.perf_counter() - t0
 
-    root = make_root_candidate(seeds.base, ctx, tipset)
+    root = make_root_candidate(seeds.base, ctx)
     population: list[Candidate] = [root] * cfg.K
     best = root
     max_iter = cfg.resolve_max_iterations(graph.num_nodes)
@@ -371,28 +334,25 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             if cand.score > best.score:
                 best = cand
         history.append(best.score)
-        unfinished = [
-            ci for ci, cand in enumerate(population)
-            if any(t not in cand.reached and t not in cand.abandoned
-                   for t in tips)
-        ]
-        if not unfinished:
+
+        # Each unfinished candidate draws one open tip (neither reached nor
+        # abandoned); identical (skeleton, tip) pairs are grouped so
+        # eligibility and potential are computed once per group.
+        groups: dict[tuple, list[int]] = {}
+        finished: list[int] = []
+        for ci, cand in enumerate(population):
+            open_tips = [t for t in tips
+                         if t not in cand.nodes and t not in cand.abandoned]
+            if not open_tips:
+                finished.append(ci)
+                continue
+            rng = np.random.default_rng((cfg.seed, iteration, ci))
+            t = open_tips[int(rng.integers(len(open_tips)))]
+            groups.setdefault((cand.key, t), []).append(ci)
+        if not groups:
             break
 
         score_ranks = rank([c.score for c in population])
-
-        # Group identical (skeleton, tip) pairs so eligibility and
-        # potential are computed once per group.
-        groups: dict[tuple, list[int]] = {}
-        tip_choice: dict[int, int] = {}
-        for ci in unfinished:
-            cand = population[ci]
-            open_tips = [t for t in tips
-                         if t not in cand.reached and t not in cand.abandoned]
-            rng = np.random.default_rng((cfg.seed, iteration, ci))
-            t = open_tips[int(rng.integers(len(open_tips)))]
-            tip_choice[ci] = t
-            groups.setdefault((cand.key, t), []).append(ci)
 
         pool: dict[tuple, _PoolEntry] = {}
 
@@ -403,9 +363,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             else:
                 entry.weight += w
 
-        for ci, cand in enumerate(population):
-            if ci not in tip_choice:
-                add_carried(cand, float(score_ranks[ci]))
+        for ci in finished:
+            add_carried(population[ci], float(score_ranks[ci]))
 
         for gkey in sorted(groups):
             members = groups[gkey]
@@ -430,8 +389,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 ns = cand.score + ctx.reward(state, lab, pred_tail,
                                              pred_label)
                 new_scores.append(ns)
-                pots.append(potential(cand, prior, (state, lab), ctx,
-                                      new_score=ns))
+                pots.append(potential(prior, (state, lab), ns))
             pot_ranks = rank(pots)
             group_score_rank = sum(float(score_ranks[ci]) for ci in members)
             for p, (state, lab) in enumerate(pairs):
@@ -461,8 +419,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                     cand = entry.cand
                 else:
                     state, lab, ns = entry.proposal
-                    cand = grow_candidate(entry.cand, state, lab, ns, ctx,
-                                          tipset)
+                    cand = grow_candidate(entry.cand, state, lab, ns, ctx)
                 realized[idx] = cand
             new_pop.append(cand)
         population = new_pop
@@ -483,7 +440,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "iterations": iteration,
         "best_score_history": history,
         "best_score": best.score,
-        "reached_tips": sorted(best.reached & tipset),
+        "reached_tips": sorted(best.nodes.intersection(tips)),
         "abandoned_tips": sorted(best.abandoned),
         "prior_seconds": prior_time,
     })

@@ -7,9 +7,8 @@ import math
 
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
-from .geometry import turn_angle
+from .geometry import edge_cost, turn_angle
 from .labels import Label
-from .search import SearchContext
 from .skeleton import LabeledSkeleton
 from .superpoints import SuperpointGraph
 
@@ -19,15 +18,22 @@ _ANGLE_LO = math.pi / 4
 _ANGLE_HI = 3 * math.pi / 4
 
 
-def _leader_direction(skeleton: LabeledSkeleton, node: int, ctx):
+def _vec(graph: SuperpointGraph, u: int, v: int) -> tuple:
+    """Edge vector u -> v."""
+    d = graph.positions[v] - graph.positions[u]
+    return (float(d[0]), float(d[1]), float(d[2]))
+
+
+def _leader_direction(skeleton: LabeledSkeleton, node: int,
+                      graph: SuperpointGraph):
     """Direction of the leader at an attachment node: the Leader edge into
     the node, else its first Leader child edge."""
     pred = skeleton.parent_edge(node)
     if pred is not None and skeleton.label_of(pred) is Label.LEADER:
-        return ctx.vec[pred]
+        return _vec(graph, *pred)
     for child, lab in sorted(skeleton.children_of(node)):
         if lab is Label.LEADER:
-            return ctx.vec[(node, child)]
+            return _vec(graph, node, child)
     return None
 
 
@@ -42,7 +48,6 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
     graph is grown as one minimum-cost path whose consecutive turn angles
     stay within pi/2.
     """
-    ctx = SearchContext(graph, conf, cfg)
     in_skel = set(skeleton.nodes)
     leader_nodes = set()
     for (p, c), lab in skeleton.edge_labels.items():
@@ -81,16 +86,17 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
     # Candidate attachment edges grouped by the component they lead into.
     attachments: dict[int, list] = {}
     for a in sorted(leader_nodes):
-        direction = _leader_direction(skeleton, a, ctx)
+        direction = _leader_direction(skeleton, a, graph)
         if direction is None:
             continue
         for x, eid in graph.neighbors(a):
             if x in in_skel or conf[eid] < cfg.alpha_conf:
                 continue
-            ang = turn_angle(ctx.vec[(a, x)], direction)
+            ang = turn_angle(_vec(graph, a, x), direction)
             if not (_ANGLE_LO <= ang <= _ANGLE_HI):
                 continue
-            cost = ctx.len_noconf[(a, x)]
+            cost = edge_cost(None, None, float(graph.lengths[eid]),
+                             conf[eid], cfg)
             attachments.setdefault(comp[x], []).append((cost, a, x))
 
     result = skeleton
@@ -100,7 +106,7 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
         cost0, a, x = entries[0]
         if x in claimed:
             continue
-        path = _grow_path(a, x, ctx, conf, cfg, claimed)
+        path = _grow_path(a, x, graph, conf, cfg, claimed)
         try:
             for parent, child in path:
                 result = result.attach((parent, child), Label.SIDE_BRANCH)
@@ -111,23 +117,24 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
     return result
 
 
-def _grow_path(a: int, x: int, ctx, conf, cfg, claimed):
+def _grow_path(a: int, x: int, graph: SuperpointGraph, conf, cfg, claimed):
     """Greedy minimum-cost extension until no neighbor qualifies."""
     path = [(a, x)]
     on_path = {a, x}
     cur = x
     while True:
         best = None
-        for nbr, eid in ctx.graph.neighbors(cur):
+        into = _vec(graph, path[-1][0], cur)
+        for nbr, eid in graph.neighbors(cur):
             if nbr in claimed or nbr in on_path:
                 continue
             if conf[eid] < cfg.alpha_conf:
                 continue
-            ang = ctx.turn_angle(path[-1][0], cur, nbr)
-            if ang > math.pi / 2:
+            out = _vec(graph, cur, nbr)
+            if turn_angle(out, into) > math.pi / 2:
                 continue
-            step = ctx.len_noconf[(cur, nbr)] + ctx.turn_pen_none(
-                path[-1][0], cur, nbr)
+            step = edge_cost(out, into, float(graph.lengths[eid]),
+                             conf[eid], cfg)
             if best is None or step < best[0] or \
                     (step == best[0] and nbr < best[1]):
                 best = (step, nbr)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -132,18 +130,15 @@ def build_graph(cloud: PointCloud, r_super: float, seed: int) -> SuperpointGraph
     return SuperpointGraph(nodes=nodes, edges=edges, lengths=lengths)
 
 
-def graph_to_dict(graph: SuperpointGraph, confidence=None) -> dict:
-    doc = {
+def graph_to_dict(graph: SuperpointGraph) -> dict:
+    return {
         "nodes": [{"id": sp.id, "pos": [float(x) for x in sp.position]}
                   for sp in graph.nodes],
         "edges": [[int(i), int(j)] for i, j in graph.edges],
     }
-    if confidence is not None:
-        doc["confidence"] = [float(c) for c in confidence]
-    return doc
 
 
-def graph_from_dict(doc: dict) -> tuple[SuperpointGraph, np.ndarray | None]:
+def graph_from_dict(doc: dict) -> SuperpointGraph:
     nodes = []
     for k, n in enumerate(doc["nodes"]):
         if n["id"] != k:
@@ -157,18 +152,4 @@ def graph_from_dict(doc: dict) -> tuple[SuperpointGraph, np.ndarray | None]:
     lengths = (np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]],
                               axis=1)
                if len(edges) else np.zeros(0, dtype=np.float64))
-    conf = doc.get("confidence")
-    conf_arr = None if conf is None else np.asarray(conf, dtype=np.float64)
-    return SuperpointGraph(nodes=nodes, edges=edges, lengths=lengths), conf_arr
-
-
-def save_graph(graph: SuperpointGraph, path: str | Path,
-               confidence=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph, confidence), fh)
-        fh.write("\n")
-
-
-def load_graph(path: str | Path):
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return SuperpointGraph(nodes=nodes, edges=edges, lengths=lengths)

@@ -22,10 +22,10 @@ from skelgrow.errors import AttachmentError, CorrectionError, NoTipsError, \
     SearchStalledError
 from skelgrow.evaluation import (apply_corrections, compute_segment_stats,
                                  edit_distance, per_label_ratio)
-from skelgrow.geometry import edge_score, grow_penalty, turn_penalty
+from skelgrow.geometry import edge_cost, edge_score, grow_penalty, \
+    turn_penalty
 from skelgrow.labels import Label
-from skelgrow.search import PathPrior, SearchContext, edge_cost, rank, \
-    run_search
+from skelgrow.search import PathPrior, SearchContext, rank, run_search
 from skelgrow.seeds import SeedSet, find_tips
 from skelgrow.side_branches import find_side_branches
 from skelgrow.skeleton import LabeledSkeleton

@@ -6,8 +6,10 @@ from argparse import Namespace
 import pytest
 
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
-                          _parse_scorer, cmd_bench, main)
+                          EXIT_STALLED, _parse_scorer, cmd_bench, main)
+from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
 from skelgrow.errors import ConfigError
+from skelgrow.search import SearchContext
 
 _SMALL_SPEC = {"n_leaders": 2, "leader_height": 1.0, "seed": 1}
 
@@ -101,6 +103,61 @@ def test_truncated_cache_is_rebuilt(synth_dir, tmp_path, kind):
     assert (out / "skeleton.json").read_bytes() == first
     assert cache.read_bytes() == data  # rewritten in full
     assert not list(out.glob("*.tmp"))
+
+
+def _zero_weight_model(path, bias):
+    """A one-layer model that gives every edge sigmoid(bias)."""
+    n_in = GRID_ALONG * GRID_LATERAL + 4
+    return _write_json(path, {"layers": [
+        {"rows": 1, "cols": n_in, "weights": [0.0] * n_in, "bias": [bias]}]})
+
+
+def test_edited_model_file_is_rescored(synth_dir, tmp_path):
+    """Scores cached for a model are not reused once its file changes: with
+    every edge below alpha_conf the rerun stalls like a fresh run does."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    model = tmp_path / "model.json"
+
+    def run(out):
+        return main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg, "--scorer", f"model:{model}",
+                     "--out", str(tmp_path / out)])
+
+    _zero_weight_model(model, 5.0)
+    assert run("run") == EXIT_OK
+    _zero_weight_model(model, -5.0)
+    assert run("fresh") == EXIT_STALLED
+    assert run("run") == EXIT_STALLED
+    assert len(list((tmp_path / "run").glob("cache_scores_*.json"))) == 2
+
+
+def test_override_scores_are_not_cached(synth_dir, tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg,
+                 "--scorer", f"override:{synth_dir / 'override.json'}",
+                 "--out", str(out)]) == EXIT_OK
+    assert list(out.glob("cache_graph_*.json"))
+    assert not list(out.glob("cache_scores_*.json"))
+
+
+def test_skeletonize_builds_one_search_context(synth_dir, tmp_path,
+                                               monkeypatch):
+    """The search and the side-branch step share one set of per-edge
+    tables: a run constructs ``SearchContext`` once."""
+    built = []
+    init = SearchContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SearchContext, "__init__", counting_init)
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert len(built) == 1
 
 
 def test_eval_empty_reference(synth_dir, tmp_path):

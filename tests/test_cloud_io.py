@@ -75,7 +75,7 @@ def test_binary_ply_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     cloud = PointCloud(rng.normal(size=(257, 3)).astype(np.float32))
     path = tmp_path / "cloud.ply"
-    export_cloud(cloud, path, binary=True)
+    export_cloud(cloud, path)
     again = load_cloud(path)
     np.testing.assert_array_equal(again.points, cloud.points)
 

@@ -9,9 +9,9 @@ from scipy.stats import chisquare
 from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
-from skelgrow.geometry import reward, turn_penalty
+from skelgrow.geometry import edge_cost, reward, turn_penalty
 from skelgrow.labels import Label, STRUCTURAL_LABELS
-from skelgrow.search import (PathPrior, SearchContext, edge_cost,
+from skelgrow.search import (PathPrior, SearchContext,
                              eligible_pairs, grow_candidate,
                              make_root_candidate, potential, rank, resample,
                              run_search, weight)
@@ -218,7 +218,7 @@ def _t_fixture():
 def test_eligible_empty_skeleton_trunk_only():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    root = make_root_candidate(0, ctx, frozenset({3}))
+    root = make_root_candidate(0, ctx)
     pairs = eligible_pairs(root, prior, ctx)
     assert pairs == [((0, 1), Label.TRUNK)]
 
@@ -226,12 +226,12 @@ def test_eligible_empty_skeleton_trunk_only():
 def test_eligible_after_leader_only_leader():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    root = make_root_candidate(0, ctx, frozenset({3}))
+    root = make_root_candidate(0, ctx)
     cand = root
     for state, lab in (((0, 1), Label.TRUNK), ((1, 2), Label.LEADER)):
         cand = grow_candidate(cand, state, lab,
                               cand.score + ctx.reward(state, lab, None, None),
-                              ctx, frozenset({3}))
+                              ctx)
     pairs = eligible_pairs(cand, prior, ctx)
     assert pairs == [((2, 3), Label.LEADER)]
 
@@ -239,11 +239,10 @@ def test_eligible_after_leader_only_leader():
 def test_eligible_tip_already_reached_empty():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    cand = make_root_candidate(0, ctx, frozenset({3}))
+    cand = make_root_candidate(0, ctx)
     for k in range(3):
         state = (k, k + 1)
-        cand = grow_candidate(cand, state, Label.TRUNK, 0.0, ctx,
-                              frozenset({3}))
+        cand = grow_candidate(cand, state, Label.TRUNK, 0.0, ctx)
     assert eligible_pairs(cand, prior, ctx) == []
 
 
@@ -290,7 +289,7 @@ def test_eligible_labels_match_check_all():
     rng = np.random.default_rng(11)
     checked = 0
     for _lineage in range(30):
-        cand = make_root_candidate(base, ctx, tips)
+        cand = make_root_candidate(base, ctx)
         for _step in range(80):
             prior = priors[int(rng.integers(len(priors)))]
             pairs = eligible_pairs(cand, prior, ctx)
@@ -308,30 +307,27 @@ def test_eligible_labels_match_check_all():
                 checked += 1
             if pairs:
                 state, lab = pairs[int(rng.integers(len(pairs)))]
-                cand = grow_candidate(cand, state, lab, 0.0, ctx, tips)
+                cand = grow_candidate(cand, state, lab, 0.0, ctx)
     assert checked > 1000
 
 
 def test_potential_no_penalties_is_score_plus_esum():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    root = make_root_candidate(0, ctx, frozenset({3}))
-    pair = ((0, 1), Label.TRUNK)
     new_score = ctx.reward((0, 1), Label.TRUNK, None, None)
-    got = potential(root, prior, pair, ctx)
+    got = potential(prior, ((0, 1), Label.TRUNK), new_score)
     assert got == pytest.approx(new_score + prior.esum[(0, 1)], rel=1e-9)
     # Straight chain: no turn penalties, so all labels agree.
-    assert potential(root, prior, ((0, 1), Label.LEADER), ctx,
-                     new_score=new_score) == pytest.approx(got, rel=1e-9)
+    assert potential(prior, ((0, 1), Label.LEADER),
+                     new_score) == pytest.approx(got, rel=1e-9)
 
 
 def test_potential_unreachable_rejected():
     graph = make_graph([(0, 0, 0), (0.1, 0, 0), (5, 5, 5)], [(0, 1)])
     ctx = SearchContext(graph, uniform_conf(graph), CFG)
     prior = PathPrior(ctx, tip=2)
-    root = make_root_candidate(0, ctx, frozenset({2}))
     with pytest.raises(ValueError):
-        potential(root, prior, ((0, 1), Label.TRUNK), ctx)
+        potential(prior, ((0, 1), Label.TRUNK), 0.0)
 
 
 # -- run_search ------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Near-orthogonal side-branch attachment after the main search."""
 
+import ast
+
 import numpy as np
 
 from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.config import SearchConfig
 from skelgrow.labels import Label
+from skelgrow import side_branches
 from skelgrow.side_branches import find_side_branches
 from skelgrow.skeleton import LabeledSkeleton
 
@@ -79,3 +82,16 @@ def test_component_attached_once_via_cheapest_entry():
     assert new_edges == {(2, 4), (4, 5)}
     assert all(grown.label_of(e) is Label.SIDE_BRANCH for e in new_edges)
     assert grown.topology_violations() == []
+
+
+
+def test_post_processing_does_not_import_the_search():
+    """Side branches take their geometry from the graph and ``geometry``,
+    not from the search's tables."""
+    tree = ast.parse(open(side_branches.__file__).read())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert "geometry" in modules
+    assert not {"search", "skelgrow.search"} & modules

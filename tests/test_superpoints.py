@@ -102,8 +102,7 @@ def test_graph_json_round_trip():
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.uniform(0, 0.5, size=(200, 3)).astype(np.float32))
     graph = build_graph(cloud, 0.10, seed=0)
-    again, conf = graph_from_dict(graph_to_dict(graph))
-    assert conf is None
+    again = graph_from_dict(graph_to_dict(graph))
     assert again.num_nodes == graph.num_nodes
     np.testing.assert_array_equal(again.edges, graph.edges)
     np.testing.assert_allclose(again.positions, graph.positions, atol=1e-12)
