@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -194,6 +195,7 @@ def cmd_skeletonize(args) -> int:
     info.update({
         "seed": cfg.search.seed,
         "threads": args.threads,
+        "threads_used": 1,  # no stage runs in parallel yet
         "config": {f.name: getattr(cfg.search, f.name)
                    for f in dataclass_fields(SearchConfig)},
         "crop": {"min": cfg.crop_min, "max": cfg.crop_max},
@@ -253,9 +255,23 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _check_node_space(positions: dict, ref_positions: dict) -> None:
+    """Raise EvalError when a node id in both documents lies at two places:
+    the skeletons then number different node sets, and their edit distance
+    means nothing."""
+    moved = sorted(n for n in positions.keys() & ref_positions.keys()
+                   if math.dist(positions[n], ref_positions[n]) > 1e-6)
+    if moved:
+        raise EvalError(
+            f"{len(moved)} node ids lie at different positions in the "
+            f"skeleton and the reference (first: node {moved[0]}); they are "
+            f"not over the same node space")
+
+
 def cmd_eval(args) -> int:
-    skeleton, _ = load_skeleton(args.skeleton)
-    reference, _ = load_skeleton(args.reference)
+    skeleton, positions = load_skeleton(args.skeleton)
+    reference, ref_positions = load_skeleton(args.reference)
+    _check_node_space(positions, ref_positions)
     if args.corrections:
         script = load_script(args.corrections)
         reference = apply_corrections(reference, script)

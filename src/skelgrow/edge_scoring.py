@@ -235,7 +235,8 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
             raise OverrideError(
                 f"override file missing {len(missing)} edges: "
                 f"{missing[:20]}")
-        if values.min() < 0 or values.max() > 1:
+        # Written so that a NaN, which fails every comparison, is rejected.
+        if not np.all((values >= 0) & (values <= 1)):
             raise OverrideError("override scores must lie in [0, 1]")
         return ConfidenceMap(values=values, provenance="override")
 

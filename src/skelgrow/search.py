@@ -9,13 +9,13 @@ rank-product weighted resampling.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
@@ -261,12 +261,29 @@ def potential(prior: PathPrior, pair, new_score: float) -> float:
     return new_score + prior.esum[state] - prior.dropped_pen(state, label)
 
 
-def rank(values) -> np.ndarray:
-    """Ascending 1-indexed ranks divided by n, ties averaged."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+def rank(values) -> list[float]:
+    """Ascending 1-indexed ranks divided by n, ties averaged (the same
+    floats as ``scipy.stats.rankdata(values) / n``). Raises ValueError on
+    an empty list or a NaN."""
+    n = len(values)
+    if n == 0:
         raise ValueError("rank of empty list")
-    return rankdata(arr, method="average") / arr.size
+    order = sorted(range(n), key=values.__getitem__)
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        v = values[order[i]]
+        if v != v:  # NaN equals nothing, so it always starts a run
+            raise ValueError("rank of NaN")
+        j = i + 1
+        while j < n and values[order[j]] == v:
+            j += 1
+        # The tie run holds sorted positions i..j-1, ranks i+1..j.
+        r = 0.5 * (i + j + 1) / n
+        for k in range(i, j):
+            ranks[order[k]] = r
+        i = j
+    return ranks
 
 
 def weight(skeleton_rank: float, pair_rank: float) -> float:
@@ -282,17 +299,25 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
     if w.size == 0:
         raise SearchStalledError("no next-generation candidates to resample")
     orig = w.copy()
-    counts = np.zeros(w.size, dtype=np.int64)
+    counts = [0] * w.size
     chosen: list[int] = []
-    for _ in range(K):
-        total = w.sum()
-        if total <= 0:
-            break
-        idx = int(rng.choice(w.size, p=w / total))
+    cdf = None
+    while len(chosen) < K:
+        if cdf is None:
+            # The CDF ``rng.choice(w.size, p=w / total)`` would build; the
+            # weights, and so the CDF, change only when a cap is hit.
+            total = w.sum()
+            if total <= 0:
+                break
+            cum = (w / total).cumsum()
+            cum /= cum[-1]
+            cdf = cum.tolist()
+        idx = bisect.bisect_right(cdf, rng.random())
         chosen.append(idx)
         counts[idx] += 1
         if counts[idx] >= k_max_rep:
             w[idx] = 0.0
+            cdf = None
     if len(chosen) < K:
         # Stable descending weight order; ties by index.
         order = np.lexsort((np.arange(orig.size), -orig))
@@ -346,8 +371,12 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             if not open_tips:
                 finished.append(ci)
                 continue
-            rng = np.random.default_rng((cfg.seed, iteration, ci))
-            t = open_tips[int(rng.integers(len(open_tips)))]
+            if len(open_tips) == 1:
+                # The generator serves this one draw only: not needed here.
+                t = open_tips[0]
+            else:
+                rng = np.random.default_rng((cfg.seed, iteration, ci))
+                t = open_tips[int(rng.integers(len(open_tips)))]
             groups.setdefault((cand.key, t), []).append(ci)
         if not groups:
             break
@@ -364,7 +393,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 entry.weight += w
 
         for ci in finished:
-            add_carried(population[ci], float(score_ranks[ci]))
+            add_carried(population[ci], score_ranks[ci])
 
         for gkey in sorted(groups):
             members = groups[gkey]
@@ -377,7 +406,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                     stuck = population[ci]
                     add_carried(
                         replace(stuck, abandoned=stuck.abandoned | {tip}),
-                        float(score_ranks[ci]))
+                        score_ranks[ci])
                 continue
             new_scores = []
             pots = []
@@ -391,11 +420,11 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 new_scores.append(ns)
                 pots.append(potential(prior, (state, lab), ns))
             pot_ranks = rank(pots)
-            group_score_rank = sum(float(score_ranks[ci]) for ci in members)
+            group_score_rank = sum(score_ranks[ci] for ci in members)
             for p, (state, lab) in enumerate(pairs):
                 pkey = (cand.key[0] + 1,
                         cand.key[1] ^ _edge_label_hash(state, lab))
-                w = weight(group_score_rank, float(pot_ranks[p]))
+                w = weight(group_score_rank, pot_ranks[p])
                 entry = pool.get(pkey)
                 if entry is None:
                     pool[pkey] = _PoolEntry(

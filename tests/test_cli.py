@@ -1,10 +1,15 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
+import skelgrow
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _parse_scorer, cmd_bench, main)
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
@@ -77,6 +82,7 @@ def test_end_to_end_skeletonize_and_eval(synth_dir, tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["best_score"] > 0
     assert manifest["config"]["K"] == 50
+    assert manifest["threads"] == 1 and manifest["threads_used"] == 1
 
     report = tmp_path / "report.json"
     code = main(["eval", "--skeleton", str(out / "skeleton.json"),
@@ -158,6 +164,53 @@ def test_skeletonize_builds_one_search_context(synth_dir, tmp_path,
     assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
                  "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
     assert len(built) == 1
+
+
+def test_nan_override_score_rejected(synth_dir, tmp_path, capsys):
+    doc = json.loads((synth_dir / "override.json").read_text())
+    doc["scores"][min(doc["scores"])] = float("nan")
+    override = _write_json(tmp_path / "override.json", doc)
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg, "--scorer", f"override:{override}",
+                 "--out", str(tmp_path / "run")]) == EXIT_DATA
+    assert "override scores must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_eval_against_other_node_space(synth_dir, tmp_path):
+    """A skeleton over superpoint ids evaluated against ``truth.json``
+    (centreline node ids) is refused, not scored."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["eval", "--skeleton", str(out / "skeleton.json"),
+                 "--reference", str(synth_dir / "truth.json")]) == EXIT_DATA
+
+
+def test_eval_node_moved_beyond_tolerance(tmp_path):
+    def doc(top):
+        return {"base": 0,
+                "nodes": [{"id": 0, "pos": [0, 0, 0]},
+                          {"id": 1, "pos": [0, 0, top]}],
+                "edges": [{"parent": 0, "child": 1, "label": "Trunk"}]}
+    skel = _write_json(tmp_path / "skel.json", doc(1.0))
+    near = _write_json(tmp_path / "near.json", doc(1.0 + 1e-7))
+    far = _write_json(tmp_path / "far.json", doc(1.0 + 1e-5))
+    assert main(["eval", "--skeleton", skel, "--reference", near]) == EXIT_OK
+    assert main(["eval", "--skeleton", skel, "--reference", far]) == EXIT_DATA
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """``import skelgrow.cli`` in a fresh interpreter does not pay for
+    loading ``scipy.stats``."""
+    src = str(Path(skelgrow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, skelgrow.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"
 
 
 def test_eval_empty_reference(synth_dir, tmp_path):

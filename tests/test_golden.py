@@ -22,11 +22,18 @@ GOLDEN = [
     ({"n_leaders": 4, "n_side_branches": 2, "seed": 0}, {"K": 20},
      "heuristic",
      "c6fec764885653edc912c51da0b24294cacea22408b9a5bd41844219e0d189c4"),
+    # The oracle-corpus tree clean-0 at K=200: its iterations hit the
+    # k_max_rep cap in resampling.
+    ({"n_leaders": 7, "leader_spacing": 0.35, "leader_height": 2.0,
+      "seed": 0}, {"K": 200},
+     "override",
+     "8ce6aab11536281fece0b04055a236722fbf6c3ae92d6ba242169bb4b05cfeec"),
 ]
 
 
 @pytest.mark.parametrize("spec, config, scorer, digest", GOLDEN,
-                         ids=["oracle-2-leaders", "heuristic-side-branches"])
+                         ids=["oracle-2-leaders", "heuristic-side-branches",
+                              "oracle-corpus-clean-0"])
 def test_skeleton_json_digest(tmp_path, spec, config, scorer, digest):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     (tmp_path / "cfg.json").write_text(json.dumps(config))

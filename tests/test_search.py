@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, rankdata
 
 from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.config import SearchConfig
@@ -61,6 +61,30 @@ def test_rank_sorted_distinct_is_uniform_sequence():
                                [(k + 1) / n for k in range(n)])
 
 
+def test_rank_matches_scipy_rankdata_exactly():
+    """Bit-identical to scipy's average rank over n, which it replaces."""
+    rng = np.random.default_rng(4)
+    for trial in range(3000):
+        n = int(rng.integers(1, 301))
+        if trial % 3 == 0:
+            values = rng.normal(size=n)  # distinct
+        elif trial % 3 == 1:
+            values = rng.integers(0, max(1, n // 4), size=n).astype(float)
+        else:  # ties between floats that are not exact fractions
+            values = rng.integers(0, 7, size=n) / 3.0 + 0.1
+        expected = rankdata(values, method="average") / n
+        got = rank(values.tolist())
+        assert isinstance(got, list)
+        assert got == expected.tolist()
+
+
+def test_rank_rejects_nan():
+    with pytest.raises(ValueError):
+        rank([0.5, math.nan, 0.2])
+    with pytest.raises(ValueError):
+        rank([math.nan])
+
+
 def test_weight_is_product():
     assert weight(1.0, 1.0) == 1.0
     assert weight(0.5, 0.4) == pytest.approx(0.2)
@@ -105,6 +129,72 @@ def test_resample_uniform_matches_multinomial():
         counts[idx] += 1
     _, p = chisquare(counts)
     assert p > 1e-3
+
+
+def _resample_per_draw_choice(weights, K, k_max_rep, rng):
+    """``resample`` as it was written with one ``rng.choice`` per draw."""
+    w = np.asarray(weights, dtype=np.float64).copy()
+    orig = w.copy()
+    counts = np.zeros(w.size, dtype=np.int64)
+    chosen = []
+    for _ in range(K):
+        total = w.sum()
+        if total <= 0:
+            break
+        idx = int(rng.choice(w.size, p=w / total))
+        chosen.append(idx)
+        counts[idx] += 1
+        if counts[idx] >= k_max_rep:
+            w[idx] = 0.0
+    order = np.lexsort((np.arange(orig.size), -orig))
+    k = 0
+    while len(chosen) < K:
+        chosen.append(int(order[k % orig.size]))
+        k += 1
+    return chosen
+
+
+def test_resample_matches_per_draw_choice():
+    """Draw for draw, the kept CDF gives the indices ``rng.choice`` gave
+    and consumes the same generator stream, including when every cap is
+    hit and the fill takes over."""
+    rng = np.random.default_rng(7)
+    exhausted = 0
+    for trial in range(400):
+        n = int(rng.integers(1, 400))
+        w = rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0
+        if trial % 4 == 0:  # rank-product weights: many ties
+            w = np.round(w * 8) / 8
+        if not w.any():
+            w[0] = 1.0
+        K = int(rng.choice([1, 7, 50, 200, 500]))
+        k_max_rep = int(rng.choice([1, 2, 3, 5]))
+        exhausted += K > np.count_nonzero(w) * k_max_rep
+        a = np.random.default_rng((trial, 1))
+        b = np.random.default_rng((trial, 1))
+        assert resample(w.tolist(), K, k_max_rep, a) == \
+            _resample_per_draw_choice(w, K, k_max_rep, b)
+        assert a.random() == b.random()
+    assert exhausted > 50
+
+
+class _FixedDraws:
+    """A generator stand-in whose uniform draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_resample_draw_on_a_cdf_step_takes_the_next_index():
+    # Like rng.choice, a draw equal to a CDF value picks the first index
+    # whose CDF exceeds it, so a zero-weight entry is never chosen.
+    chosen = resample([0.0, 1.0, 1.0, 0.0, 2.0], K=3, k_max_rep=5,
+                      rng=_FixedDraws([0.0, 0.25, 0.5]))
+    assert chosen == [1, 2, 4]
 
 
 def test_resample_respects_cap_until_fill():
