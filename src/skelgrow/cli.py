@@ -162,6 +162,22 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict):
     return cloud, graph, conf
 
 
+def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
+                   timings: dict):
+    """Base, tips, population search and side branches over a scored
+    graph; returns (skeleton, search manifest)."""
+    base = resolve_base(graph, base_spec)
+    tips = [t for t in find_tips(graph, conf, cfg) if t != base]
+    seeds = SeedSet(tips=tuple(tips), base=base)
+    t0 = time.perf_counter()
+    skeleton, info = run_search(graph, conf, seeds, cfg)
+    timings["search_seconds"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    skeleton = find_side_branches(skeleton, graph, conf, cfg)
+    timings["side_branch_seconds"] = time.perf_counter() - t0
+    return skeleton, info
+
+
 def cmd_skeletonize(args) -> int:
     cfg = _load_pipeline_config(args)
     out = Path(args.out)
@@ -175,18 +191,8 @@ def cmd_skeletonize(args) -> int:
         base_spec = tuple(args.base_point)
     else:
         base_spec = "lowest-z"
-    base = resolve_base(graph, base_spec)
-    tips = [t for t in find_tips(graph, conf, cfg.search) if t != base]
-    seeds = SeedSet(tips=tuple(tips), base=base)
-
-    t0 = time.perf_counter()
-    manifest: dict = {}
-    skeleton, info = run_search(graph, conf, seeds, cfg.search,
-                                manifest=manifest)
-    timings["search_seconds"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    skeleton = find_side_branches(skeleton, graph, conf, cfg.search)
-    timings["side_branch_seconds"] = time.perf_counter() - t0
+    skeleton, info = _grow_skeleton(graph, conf, base_spec, cfg.search,
+                                    timings)
 
     positions = {n: tuple(float(x) for x in graph.positions[n])
                  for n in skeleton.nodes}
@@ -310,14 +316,9 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         graph = build_graph(cloud, cfg.search.r_super, cfg.search.seed)
         conf = score_all_edges(cloud, graph, ("heuristic",), cfg.search)
-        base = resolve_base(graph, "lowest-z")
-        tips = [t for t in find_tips(graph, conf, cfg.search) if t != base]
         preprocess = time.perf_counter() - t0
         t0 = time.perf_counter()
-        skeleton, _ = run_search(graph, conf,
-                                 SeedSet(tips=tuple(tips), base=base),
-                                 cfg.search)
-        skeleton = find_side_branches(skeleton, graph, conf, cfg.search)
+        skeleton, _ = _grow_skeleton(graph, conf, "lowest-z", cfg.search, {})
         search = time.perf_counter() - t0
         rows.append({
             "target_size": size,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,15 @@ class SearchConfig:
     max_iterations: int = 0
 
     def __post_init__(self):
+        # A config file can hold any JSON value, and the range checks below
+        # assume finite numbers (annotations are strings in this module).
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            kinds = int if f.type == "int" else (int, float)
+            if (isinstance(v, bool) or not isinstance(v, kinds)
+                    or not abs(v) <= sys.float_info.max):
+                raise ConfigError(
+                    f"{f.name} must be a finite {f.type}, got {v!r}")
         for name in ("r_super", "theta_turn_min", "theta_grow_min"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
@@ -88,11 +98,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     search_kwargs = {k: raw[k] for k in raw if k in _SEARCH_KEYS}
-    for key in ("K", "k_max_rep", "seed", "max_iterations"):
-        if key in search_kwargs:
-            v = search_kwargs[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{key} must be an integer, got {v!r}")
 
     def _box(key):
         if key not in raw:

@@ -64,9 +64,9 @@ def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
     """
     i, j = (int(v) for v in graph.edges[edge])
     pa, pb = graph.positions[i], graph.positions[j]
-    pts = cloud.points.astype(np.float64)
     if kdtree is None:
-        kdtree = cKDTree(pts)
+        kdtree = cKDTree(cloud.points.astype(np.float64))
+    pts = kdtree.data  # the float64 points the tree was built from
     idx = set(kdtree.query_ball_point(pa, r_super))
     idx.update(kdtree.query_ball_point(pb, r_super))
     if len(idx) < 3:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import CorrectionError, EvalError
 from .labels import Label, parse_label
-from .skeleton import LabeledSkeleton, skeleton_from_dict
+from .skeleton import LabeledSkeleton, skeleton_from_edges
 
 REPORT_LABELS = (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH)
 
@@ -161,17 +161,6 @@ def evaluate(s: LabeledSkeleton, s_star: LabeledSkeleton,
 
 # -- corrections -----------------------------------------------------------
 
-def _rebuild(base: int, labels: dict) -> LabeledSkeleton:
-    doc = {"base": base,
-           "nodes": [{"id": n, "pos": [0.0, 0.0, 0.0]}
-                     for n in sorted({base}
-                                     | {v for e in labels for v in e})],
-           "edges": [{"parent": p, "child": c, "label": str(lab)}
-                     for (p, c), lab in sorted(labels.items())]}
-    skeleton, _ = skeleton_from_dict(doc)
-    return skeleton
-
-
 def apply_corrections(s: LabeledSkeleton, script: list) -> LabeledSkeleton:
     """Apply an ordered edit script; every intermediate state must be a
     valid labeled skeleton.
@@ -198,7 +187,9 @@ def apply_corrections(s: LabeledSkeleton, script: list) -> LabeledSkeleton:
                 labels[edge] = parse_label(op["label"])
             else:
                 raise ValueError(f"unknown op {kind!r}")
-            result = _rebuild(s.base, labels)
+            result = skeleton_from_edges(
+                s.base,
+                [(p, c, lab) for (p, c), lab in sorted(labels.items())])
         except Exception as exc:
             raise CorrectionError(
                 step, f"correction step {step} ({op!r}) failed: {exc}"

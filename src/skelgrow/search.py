@@ -37,7 +37,6 @@ class SearchContext:
                  cfg: SearchConfig):
         self.cfg = cfg
         self.adj = [graph.neighbors(i) for i in range(graph.num_nodes)]
-        pos = graph.positions
         self.vec: dict[DirEdge, tuple] = {}
         self.escore: dict[DirEdge, float] = {}
         self.len_noconf: dict[DirEdge, float] = {}
@@ -49,8 +48,7 @@ class SearchContext:
             es = edge_score(length, c, cfg.alpha_conf)
             lnc = edge_cost(None, None, length, c, cfg)
             for u, v in ((i, j), (j, i)):
-                d = pos[v] - pos[u]
-                vec = (float(d[0]), float(d[1]), float(d[2]))
+                vec = graph.vector(u, v)
                 self.vec[(u, v)] = vec
                 self.escore[(u, v)] = es
                 self.len_noconf[(u, v)] = lnc
@@ -178,7 +176,8 @@ class Candidate:
     key: tuple  # (edge count, order-independent 64-bit content hash)
 
 
-def _edge_label_hash(state: DirEdge, label: Label) -> int:
+def _child_key(key: tuple, state: DirEdge, label: Label) -> tuple:
+    """Content key of the candidate keyed ``key`` grown by (state, label)."""
     # Stable 64-bit mix (independent of PYTHONHASHSEED) so candidate
     # content keys, and therefore run output, are identical across runs.
     x = (state[0] * 0x9E3779B97F4A7C15
@@ -187,7 +186,7 @@ def _edge_label_hash(state: DirEdge, label: Label) -> int:
     x ^= x >> 29
     x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 32
-    return x
+    return (key[0] + 1, key[1] ^ x)
 
 
 def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
@@ -211,7 +210,7 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
     return Candidate(
         skeleton=skel, score=new_score, nodes=frozenset(nodes),
         frontier=frozenset(frontier), abandoned=cand.abandoned,
-        key=(cand.key[0] + 1, cand.key[1] ^ _edge_label_hash(state, label)))
+        key=_child_key(cand.key, state, label))
 
 
 # Memoised: the arguments range over a few short label tuples, so the
@@ -336,7 +335,7 @@ class _PoolEntry:
 
 
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
-               cfg: SearchConfig, manifest: dict | None = None):
+               cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
     every tip; returns (best skeleton, manifest dict)."""
     if not seeds.tips:
@@ -422,8 +421,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             pot_ranks = rank(pots)
             group_score_rank = sum(score_ranks[ci] for ci in members)
             for p, (state, lab) in enumerate(pairs):
-                pkey = (cand.key[0] + 1,
-                        cand.key[1] ^ _edge_label_hash(state, lab))
+                pkey = _child_key(cand.key, state, lab)
                 w = weight(group_score_rank, pot_ranks[p])
                 entry = pool.get(pkey)
                 if entry is None:
@@ -462,8 +460,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
 
-    info = manifest if manifest is not None else {}
-    info.update({
+    info = {
         "tips": list(tips),
         "base": seeds.base,
         "iterations": iteration,
@@ -472,5 +469,5 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "reached_tips": sorted(best.nodes.intersection(tips)),
         "abandoned_tips": sorted(best.abandoned),
         "prior_seconds": prior_time,
-    })
+    }
     return best.skeleton, info

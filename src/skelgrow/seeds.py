@@ -82,8 +82,7 @@ def find_tips(graph: SuperpointGraph, conf: ConfidenceMap,
     kept = []
     for k in forest:
         i, j = (int(v) for v in graph.edges[k])
-        vec = graph.positions[j] - graph.positions[i]
-        if grow_angle(vec) < math.pi / 4:
+        if grow_angle(graph.vector(i, j)) < math.pi / 4:
             continue
         if z[i] < z_thresh or z[j] < z_thresh:
             continue

@@ -18,22 +18,16 @@ _ANGLE_LO = math.pi / 4
 _ANGLE_HI = 3 * math.pi / 4
 
 
-def _vec(graph: SuperpointGraph, u: int, v: int) -> tuple:
-    """Edge vector u -> v."""
-    d = graph.positions[v] - graph.positions[u]
-    return (float(d[0]), float(d[1]), float(d[2]))
-
-
 def _leader_direction(skeleton: LabeledSkeleton, node: int,
                       graph: SuperpointGraph):
     """Direction of the leader at an attachment node: the Leader edge into
     the node, else its first Leader child edge."""
     pred = skeleton.parent_edge(node)
     if pred is not None and skeleton.label_of(pred) is Label.LEADER:
-        return _vec(graph, *pred)
+        return graph.vector(*pred)
     for child, lab in sorted(skeleton.children_of(node)):
         if lab is Label.LEADER:
-            return _vec(graph, node, child)
+            return graph.vector(node, child)
     return None
 
 
@@ -92,7 +86,7 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
         for x, eid in graph.neighbors(a):
             if x in in_skel or conf[eid] < cfg.alpha_conf:
                 continue
-            ang = turn_angle(_vec(graph, a, x), direction)
+            ang = turn_angle(graph.vector(a, x), direction)
             if not (_ANGLE_LO <= ang <= _ANGLE_HI):
                 continue
             cost = edge_cost(None, None, float(graph.lengths[eid]),
@@ -124,13 +118,13 @@ def _grow_path(a: int, x: int, graph: SuperpointGraph, conf, cfg, claimed):
     cur = x
     while True:
         best = None
-        into = _vec(graph, path[-1][0], cur)
+        into = graph.vector(path[-1][0], cur)
         for nbr, eid in graph.neighbors(cur):
             if nbr in claimed or nbr in on_path:
                 continue
             if conf[eid] < cfg.alpha_conf:
                 continue
-            out = _vec(graph, cur, nbr)
+            out = graph.vector(cur, nbr)
             if turn_angle(out, into) > math.pi / 2:
                 continue
             step = edge_cost(out, into, float(graph.lengths[eid]),

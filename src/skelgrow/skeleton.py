@@ -242,32 +242,40 @@ def skeleton_to_dict(skeleton: LabeledSkeleton, positions) -> dict:
     }
 
 
-def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
-    """Parse skeleton JSON; returns (skeleton, node positions).
+def skeleton_from_edges(base: int, edges) -> LabeledSkeleton:
+    """Skeleton from a list of (parent, child, label) triples.
 
-    Raises ValueError on topology violations in the document.
+    Raises ValueError on topology violations in the edge list, including
+    an edge listed twice.
     """
-    base = doc["base"]
-    positions = {n["id"]: tuple(float(x) for x in n["pos"])
-                 for n in doc["nodes"]}
-    raw_edges = [(e["parent"], e["child"]) for e in doc["edges"]]
-    violations = topology_violations(base, raw_edges)
+    violations = topology_violations(base, [(p, c) for p, c, _ in edges])
     if violations:
         raise ValueError("invalid skeleton document: " + "; ".join(violations))
-    skeleton = LabeledSkeleton(base)
-    labels = {(e["parent"], e["child"]): parse_label(e["label"])
-              for e in doc["edges"]}
+    labels = {(p, c): lab for p, c, lab in edges}
     # Attach in BFS order from the base so every parent exists first.
     children: dict[int, list[int]] = {}
-    for parent, child in raw_edges:
+    for parent, child in labels:
         children.setdefault(parent, []).append(child)
+    skeleton = LabeledSkeleton(base)
     queue = [base]
     while queue:
         node = queue.pop(0)
         for child in sorted(children.get(node, ())):
             skeleton = skeleton.attach((node, child), labels[(node, child)])
             queue.append(child)
-    return skeleton, positions
+    return skeleton
+
+
+def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
+    """Parse skeleton JSON; returns (skeleton, node positions).
+
+    Raises ValueError on topology violations in the document.
+    """
+    positions = {n["id"]: tuple(float(x) for x in n["pos"])
+                 for n in doc["nodes"]}
+    edges = [(e["parent"], e["child"], parse_label(e["label"]))
+             for e in doc["edges"]]
+    return skeleton_from_edges(doc["base"], edges), positions
 
 
 def save_skeleton(skeleton: LabeledSkeleton, positions,

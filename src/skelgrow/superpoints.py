@@ -21,24 +21,33 @@ class Superpoint:
     seed_index: int
 
 
+def edge_lengths(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Euclidean length of each (i, j) row of ``edges``."""
+    return np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]],
+                          axis=1)
+
+
 @dataclass
 class SuperpointGraph:
-    """Superpoint nodes plus undirected candidate edges (i < j)."""
+    """Superpoint positions plus undirected candidate edges (i < j); edge
+    lengths, adjacency and edge vectors are derived from these two."""
 
-    nodes: list[Superpoint]
+    positions: np.ndarray  # (n, 3) float64
     edges: np.ndarray  # (m, 2) int64, i < j
-    lengths: np.ndarray  # (m,) float64
-    positions: np.ndarray = field(init=False)  # (n, 3) float64
+    lengths: np.ndarray = field(init=False)  # (m,) float64
+    _points: list = field(init=False, repr=False)
     _edge_index: dict = field(init=False, repr=False)
     _adjacency: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.positions = np.asarray(
-            [sp.position for sp in self.nodes], dtype=np.float64
-        ).reshape(-1, 3)
+            self.positions, dtype=np.float64).reshape(-1, 3)
+        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.lengths = edge_lengths(self.positions, self.edges)
+        self._points = self.positions.tolist()
         self._edge_index = {
             (int(i), int(j)): k for k, (i, j) in enumerate(self.edges)}
-        adjacency = [[] for _ in self.nodes]
+        adjacency = [[] for _ in self._points]
         for k, (i, j) in enumerate(self.edges):
             adjacency[int(i)].append((int(j), k))
             adjacency[int(j)].append((int(i), k))
@@ -46,7 +55,7 @@ class SuperpointGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.positions)
 
     @property
     def num_edges(self) -> int:
@@ -64,6 +73,11 @@ class SuperpointGraph:
     def neighbors(self, i: int) -> tuple:
         """Tuple of (neighbor node id, edge id)."""
         return self._adjacency[i]
+
+    def vector(self, u: int, v: int) -> tuple:
+        """Vector from node u to node v as three Python floats."""
+        (ux, uy, uz), (vx, vy, vz) = self._points[u], self._points[v]
+        return (vx - ux, vy - uy, vz - uz)
 
 
 def build_superpoints(cloud: PointCloud, r_super: float,
@@ -112,44 +126,28 @@ def build_dense_edges(nodes: list[Superpoint],
     tree = cKDTree(positions)
     pairs = sorted(tree.query_pairs(2.0 * r_super))
     edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(edges):
-        lengths = np.linalg.norm(
-            positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
-    else:
-        lengths = np.zeros(0, dtype=np.float64)
-    return edges, lengths
+    return edges, edge_lengths(positions, edges)
 
 
 def build_graph(cloud: PointCloud, r_super: float, seed: int) -> SuperpointGraph:
     nodes = build_superpoints(cloud, r_super, seed)
     if len(nodes) >= 2:
-        edges, lengths = build_dense_edges(nodes, r_super)
+        edges, _ = build_dense_edges(nodes, r_super)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-        lengths = np.zeros(0, dtype=np.float64)
-    return SuperpointGraph(nodes=nodes, edges=edges, lengths=lengths)
+    return SuperpointGraph([sp.position for sp in nodes], edges)
 
 
 def graph_to_dict(graph: SuperpointGraph) -> dict:
     return {
-        "nodes": [{"id": sp.id, "pos": [float(x) for x in sp.position]}
-                  for sp in graph.nodes],
-        "edges": [[int(i), int(j)] for i, j in graph.edges],
+        "nodes": [{"id": k, "pos": pos}
+                  for k, pos in enumerate(graph.positions.tolist())],
+        "edges": graph.edges.tolist(),
     }
 
 
 def graph_from_dict(doc: dict) -> SuperpointGraph:
-    nodes = []
     for k, n in enumerate(doc["nodes"]):
         if n["id"] != k:
             raise CloudFormatError("graph JSON node ids must be 0..n-1")
-        pos = np.asarray(n["pos"], dtype=np.float64)
-        nodes.append(Superpoint(id=k, position=pos,
-                                member_indices=np.zeros(0, dtype=np.int64),
-                                seed_index=-1))
-    edges = np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2)
-    positions = np.asarray([n.position for n in nodes]).reshape(-1, 3)
-    lengths = (np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]],
-                              axis=1)
-               if len(edges) else np.zeros(0, dtype=np.float64))
-    return SuperpointGraph(nodes=nodes, edges=edges, lengths=lengths)
+    return SuperpointGraph([n["pos"] for n in doc["nodes"]], doc["edges"])

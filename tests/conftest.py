@@ -4,24 +4,14 @@ import numpy as np
 import pytest
 
 from skelgrow.edge_scoring import ConfidenceMap
-from skelgrow.superpoints import Superpoint, SuperpointGraph
+from skelgrow.superpoints import SuperpointGraph
 
 
 def make_graph(positions, edges):
     """SuperpointGraph over explicit node positions and an explicit
     undirected edge list (pairs of node ids)."""
-    positions = np.asarray(positions, dtype=np.float64)
-    nodes = [
-        Superpoint(id=k, position=positions[k],
-                   member_indices=np.asarray([k]), seed_index=k)
-        for k in range(len(positions))
-    ]
-    norm = sorted((min(i, j), max(i, j)) for i, j in edges)
-    arr = np.asarray(norm, dtype=np.int64).reshape(-1, 2)
-    lengths = (np.linalg.norm(positions[arr[:, 0]] - positions[arr[:, 1]],
-                              axis=1)
-               if len(arr) else np.zeros(0))
-    return SuperpointGraph(nodes=nodes, edges=arr, lengths=lengths)
+    return SuperpointGraph(
+        positions, sorted((min(i, j), max(i, j)) for i, j in edges))
 
 
 def uniform_conf(graph, value=1.0):

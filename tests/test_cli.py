@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,17 @@ def test_skeletonize_missing_cloud(tmp_path):
 def test_skeletonize_invalid_config(synth_dir, tmp_path):
     cfg = _write_json(tmp_path / "cfg.json", {"alpha_conf": 1.0})
     code = main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("doc", [{"c_turn": "abc"}, {"r_super": math.inf},
+                                 {"c_grow": math.nan}],
+                         ids=["str", "inf", "nan"])
+def test_skeletonize_config_value_not_a_number(synth_dir, tmp_path, doc):
+    cfg = _write_json(tmp_path / "cfg.json", doc)
+    code = main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--scorer", f"override:{synth_dir / 'override.json'}",
                  "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
 

@@ -248,3 +248,13 @@ def test_heuristic_scores_synthetic_tree_edges_high():
     assert len(true_scores)
     assert true_scores.mean() > 0.4
     assert conf.values.min() >= 0.0 and conf.values.max() <= 1.0
+
+
+def test_project_edge_same_with_and_without_a_tree():
+    spec = SynthSpec(n_leaders=2, leader_height=1.0, seed=3)
+    cloud, _ = generate(spec)
+    graph = build_graph(cloud, CFG.r_super, 3)
+    conf = score_all_edges(cloud, graph, ("heuristic",), CFG)
+    for k in range(0, graph.num_edges, 7):
+        raster = project_edge(cloud, graph, k, CFG.r_super)
+        assert heuristic_confidence(raster) == conf[k]

@@ -188,6 +188,17 @@ def test_from_dict_rejects_invalid_topology():
         skeleton_from_dict(doc)
 
 
+@pytest.mark.parametrize("second_label", ["Trunk", "Support"])
+def test_from_dict_rejects_repeated_edge(second_label):
+    doc = {"base": 0,
+           "nodes": [{"id": n, "pos": [0, 0, 0]} for n in range(3)],
+           "edges": [{"parent": 0, "child": 1, "label": "Trunk"},
+                     {"parent": 1, "child": 2, "label": "Trunk"},
+                     {"parent": 1, "child": 2, "label": second_label}]}
+    with pytest.raises(ValueError, match="duplicate-edge"):
+        skeleton_from_dict(doc)
+
+
 def test_random_growth_fuzz_small():
     rng = np.random.default_rng(17)
     labels = (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH)

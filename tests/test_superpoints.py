@@ -1,12 +1,14 @@
 """Superpoint cover and dense candidate edges."""
 
+import json
+
 import numpy as np
 import pytest
 
 from skelgrow.cloud import PointCloud
-from skelgrow.superpoints import (build_dense_edges, build_graph,
-                                  build_superpoints, graph_from_dict,
-                                  graph_to_dict)
+from skelgrow.superpoints import (SuperpointGraph, build_dense_edges,
+                                  build_graph, build_superpoints,
+                                  graph_from_dict, graph_to_dict)
 
 
 def test_single_sphere_cluster():
@@ -102,10 +104,43 @@ def test_graph_json_round_trip():
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.uniform(0, 0.5, size=(200, 3)).astype(np.float32))
     graph = build_graph(cloud, 0.10, seed=0)
-    again = graph_from_dict(graph_to_dict(graph))
+    doc = graph_to_dict(graph)
+    again = graph_from_dict(json.loads(json.dumps(doc)))
     assert again.num_nodes == graph.num_nodes
     np.testing.assert_array_equal(again.edges, graph.edges)
-    np.testing.assert_allclose(again.positions, graph.positions, atol=1e-12)
+    np.testing.assert_array_equal(again.positions, graph.positions)
+    np.testing.assert_array_equal(again.lengths, graph.lengths)
+    # Writing the loaded graph again gives the same cache document.
+    assert graph_to_dict(again) == doc
+
+
+def test_graph_lengths_equal_dense_edge_lengths():
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.uniform(0, 0.5, size=(300, 3)).astype(np.float32))
+    graph = build_graph(cloud, 0.10, seed=0)
+    edges, lengths = build_dense_edges(
+        build_superpoints(cloud, 0.10, seed=0), 0.10)
+    assert len(edges) > 0
+    np.testing.assert_array_equal(graph.edges, edges)
+    np.testing.assert_array_equal(graph.lengths, lengths)
+
+
+def test_graph_without_edges():
+    graph = SuperpointGraph([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [])
+    assert graph.num_nodes == 2 and graph.num_edges == 0
+    assert graph.lengths.shape == (0,)
+    assert graph.lengths.dtype == np.float64
+    assert graph.neighbors(0) == () and graph.neighbors(1) == ()
+
+
+def test_graph_vector_matches_positions():
+    rng = np.random.default_rng(4)
+    graph = SuperpointGraph(rng.uniform(-1, 1, size=(6, 3)), [(0, 1)])
+    for u in range(6):
+        for v in range(6):
+            vec = graph.vector(u, v)
+            assert all(type(x) is float for x in vec)
+            assert vec == tuple(graph.positions[v] - graph.positions[u])
 
 
 def test_nonpositive_radius_invalid():
