@@ -35,7 +35,8 @@ from .seeds import SeedSet, find_tips, resolve_base
 from .search import run_search
 from .side_branches import find_side_branches
 from .skeleton import load_skeleton, save_skeleton, skeleton_to_dict
-from .superpoints import build_graph, graph_from_dict, graph_to_dict
+from .superpoints import (UnionFind, build_graph, graph_from_dict,
+                          graph_to_dict)
 
 log = logging.getLogger("skelgrow")
 
@@ -168,10 +169,25 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
     graph; returns (skeleton, search manifest)."""
     base = resolve_base(graph, base_spec)
     tips = [t for t in find_tips(graph, conf, cfg) if t != base]
+    # Components of the whole dense graph: the search cannot leave the
+    # base's one, so tips outside it are lost.
+    roots = UnionFind(range(graph.num_nodes), graph.edges.tolist()).roots()
+    n_components = len(set(roots.values()))
+    base_size = sum(r == roots[base] for r in roots.values())
+    outside = sum(roots[t] != roots[base] for t in tips)
+    if outside:
+        log.warning(
+            "%d of %d tips lie outside the base's component of the dense "
+            "graph (%d of %d superpoints, %d components); the skeleton "
+            "cannot reach them", outside, len(tips), base_size,
+            graph.num_nodes, n_components)
     seeds = SeedSet(tips=tuple(tips), base=base)
     t0 = time.perf_counter()
     skeleton, info = run_search(graph, conf, seeds, cfg)
     timings["search_seconds"] = time.perf_counter() - t0
+    info["graph"] = {"components": n_components,
+                     "base_component_size": base_size,
+                     "tips_outside_base_component": outside}
     t0 = time.perf_counter()
     skeleton = find_side_branches(skeleton, graph, conf, cfg)
     timings["side_branch_seconds"] = time.perf_counter() - t0

@@ -46,22 +46,16 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
-    """Load a cloud from a .ply or whitespace-separated xyz text file.
-
-    ``format`` is "ply" or "xyz-text"; inferred from the suffix if omitted.
-    """
+def load_cloud(path: str | Path) -> PointCloud:
+    """Load a cloud from a .ply file, or any other suffix as whitespace-
+    separated xyz text."""
     path = Path(path)
-    if format is None:
-        format = "ply" if path.suffix.lower() == ".ply" else "xyz-text"
-    if format == "ply":
-        points, _ = _read_ply(path)
-        if points.shape[0] == 0:
-            raise CloudFormatError(f"{path}: zero vertices")
-        return PointCloud(points)
-    if format == "xyz-text":
+    if path.suffix.lower() != ".ply":
         return _read_xyz(path)
-    raise CloudFormatError(f"unknown cloud format {format!r}")
+    points, _ = _read_ply(path)
+    if points.shape[0] == 0:
+        raise CloudFormatError(f"{path}: zero vertices")
+    return PointCloud(points)
 
 
 def _read_xyz(path: Path) -> PointCloud:

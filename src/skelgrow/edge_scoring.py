@@ -234,7 +234,10 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
         if missing:
             raise OverrideError(
                 f"override file missing {len(missing)} edges: "
-                f"{missing[:20]}")
+                f"{missing[:20]}. An override table is keyed to the "
+                f"superpoint graph of one cloud, r_super, --points, seed and "
+                f"crop; `skelgrow synth` writes it for the default r_super "
+                f"and its own --points")
         # Written so that a NaN, which fails every comparison, is rejected.
         if not np.all((values >= 0) & (values <= 1)):
             raise OverrideError("override scores must lie in [0, 1]")

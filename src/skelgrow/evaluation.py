@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import CorrectionError, EvalError
 from .labels import Label, parse_label
 from .skeleton import LabeledSkeleton, skeleton_from_edges
+from .superpoints import UnionFind
 
 REPORT_LABELS = (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH)
 
@@ -34,26 +35,7 @@ def count_segments(skeleton: LabeledSkeleton, label: Label) -> int:
         return 0
     if label in SINGLE_SEGMENT_LABELS:
         return 1
-    adj: dict[int, list[int]] = {}
-    for k, (p, c) in enumerate(edges):
-        adj.setdefault(p, []).append(k)
-        adj.setdefault(c, []).append(k)
-    seen = [False] * len(edges)
-    segments = 0
-    for start in range(len(edges)):
-        if seen[start]:
-            continue
-        segments += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            k = stack.pop()
-            for node in edges[k]:
-                for other in adj[node]:
-                    if not seen[other]:
-                        seen[other] = True
-                        stack.append(other)
-    return segments
+    return len(set(UnionFind(edges=edges).roots().values()))
 
 
 @dataclass(frozen=True)

@@ -35,21 +35,15 @@ def turn_angle(e_s, e_p) -> float:
 def grow_angle(e) -> float:
     """Elevation of the edge in the XZ plane, in [0, pi/2].
 
-    Purely-Y edges have no XZ projection; they are reported as pi/2
-    (see :func:`grow_angle_info` for the degeneracy flag).
+    Purely-Y edges have no XZ projection; they are reported as pi/2.
     """
-    return grow_angle_info(e)[0]
-
-
-def grow_angle_info(e) -> tuple[float, bool]:
-    """(growth angle, degenerate-flag); degenerate = edge purely along Y."""
     if _norm3(e) == 0.0:
         raise DegenerateGeometryError("grow_angle of zero-length edge vector")
     ax = abs(e[0])
     az = abs(e[2])
     if ax == 0.0 and az == 0.0:
-        return math.pi / 2, True
-    return math.atan2(az, ax), False
+        return math.pi / 2
+    return math.atan2(az, ax)
 
 
 def edge_score(length: float, conf: float, alpha_conf: float) -> float:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
-from .geometry import grow_angle
-from .superpoints import SuperpointGraph
+from .geometry import edge_cost, grow_angle
+from .superpoints import SuperpointGraph, UnionFind
 
 
 @dataclass(frozen=True)
@@ -26,38 +26,20 @@ class SeedSet:
             raise ValueError("base cannot be a tip")
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def minimum_spanning_forest(graph: SuperpointGraph,
-                            conf: ConfidenceMap,
-                            alpha_conf: float) -> list[int]:
+def minimum_spanning_forest(graph: SuperpointGraph, conf: ConfidenceMap,
+                            cfg: SearchConfig) -> list[int]:
     """Kruskal forest over edges with conf >= alpha_conf, weighted by
-    Len(e) * (1 - Conf(e)). Ties broken by the lower-id node pair."""
+    the path-start edge cost Len(e) * (1 - Conf(e)). Ties broken by the
+    lower-id node pair."""
     candidates = []
     for k, (i, j) in enumerate(graph.edges):
         c = conf[k]
-        if c < alpha_conf:
+        if c < cfg.alpha_conf:
             continue
-        w = float(graph.lengths[k]) * (1.0 - c)
+        w = edge_cost(None, None, float(graph.lengths[k]), c, cfg)
         candidates.append((w, int(i), int(j), k))
     candidates.sort()
-    uf = _UnionFind(graph.num_nodes)
+    uf = UnionFind()
     forest = []
     for w, i, j, k in candidates:
         if uf.union(i, j):
@@ -73,7 +55,7 @@ def find_tips(graph: SuperpointGraph, conf: ConfidenceMap,
     or that touch the bottom of the tree (endpoint Z below the alpha_tip
     band over all superpoints) are removed before taking components.
     """
-    forest = minimum_spanning_forest(graph, conf, cfg.alpha_conf)
+    forest = minimum_spanning_forest(graph, conf, cfg)
     if not forest:
         return []
     z = graph.positions[:, 2]
@@ -87,20 +69,12 @@ def find_tips(graph: SuperpointGraph, conf: ConfidenceMap,
         if z[i] < z_thresh or z[j] < z_thresh:
             continue
         kept.append(k)
-    if not kept:
-        return []
-    uf = _UnionFind(graph.num_nodes)
-    touched = set()
-    for k in kept:
-        i, j = (int(v) for v in graph.edges[k])
-        uf.union(i, j)
-        touched.update((i, j))
+    roots = UnionFind(edges=graph.edges[kept].tolist()).roots()
     best: dict[int, int] = {}
-    for node in sorted(touched):
-        root = uf.find(node)
-        cur = best.get(root)
+    for node in sorted(roots):
+        cur = best.get(roots[node])
         if cur is None or z[node] > z[cur]:
-            best[root] = node
+            best[roots[node]] = node
     return sorted(best.values())
 
 

@@ -10,7 +10,7 @@ from .edge_scoring import ConfidenceMap
 from .geometry import edge_cost, turn_angle
 from .labels import Label
 from .skeleton import LabeledSkeleton
-from .superpoints import SuperpointGraph
+from .superpoints import SuperpointGraph, UnionFind
 
 log = logging.getLogger(__name__)
 
@@ -48,34 +48,12 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
         if lab is Label.LEADER:
             leader_nodes.update((p, c))
 
-    confident = [k for k in range(graph.num_edges)
-                 if conf[k] >= cfg.alpha_conf]
     # Components of the confident dense graph restricted to off-skeleton
-    # nodes.
-    comp: dict[int, int] = {}
-    adj_free: dict[int, list[int]] = {}
-    for k in confident:
-        i, j = (int(v) for v in graph.edges[k])
-        if i in in_skel or j in in_skel:
-            continue
-        adj_free.setdefault(i, []).append(j)
-        adj_free.setdefault(j, []).append(i)
-    for start in sorted(adj_free):
-        if start in comp:
-            continue
-        stack = [start]
-        comp[start] = start
-        while stack:
-            node = stack.pop()
-            for nbr in adj_free.get(node, ()):
-                if nbr not in comp:
-                    comp[nbr] = start
-                    stack.append(nbr)
-    for k in confident:
-        i, j = (int(v) for v in graph.edges[k])
-        for n in (i, j):
-            if n not in in_skel and n not in comp:
-                comp[n] = n
+    # nodes, each named by its smallest node.
+    components = UnionFind(edges=(
+        (i, j) for k, (i, j) in enumerate(graph.edges.tolist())
+        if conf[k] >= cfg.alpha_conf
+        and i not in in_skel and j not in in_skel))
 
     # Candidate attachment edges grouped by the component they lead into.
     attachments: dict[int, list] = {}
@@ -91,13 +69,13 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
                 continue
             cost = edge_cost(None, None, float(graph.lengths[eid]),
                              conf[eid], cfg)
-            attachments.setdefault(comp[x], []).append((cost, a, x))
+            attachments.setdefault(components.find(x), []).append(
+                (cost, a, x))
 
     result = skeleton
     claimed = set(in_skel)
     for comp_id in sorted(attachments):
-        entries = sorted(attachments[comp_id])
-        cost0, a, x = entries[0]
+        _, a, x = min(attachments[comp_id])
         if x in claimed:
             continue
         path = _grow_path(a, x, graph, conf, cfg, claimed)

@@ -27,6 +27,42 @@ def edge_lengths(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
                           axis=1)
 
 
+class UnionFind:
+    """Connected components over int node ids.
+
+    Nodes are keyed through a dict, so ids need not be 0..n-1; ``find``
+    adds an unseen node as its own set. Each set's root is its smallest
+    member.
+    """
+
+    def __init__(self, nodes=(), edges=()):
+        self.parent = {n: n for n in nodes}
+        for a, b in edges:
+            self.union(a, b)
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they already share one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def roots(self) -> dict[int, int]:
+        """Root of every node seen so far."""
+        return {n: self.find(n) for n in self.parent}
+
+
 @dataclass
 class SuperpointGraph:
     """Superpoint positions plus undirected candidate edges (i < j); edge

@@ -70,7 +70,8 @@ class Branch:
 
 
 class SynthTruth:
-    """Ground-truth centerlines plus branch-adjacency queries."""
+    """Ground-truth centerlines and the skeletons and oracle scores drawn
+    from them."""
 
     def __init__(self, branches: list[Branch]):
         self.branches = branches
@@ -82,56 +83,21 @@ class SynthTruth:
             if b.parent >= 0:
                 self._children.setdefault(b.parent, []).append(b.id)
 
-    # -- geometry ---------------------------------------------------------
-    def project(self, point) -> tuple[int, float, float]:
-        """(branch id, arc position, distance) of the nearest centerline."""
+    def centerline_coords(self, point) -> tuple[np.ndarray, np.ndarray]:
+        """(arc position, distance) of a point's nearest spot on each
+        branch centerline, one entry per branch."""
         p = np.asarray(point, dtype=np.float64)
         rel = p[None, :] - self._starts
         t = np.clip((rel * self._dirs).sum(axis=1), 0.0, self._lengths)
-        closest = self._starts + self._dirs * t[:, None]
-        d = np.linalg.norm(closest - p[None, :], axis=1)
-        b = int(np.argmin(d))
-        return b, float(t[b]), float(d[b])
+        d = np.linalg.norm(
+            self._starts + self._dirs * t[:, None] - p[None, :], axis=1)
+        return t, d
 
     def _ancestors(self, b: int) -> list[int]:
         chain = [b]
         while self.branches[chain[-1]].parent >= 0:
             chain.append(self.branches[chain[-1]].parent)
         return chain
-
-    def geodesic(self, b1: int, t1: float, b2: int, t2: float) -> float:
-        """Tree distance between two centerline coordinates."""
-        if b1 == b2:
-            return abs(t1 - t2)
-        up1 = self._ancestors(b1)
-        up2 = self._ancestors(b2)
-        common = set(up1) & set(up2)
-        lca = next(b for b in up1 if b in common)
-        d = 0.0
-        cur_t = t1
-        for b in up1[:up1.index(lca)]:
-            d += cur_t  # down to this branch's own origin
-            cur_t = self.branches[b].t_attach
-        t_on_lca_1 = cur_t
-        d2 = 0.0
-        cur_t = t2
-        for b in up2[:up2.index(lca)]:
-            d2 += cur_t
-            cur_t = self.branches[b].t_attach
-        return d + d2 + abs(t_on_lca_1 - cur_t)
-
-    def adjacent(self, b1: int, b2: int) -> bool:
-        return (self.branches[b1].parent == b2
-                or self.branches[b2].parent == b1)
-
-    def same_branch(self, p, q, tol: float = 0.05) -> bool:
-        """True when both points lie on one branch (or parent-child
-        branches at a junction) within the projection tolerance."""
-        b1, _, d1 = self.project(p)
-        b2, _, d2 = self.project(q)
-        if d1 > tol or d2 > tol:
-            return False
-        return b1 == b2 or self.adjacent(b1, b2)
 
     # -- skeleton views ---------------------------------------------------
     def polyline_skeleton_dict(self) -> dict:
@@ -199,11 +165,7 @@ class SynthTruth:
         """
         per_branch: dict[int, list] = {b.id: [] for b in self.branches}
         for n in range(graph.num_nodes):
-            p = graph.positions[n]
-            rel = p[None, :] - self._starts
-            t = np.clip((rel * self._dirs).sum(axis=1), 0.0, self._lengths)
-            d = np.linalg.norm(
-                self._starts + self._dirs * t[:, None] - p[None, :], axis=1)
+            t, d = self.centerline_coords(graph.positions[n])
             close = set(int(b) for b in np.nonzero(d <= tol)[0])
             if not close:
                 close = {int(np.argmin(d))}

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -11,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import skelgrow
+from conftest import make_graph, uniform_conf
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
-                          EXIT_STALLED, _parse_scorer, cmd_bench, main)
+                          EXIT_STALLED, _grow_skeleton, _parse_scorer,
+                          cmd_bench, main)
+from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
 from skelgrow.errors import ConfigError
 from skelgrow.search import SearchContext
@@ -95,6 +99,9 @@ def test_end_to_end_skeletonize_and_eval(synth_dir, tmp_path):
     assert manifest["best_score"] > 0
     assert manifest["config"]["K"] == 50
     assert manifest["threads"] == 1 and manifest["threads_used"] == 1
+    assert manifest["graph"] == {
+        "components": 1, "base_component_size": manifest["n_superpoints"],
+        "tips_outside_base_component": 0}
 
     report = tmp_path / "report.json"
     code = main(["eval", "--skeleton", str(out / "skeleton.json"),
@@ -187,6 +194,36 @@ def test_nan_override_score_rejected(synth_dir, tmp_path, capsys):
                  "--config", cfg, "--scorer", f"override:{override}",
                  "--out", str(tmp_path / "run")]) == EXIT_DATA
     assert "override scores must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_override_for_other_r_super_names_the_key(synth_dir, tmp_path,
+                                                  capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"r_super": 0.12})
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg,
+                 "--scorer", f"override:{synth_dir / 'override.json'}",
+                 "--out", str(tmp_path / "run")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "override file missing" in err and "r_super" in err
+
+
+def test_tips_outside_base_component_warned(caplog):
+    """Two vertical chains with no edge between them: the second chain's
+    tip is cut off from the base, which the manifest and a warning say."""
+    positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
+    positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
+    graph = make_graph(positions, [(k, k + 1) for k in range(4)]
+                       + [(k, k + 1) for k in range(5, 8)])
+    with caplog.at_level(logging.WARNING, logger="skelgrow"):
+        _, info = _grow_skeleton(graph, uniform_conf(graph), "lowest-z",
+                                 SearchConfig(K=5), {})
+    assert info["graph"] == {"components": 2, "base_component_size": 5,
+                             "tips_outside_base_component": 1}
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("1 of 2 tips lie outside the base's "
+                                  "component")
 
 
 def test_eval_against_other_node_space(synth_dir, tmp_path):

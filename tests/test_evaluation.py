@@ -10,7 +10,7 @@ from skelgrow.evaluation import (SegmentStats, apply_corrections,
                                  edit_distance, evaluate, load_script,
                                  per_label_ratio)
 from skelgrow.labels import Label
-from skelgrow.skeleton import LabeledSkeleton
+from skelgrow.skeleton import LabeledSkeleton, skeleton_from_edges
 
 
 def chain(*labels, base=0):
@@ -63,6 +63,18 @@ def test_count_segments():
     assert count_segments(skel, Label.SUPPORT) == 1
     assert count_segments(skel, Label.TRUNK) == 1
     assert count_segments(skel, Label.SIDE_BRANCH) == 0
+
+
+def test_count_segments_any_int_node_ids():
+    big = 10**12
+    skel = skeleton_from_edges(-5, [
+        (-5, big, Label.TRUNK), (big, -big, Label.SUPPORT),
+        (-big, 2 * big, Label.LEADER), (2 * big, -3, Label.LEADER),
+        (big, 7, Label.SUPPORT), (7, -big - 1, Label.LEADER),
+        (-3, 3 * big, Label.SIDE_BRANCH)])
+    assert count_segments(skel, Label.LEADER) == 2
+    assert count_segments(skel, Label.SUPPORT) == 1
+    assert count_segments(skel, Label.SIDE_BRANCH) == 1
 
 
 def test_compute_segment_stats():

@@ -6,8 +6,8 @@ import pytest
 
 from skelgrow.config import SearchConfig
 from skelgrow.errors import ConfigError, DegenerateGeometryError
-from skelgrow.geometry import (edge_score, grow_angle, grow_angle_info,
-                               grow_penalty, reward, turn_angle, turn_penalty)
+from skelgrow.geometry import (edge_score, grow_angle, grow_penalty, reward,
+                               turn_angle, turn_penalty)
 from skelgrow.labels import Label
 
 CFG = SearchConfig()
@@ -50,10 +50,7 @@ def test_grow_angle_ignores_y_and_scale():
 
 
 def test_grow_angle_pure_y_is_degenerate():
-    ang, degenerate = grow_angle_info((0, 1, 0))
-    assert ang == pytest.approx(math.pi / 2, rel=REL)
-    assert degenerate
-    assert not grow_angle_info((1, 0, 1))[1]
+    assert grow_angle((0, 1, 0)) == pytest.approx(math.pi / 2, rel=REL)
 
 
 def test_grow_angle_zero_vector_raises():

@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of ``skeleton.json`` from ``skelgrow
-skeletonize`` on fixed synthetic trees.
+skeletonize`` on fixed synthetic trees, and of one ``skelgrow eval`` report.
 
 A refactor must leave these bytes unchanged. A change that alters output on
 purpose updates the digests here and shows in CHANGES.md that corpus
@@ -12,6 +12,10 @@ import json
 import pytest
 
 from skelgrow.cli import EXIT_OK, main
+from skelgrow.cloud import load_cloud, random_downsample
+from skelgrow.skeleton import save_skeleton
+from skelgrow.superpoints import build_graph
+from skelgrow.synth import SynthSpec, generate
 
 GOLDEN = [
     # Criterion 9's tree: oracle (override) scores.
@@ -51,3 +55,33 @@ def test_skeleton_json_digest(tmp_path, spec, config, scorer, digest):
         labels = [e["label"] for e in json.loads(data)["edges"]]
         assert "SideBranch" in labels
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Heuristic skeleton of the side-branch tree against its reference skeleton,
+# so the per-label segment counts cover several Leader and SideBranch runs.
+EVAL_DIGEST = (
+    "56390dff7f286d86441651a465987b012d7ab47cce3def4285f669762a1bacd8")
+
+
+def test_eval_report_digest(tmp_path):
+    spec = {"n_leaders": 4, "n_side_branches": 2, "seed": 0}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "cfg.json").write_text(json.dumps({"K": 20}))
+    synth = tmp_path / "synth"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(synth)]) == EXIT_OK
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(synth / "cloud.ply"),
+                 "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(out)]) == EXIT_OK
+    # The graph skeletonize built: same cloud, --points, seed and r_super.
+    cloud = random_downsample(load_cloud(synth / "cloud.ply"), 50000, 0)
+    graph = build_graph(cloud, 0.10, 0)
+    _, truth = generate(SynthSpec(**spec))
+    reference, positions = truth.reference_skeleton(graph)
+    save_skeleton(reference, positions, tmp_path / "reference.json")
+    report = tmp_path / "report.json"
+    assert main(["eval", "--skeleton", str(out / "skeleton.json"),
+                 "--reference", str(tmp_path / "reference.json"),
+                 "--out", str(report)]) == EXIT_OK
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EVAL_DIGEST

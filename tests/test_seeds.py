@@ -104,7 +104,7 @@ def test_forest_weight_matches_brute_force():
         conf = conf_from_dict(
             graph,
             {e: rng.uniform(0.2, 1.0) for e in edges})
-        forest = minimum_spanning_forest(graph, conf, CFG.alpha_conf)
+        forest = minimum_spanning_forest(graph, conf, CFG)
         got = _forest_weight(graph, conf, CFG.alpha_conf, forest)
         expected = _brute_force_forest_weight(graph, conf, CFG.alpha_conf)
         assert got == pytest.approx(expected, rel=1e-9)

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from skelgrow.cloud import PointCloud
-from skelgrow.superpoints import (SuperpointGraph, build_dense_edges,
-                                  build_graph, build_superpoints,
-                                  graph_from_dict, graph_to_dict)
+from skelgrow.superpoints import (SuperpointGraph, UnionFind,
+                                  build_dense_edges, build_graph,
+                                  build_superpoints, graph_from_dict,
+                                  graph_to_dict)
 
 
 def test_single_sphere_cluster():
@@ -147,3 +150,26 @@ def test_nonpositive_radius_invalid():
     cloud = PointCloud(np.zeros((1, 3), dtype=np.float32))
     with pytest.raises(ValueError):
         build_superpoints(cloud, -1.0, seed=0)
+
+
+def test_union_find_matches_scipy_components():
+    """Same partition as scipy on random graphs with isolated nodes and
+    self-loops; each node's root is its component's smallest id."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        roots = UnionFind(range(n), edges.tolist()).roots()
+        count, labels = connected_components(coo_matrix(
+            (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)),
+            directed=False)
+        assert len(set(roots.values())) == count
+        for node in range(n):
+            assert roots[node] == np.flatnonzero(labels == labels[node]).min()
+
+
+def test_union_find_any_int_ids():
+    uf = UnionFind(edges=[(10**12, -3), (-3, 5)])
+    assert uf.find(10**12) == -3
+    assert not uf.union(5, 10**12)
+    assert uf.find(-10**12) == -10**12  # an unseen id is its own set

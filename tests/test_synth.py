@@ -1,4 +1,4 @@
-"""Synthetic trellised trees: sampling, ground-truth queries, oracles."""
+"""Synthetic trellised trees: sampling, ground truth, oracles."""
 
 import numpy as np
 import pytest
@@ -53,32 +53,8 @@ def test_cloud_hugs_centerline():
     cloud, truth = generate(spec)
     bound = spec.branch_radius + 6 * spec.noise_sigma + 0.01
     for p in cloud.points[::17]:
-        _, _, d = truth.project(p)
-        assert d <= bound
-
-
-def test_same_branch_queries():
-    _, truth = generate(SynthSpec(n_leaders=2, leader_spacing=0.3,
-                                  leader_height=0.4, seed=0))
-    on_leader = truth.branches[3].point_at(0.1)
-    higher = truth.branches[3].point_at(0.3)
-    other_leader = truth.branches[4].point_at(0.1)
-    support = truth.branches[1].point_at(0.15)
-    assert truth.same_branch(on_leader, higher)
-    assert truth.same_branch(on_leader, support)  # parent-child junction
-    assert not truth.same_branch(on_leader, other_leader)
-    assert not truth.same_branch(on_leader, on_leader + [0.2, 0.2, 0.2])
-
-
-def test_geodesic_distances():
-    _, truth = generate(SynthSpec(n_leaders=2, leader_spacing=0.3,
-                                  leader_height=0.4, seed=0))
-    assert truth.geodesic(3, 0.1, 3, 0.35) == pytest.approx(0.25)
-    # leader (t 0.1) down to its support junction (0.3 along the support),
-    # along the support to the trunk, down the trunk to t = 0.2.
-    assert truth.geodesic(3, 0.1, 0, 0.2) == pytest.approx(0.1 + 0.3 + 0.4)
-    assert truth.adjacent(3, 1) and truth.adjacent(1, 0)
-    assert not truth.adjacent(3, 4)
+        _, d = truth.centerline_coords(p)
+        assert d.min() <= bound
 
 
 def test_gap_sampling_removes_points():
