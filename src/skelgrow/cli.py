@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -35,6 +36,7 @@ from .seeds import SeedSet, find_tips, resolve_base
 from .search import run_search
 from .side_branches import find_side_branches
 from .skeleton import load_skeleton, save_skeleton, skeleton_to_dict
+from .spatial import GridIndex
 from .superpoints import (UnionFind, build_graph, graph_from_dict,
                           graph_to_dict)
 
@@ -99,16 +101,20 @@ def _prepare_cloud(args, cfg: PipelineConfig):
     return random_downsample(cloud, args.points, cfg.search.seed)
 
 
-def _read_cache(path: Path, parse):
-    """``parse`` of the cached JSON document, or None on a miss. A cache
-    that fails to parse or lacks its keys is a miss, so it is rebuilt."""
-    if not path.exists():
-        return None
-    try:
-        return parse(json.loads(path.read_text()))
-    except (ValueError, LookupError, TypeError, SkelgrowError) as exc:
-        log.warning("rebuilding unreadable cache %s: %s", path.name, exc)
-        return None
+def _read_cache(path: Path, parse, caches: dict, kind: str):
+    """``parse`` of the cached JSON document, or None when there is none.
+    A cache that fails to parse or lacks its keys is rebuilt like a missing
+    one. Records the file name and the outcome (hit, miss or rebuilt) as
+    ``caches[kind]``."""
+    outcome, value = "miss", None
+    if path.exists():
+        try:
+            outcome, value = "hit", parse(json.loads(path.read_text()))
+        except (ValueError, LookupError, TypeError, SkelgrowError) as exc:
+            log.warning("rebuilding unreadable cache %s: %s", path.name, exc)
+            outcome = "rebuilt"
+    caches[kind] = {"file": path.name, "outcome": outcome}
+    return value
 
 
 def _write_cache(path: Path, doc) -> None:
@@ -123,22 +129,27 @@ def _write_cache(path: Path, doc) -> None:
         raise
 
 
-def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict):
+def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
+                       caches: dict):
     """Build (or reuse cached) superpoint graph and edge scores."""
     scorer = _parse_scorer(args.scorer)
     t0 = time.perf_counter()
     cloud = _prepare_cloud(args, cfg)
     timings["load_seconds"] = time.perf_counter() - t0
+    # The cloud's neighbour index, built by the first stage that needs it.
+    index = functools.cache(
+        lambda: GridIndex(cloud.points, cfg.search.r_super))
 
     key = _digest(cloud.points.tobytes(), cfg.search.r_super,
                   cfg.search.seed, args.points, cfg.crop_min, cfg.crop_max)
     graph_cache = out / f"cache_graph_{key}.json"
     t0 = time.perf_counter()
-    graph = _read_cache(graph_cache, graph_from_dict)
+    graph = _read_cache(graph_cache, graph_from_dict, caches, "graph")
     if graph is not None:
         log.info("reusing cached superpoint graph %s", graph_cache.name)
     else:
-        graph = build_graph(cloud, cfg.search.r_super, cfg.search.seed)
+        graph = build_graph(
+            cloud, cfg.search.r_super, cfg.search.seed, index())
         _write_cache(graph_cache, graph_to_dict(graph))
     timings["superpoints_seconds"] = time.perf_counter() - t0
 
@@ -146,16 +157,18 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict):
     if scorer[0] == "override":
         # Overrides are read from their file on every run; nothing to cache.
         conf = score_all_edges(cloud, graph, scorer, cfg.search)
+        caches["scores"] = {"file": None, "outcome": "none"}
     else:
         # A model is keyed by its file's bytes, so editing it rescores.
         model = [Path(scorer[1]).read_bytes()] if scorer[0] == "model" else []
         score_cache = out / f"cache_scores_{_digest(key, scorer, *model)}.json"
         conf = _read_cache(score_cache, lambda doc: ConfidenceMap(
-            values=np.asarray(doc["values"]), provenance=doc["provenance"]))
+            values=np.asarray(doc["values"]), provenance=doc["provenance"]),
+            caches, "scores")
         if conf is not None:
             log.info("reusing cached edge scores %s", score_cache.name)
         else:
-            conf = score_all_edges(cloud, graph, scorer, cfg.search)
+            conf = score_all_edges(cloud, graph, scorer, cfg.search, index())
             _write_cache(score_cache,
                          {"values": [float(v) for v in conf.values],
                           "provenance": conf.provenance})
@@ -195,11 +208,14 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
 
 
 def cmd_skeletonize(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
-    cloud, graph, conf = _graph_with_scores(args, cfg, out, timings)
+    caches: dict = {}
+    cloud, graph, conf = _graph_with_scores(args, cfg, out, timings, caches)
 
     if args.base_node is not None:
         base_spec = args.base_node
@@ -224,6 +240,7 @@ def cmd_skeletonize(args) -> int:
         "points": args.points,
         "scorer": args.scorer,
         "timings": timings,
+        "caches": caches,
         "n_superpoints": graph.num_nodes,
         "n_edges": graph.num_edges,
     })

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .config import SearchConfig
 from .errors import DegenerateGeometryError, ModelFormatError, OverrideError
 from .geometry import grow_angle
+from .spatial import GridIndex
 from .superpoints import SuperpointGraph
 
 #: Raster shape: 32 buckets along the edge, 16 lateral.
@@ -53,26 +53,23 @@ class ConfidenceMap:
 
 
 def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
-                 r_super: float, kdtree: cKDTree | None = None) -> EdgeRaster:
+                 r_super: float, index: GridIndex | None = None) -> EdgeRaster:
     """Rasterize the two-sphere neighborhood of a candidate edge.
 
     Frame: origin at the edge midpoint, x along the edge, z along the
     least-significant singular vector orthogonalized against the edge
     (sign fixed toward world +Y). The z component is dropped and (x, y)
     histogrammed over [-2r, 2r] x [-r, r]; out-of-range points land in
-    the boundary buckets.
+    the boundary buckets. ``index`` is a GridIndex over the cloud with
+    radius r_super, if given.
     """
     i, j = (int(v) for v in graph.edges[edge])
     pa, pb = graph.positions[i], graph.positions[j]
-    if kdtree is None:
-        kdtree = cKDTree(cloud.points.astype(np.float64))
-    pts = kdtree.data  # the float64 points the tree was built from
-    idx = set(kdtree.query_ball_point(pa, r_super))
-    idx.update(kdtree.query_ball_point(pb, r_super))
+    idx = (index or GridIndex(cloud.points, r_super)).ball(pa, pb)
     if len(idx) < 3:
         raise DegenerateGeometryError(
             f"edge {edge}: only {len(idx)} points near endpoints")
-    local = pts[sorted(idx)]
+    local = cloud.points[idx].astype(np.float64)
 
     mid = 0.5 * (pa + pb)
     evec = pb - pa
@@ -208,8 +205,9 @@ def load_override(path: str | Path) -> dict[str, float]:
 
 
 def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
-                    scorer, cfg: SearchConfig) -> ConfidenceMap:
-    """Score every dense edge.
+                    scorer, cfg: SearchConfig,
+                    index: GridIndex | None = None) -> ConfidenceMap:
+    """Score every dense edge; ``index`` as in project_edge.
 
     ``scorer`` is one of:
       - ("heuristic",)
@@ -255,10 +253,10 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
 
     if cloud is None:
         raise ValueError(f"{kind} scorer needs the point cloud")
-    tree = cKDTree(cloud.points.astype(np.float64))
+    index = index or GridIndex(cloud.points, cfg.r_super)
     for k in range(m):
         try:
-            raster = project_edge(cloud, graph, k, cfg.r_super, kdtree=tree)
+            raster = project_edge(cloud, graph, k, cfg.r_super, index)
         except DegenerateGeometryError:
             values[k] = 0.0
             continue

@@ -1,0 +1,94 @@
+"""Uniform-grid neighbour index over a fixed point set, numpy only."""
+
+import numpy as np
+
+#: Most cells along one axis, so that cell keys stay far inside int64.
+MAX_CELLS = 2 ** 20
+#: The nine (x, y) cell columns around a cell; the three z cells of a
+#: column have consecutive keys, so each column is one run of points.
+_DX, _DY = np.indices((3, 3)).reshape(2, 9) - 1
+
+
+class GridIndex:
+    """Points within radius r of a centre, by a uniform grid.
+
+    Membership is bit-identical to ``scipy.spatial.cKDTree`` with p=2: a
+    point is in when ``(dx*dx + dy*dy) + dz*dz <= r*r`` in float64. Cells
+    are a hair wider than r, so that rounding in ``floor((p - lo) / cell)``
+    never puts a true neighbour two cells away, and wider still over an
+    extent of more than MAX_CELLS cells, so that keys cannot overflow.
+    """
+
+    def __init__(self, points, r: float):
+        if not r > 0:
+            raise ValueError("radius must be > 0")
+        self.points, self.r = np.asarray(points), float(r)
+        self._lo = self.points.min(axis=0).astype(np.float64)
+        span = self.points.max(axis=0) - self._lo
+        self._cell = max(self.r * (1 + 1e-6), float(span.max()) / MAX_CELLS)
+        # An empty cell on each side, so that every cell has 26 neighbours.
+        self._dims = np.floor(span / self._cell).astype(np.int64) + 3
+        self._columns = self._key(_DX, _DY, 0)  # key offsets of the nine
+        # Blocks of rows keep the float64 temporaries small.
+        keys = np.concatenate([
+            self._key(*self._cells(self.points[k:k + 2 ** 16]))
+            for k in range(0, len(self.points), 2 ** 16)])
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        self._sorted = np.take(self.points.T, self._order, axis=1)
+
+    def _cells(self, coords):
+        """x, y and z cells of (k, 3) points; a point outside the grid
+        takes the nearest cell inside it, whose neighbours cover its own."""
+        cells = np.floor(np.subtract(coords, self._lo, dtype=np.float64)
+                         / self._cell) + 1
+        return np.minimum(np.maximum(cells, 1), self._dims - 2).astype(
+            np.int64).T
+
+    def _key(self, x, y, z):
+        return (x * self._dims[1] + y) * self._dims[2] + z
+
+    def _runs(self, centres):
+        """Start and end, in key order, of the points in the 27 cells
+        around each of the (q, 3) centres, as (q, 9) arrays: one run per
+        column of three consecutive z cells."""
+        x, y, z = self._cells(centres)
+        first = self._key(x, y, z - 1)[:, None] + self._columns
+        return (np.searchsorted(self._keys, first),
+                np.searchsorted(self._keys, first + 2, "right"))
+
+    def _inside(self, points, centres):
+        """Whether each column of the (3, k) ``points`` lies within r of
+        ``centres``, broadcast against it."""
+        d = np.subtract(points, centres, dtype=np.float64)
+        d *= d
+        return (d[0] + d[1]) + d[2] <= self.r * self.r
+
+    def ball(self, *centres) -> np.ndarray:
+        """Sorted indices of the points within r of any of the centres."""
+        centres = np.asarray(centres, dtype=np.float64).reshape(-1, 3)
+        start, end = (a.ravel() for a in self._runs(centres))
+        # Runs of nearby centres overlap: start each past the ends of the
+        # runs before it, so that every point is taken once.
+        by_start = np.argsort(start)
+        start, end = start[by_start], end[by_start]
+        start[1:] = np.maximum(start[1:], np.maximum.accumulate(end)[:-1])
+        runs = [slice(s, e) for s, e in zip(start.tolist(), end.tolist())
+                if s < e] or [slice(0, 0)]
+        near = np.concatenate([self._sorted[:, s] for s in runs], axis=1)
+        inside = self._inside(near[:, None], centres.T[:, :, None])
+        found = np.concatenate([self._order[s] for s in runs])
+        return np.sort(found[np.logical_or.reduce(inside)])
+
+    def pairs(self) -> np.ndarray:
+        """Sorted (m, 2) index pairs i < j within r of each other."""
+        n = len(self.points)
+        start, end = self._runs(self.points)
+        lengths = (end - start).ravel()
+        pos = np.arange(lengths.sum()) + np.repeat(
+            start.ravel() - (np.cumsum(lengths) - lengths), lengths)
+        i = np.repeat(np.arange(n).repeat(_DX.size), lengths)
+        inside = self._inside(self._sorted[:, pos], self.points[i].T)
+        key = np.sort(i[inside] * n + self._order[pos[inside]])
+        key = key[key // n < key % n]
+        return np.stack([key // n, key % n], axis=1)

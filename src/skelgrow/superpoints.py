@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CloudFormatError
 from .cloud import PointCloud
+from .spatial import GridIndex
 
 
 @dataclass(frozen=True)
@@ -116,37 +116,36 @@ class SuperpointGraph:
         return (vx - ux, vy - uy, vz - uz)
 
 
-def build_superpoints(cloud: PointCloud, r_super: float,
-                      seed: int) -> list[Superpoint]:
+def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
+                      index: GridIndex | None = None) -> list[Superpoint]:
     """Cover the cloud with spheres of radius r_super around random
     uncovered seed points; each sphere's mean becomes a superpoint.
 
     Walking a single upfront permutation and skipping already-covered
     points draws each seed uniformly from the remaining uncovered set
     (the relative order of uncovered points stays a uniform permutation).
+    ``index`` is a GridIndex over the cloud with radius r_super, if given.
     """
-    if len(cloud) == 0:
-        raise ValueError("cannot build superpoints over an empty cloud")
-    if r_super <= 0:
-        raise ValueError("r_super must be > 0")
-    pts = cloud.points.astype(np.float64)
-    tree = cKDTree(pts)
+    index = index or GridIndex(cloud.points, r_super)
+    pts = cloud.points
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pts))
-    covered = np.zeros(len(pts), dtype=bool)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    uncovered = np.ones(len(pts), dtype=bool)  # by rank in ``order``
     out: list[Superpoint] = []
-    for idx in order:
-        if covered[idx]:
-            continue
-        members = np.asarray(
-            sorted(tree.query_ball_point(pts[idx], r_super)), dtype=np.int64)
-        covered[members] = True
+    k = 0
+    while uncovered[k]:
+        idx = int(order[k])
+        members = index.ball(pts[idx])
+        uncovered[rank[members]] = False
         out.append(Superpoint(
             id=len(out),
-            position=pts[members].mean(axis=0),
+            position=pts[members].astype(np.float64).mean(axis=0),
             member_indices=members,
-            seed_index=int(idx),
+            seed_index=idx,
         ))
+        k += int(np.argmax(uncovered[k:]))  # stays put once none is left
     return out
 
 
@@ -159,14 +158,13 @@ def build_dense_edges(nodes: list[Superpoint],
     if len(nodes) < 2:
         raise ValueError("need at least 2 superpoints for dense edges")
     positions = np.asarray([sp.position for sp in nodes], dtype=np.float64)
-    tree = cKDTree(positions)
-    pairs = sorted(tree.query_pairs(2.0 * r_super))
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    edges = GridIndex(positions, 2.0 * r_super).pairs()
     return edges, edge_lengths(positions, edges)
 
 
-def build_graph(cloud: PointCloud, r_super: float, seed: int) -> SuperpointGraph:
-    nodes = build_superpoints(cloud, r_super, seed)
+def build_graph(cloud: PointCloud, r_super: float, seed: int,
+                index: GridIndex | None = None) -> SuperpointGraph:
+    nodes = build_superpoints(cloud, r_super, seed, index)
     if len(nodes) >= 2:
         edges, _ = build_dense_edges(nodes, r_super)
     else:

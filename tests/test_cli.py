@@ -16,10 +16,12 @@ from conftest import make_graph, uniform_conf
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _grow_skeleton, _parse_scorer,
                           cmd_bench, main)
+from skelgrow.cloud import load_cloud
 from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
 from skelgrow.errors import ConfigError
 from skelgrow.search import SearchContext
+from skelgrow.spatial import GridIndex
 
 _SMALL_SPEC = {"n_leaders": 2, "leader_height": 1.0, "seed": 1}
 
@@ -27,6 +29,15 @@ _SMALL_SPEC = {"n_leaders": 2, "leader_height": 1.0, "seed": 1}
 def _write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _cache_outcomes(out):
+    """{kind: outcome} from the run manifest, after checking that each
+    named cache file exists."""
+    caches = json.loads((out / "run_manifest.json").read_text())["caches"]
+    for entry in caches.values():
+        assert entry["file"] is None or (out / entry["file"]).exists()
+    return {kind: entry["outcome"] for kind, entry in caches.items()}
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +137,8 @@ def test_truncated_cache_is_rebuilt(synth_dir, tmp_path, kind):
     cache.write_bytes(data[:len(data) // 2])
     assert main(argv) == EXIT_OK
     assert (out / "skeleton.json").read_bytes() == first
+    other = {"graph": "scores", "scores": "graph"}[kind]
+    assert _cache_outcomes(out) == {kind: "rebuilt", other: "hit"}
     assert cache.read_bytes() == data  # rewritten in full
     assert not list(out.glob("*.tmp"))
 
@@ -165,6 +178,48 @@ def test_override_scores_are_not_cached(synth_dir, tmp_path):
                  "--out", str(out)]) == EXIT_OK
     assert list(out.glob("cache_graph_*.json"))
     assert not list(out.glob("cache_scores_*.json"))
+    assert _cache_outcomes(out) == {"graph": "miss", "scores": "none"}
+
+
+def test_skeletonize_builds_one_cloud_index(synth_dir, tmp_path,
+                                            monkeypatch):
+    """A cold run builds one neighbour index over the cloud, shared by the
+    superpoint cover and the scoring (plus one over the superpoints for
+    the dense edges), and misses both caches; a warm rerun hits both
+    caches and builds none."""
+    built = []
+    init = GridIndex.__init__
+
+    def counting_init(self, points, r):
+        built.append(len(points))
+        init(self, points, r)
+
+    monkeypatch.setattr(GridIndex, "__init__", counting_init)
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+            "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    n_superpoints = json.loads(
+        (out / "run_manifest.json").read_text())["n_superpoints"]
+    assert built == [len(load_cloud(synth_dir / "cloud.ply")), n_superpoints]
+    assert _cache_outcomes(out) == {"graph": "miss", "scores": "miss"}
+    first = (out / "skeleton.json").read_bytes()
+
+    built.clear()
+    assert main(argv) == EXIT_OK
+    assert built == []
+    assert _cache_outcomes(out) == {"graph": "hit", "scores": "hit"}
+    assert (out / "skeleton.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(synth_dir, tmp_path, threads, capsys):
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--threads", threads, "--out", str(out)]) == EXIT_CONFIG
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
 
 
 def test_skeletonize_builds_one_search_context(synth_dir, tmp_path,
@@ -251,15 +306,16 @@ def test_eval_node_moved_beyond_tolerance(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    """``import skelgrow.cli`` in a fresh interpreter does not pay for
-    loading ``scipy.stats``."""
+    """``import skelgrow.cli`` in a fresh interpreter loads no scipy module:
+    scipy is a test-only dependency."""
     src = str(Path(skelgrow.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, skelgrow.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, skelgrow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_eval_empty_reference(synth_dir, tmp_path):

@@ -1,0 +1,120 @@
+"""GridIndex answers exactly as scipy's cKDTree does, which it replaces."""
+
+import numpy as np
+import pytest
+from scipy.spatial import cKDTree
+
+from skelgrow.spatial import GridIndex
+from skelgrow.superpoints import build_superpoints, edge_lengths
+from skelgrow.synth import SynthSpec, generate
+
+
+def _tree_ball(tree, r, *centres):
+    found = set()
+    for c in centres:
+        found.update(tree.query_ball_point(c, r))
+    return np.asarray(sorted(found), dtype=np.int64)
+
+
+def _tree_pairs(tree, r):
+    return np.asarray(sorted(tree.query_pairs(r)),
+                      dtype=np.int64).reshape(-1, 2)
+
+
+def assert_same_as_tree(points, r, centres, edges=()):
+    """Balls around each centre and around both ends of each edge, and all
+    pairs, equal cKDTree's exactly. ``points`` may be float32, as a
+    cloud's are; both indexes test distances in float64."""
+    points = np.asarray(points)
+    index, tree = GridIndex(points, r), cKDTree(points)
+    for c in centres:
+        assert np.array_equal(index.ball(c), _tree_ball(tree, r, c)), c
+    for a, b in edges:
+        assert np.array_equal(index.ball(a, b), _tree_ball(tree, r, a, b))
+    assert np.array_equal(index.pairs(), _tree_pairs(tree, r))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_clouds(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 2000))
+    scale = float(rng.uniform(0.2, 5.0))
+    points = rng.uniform(-scale, scale, size=(n, 3))
+    r = float(rng.uniform(0.02, 0.5)) * scale
+    # Centres inside, on and far outside the cloud's box.
+    centres = np.concatenate([points[:40], rng.uniform(
+        -3 * scale, 3 * scale, size=(20, 3))])
+    assert_same_as_tree(points, r, centres, zip(points[:20], points[-20:]))
+
+
+def test_superpoint_seeds_and_edge_ends_of_a_synth_tree():
+    cloud, _ = generate(SynthSpec(n_leaders=2, leader_height=1.0, seed=3))
+    r = 0.10
+    nodes = build_superpoints(cloud, r, seed=3)
+    points = cloud.points  # float32
+    positions = np.asarray([sp.position for sp in nodes])
+    edges = GridIndex(positions, 2 * r).pairs()
+    assert len(edges) > 20
+    assert_same_as_tree(points, r, points[[sp.seed_index for sp in nodes]],
+                        positions[edges])
+    assert_same_as_tree(positions, 2 * r, positions)
+    assert np.all(edge_lengths(positions, edges) <= 2 * r)
+
+
+@pytest.mark.parametrize("r", [0.125, 0.25])
+def test_points_at_r_and_one_step_either_side(r):
+    """Points at multiples of r along each axis, and one float step either
+    side of each, so that neighbours lie exactly at r or one step inside
+    or outside it, and straddle cell boundaries. With cells exactly r wide,
+    (r - step) and 2r are neighbours that land two cells apart."""
+    steps = []
+    for k in range(5):
+        x = k * r
+        steps += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    points = [(0.0, 0.0, 0.0)]
+    for axis in range(3):
+        for x in steps:
+            p = [0.5, 0.5, 0.5]
+            p[axis] = x
+            points.append(tuple(p))
+    points = np.asarray(points)
+    assert_same_as_tree(points, r, points, zip(points[1:], points[4:]))
+
+
+def test_points_near_the_sphere_round_like_the_tree():
+    """Random directions at distance r from a centre: the summation order
+    (dx*dx + dy*dy) + dz*dz decides membership, as in cKDTree."""
+    rng = np.random.default_rng(7)
+    centre = np.array([0.3, -1.7, 2.2])
+    for r in (0.125, 0.1, 0.25):
+        u = rng.normal(size=(3000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        points = np.concatenate([[centre], centre + r * u])
+        tree_ball = _tree_ball(cKDTree(points), r, centre)
+        assert 1 < len(tree_ball) < len(points)  # rounding splits them
+        assert np.array_equal(GridIndex(points, r).ball(centre), tree_ball)
+
+
+def test_tiny_radius_over_a_large_extent():
+    """A cell key per r-wide cell would overflow int64 here."""
+    rng = np.random.default_rng(11)
+    r = 1e-7
+    clusters = rng.uniform(-1e6, 1e6, size=(4, 3))
+    points = np.concatenate([
+        c + rng.uniform(-2 * r, 2 * r, size=(60, 3)) for c in clusters])
+    index = GridIndex(points, r)
+    assert len(index.pairs()) > 0
+    assert_same_as_tree(points, r, points, zip(points[:30], points[1:31]))
+    # Key order is the cells' lexicographic order: no key wrapped around.
+    cells = index._cells(points[index._order]).T.tolist()
+    assert cells == sorted(cells)
+
+
+def test_single_point_and_bad_radius():
+    index = GridIndex([[1.0, 2.0, 3.0]], 0.5)
+    assert index.ball([1.0, 2.0, 3.4]).tolist() == [0]
+    assert index.ball([1.0, 2.0, 3.6]).tolist() == []
+    assert index.pairs().shape == (0, 2)
+    for r in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            GridIndex([[0.0, 0.0, 0.0]], r)
