@@ -347,8 +347,10 @@ def cmd_bench(args) -> int:
         spec = _bench_spec(size, cfg.search.seed)
         cloud, _truth = synth.generate(spec)
         t0 = time.perf_counter()
-        graph = build_graph(cloud, cfg.search.r_super, cfg.search.seed)
-        conf = score_all_edges(cloud, graph, ("heuristic",), cfg.search)
+        index = GridIndex(cloud.points, cfg.search.r_super)
+        graph = build_graph(cloud, cfg.search.r_super, cfg.search.seed, index)
+        conf = score_all_edges(cloud, graph, ("heuristic",), cfg.search,
+                               index)
         preprocess = time.perf_counter() - t0
         t0 = time.perf_counter()
         skeleton, _ = _grow_skeleton(graph, conf, "lowest-z", cfg.search, {})

@@ -37,7 +37,7 @@ class SearchContext:
                  cfg: SearchConfig):
         self.cfg = cfg
         self.adj = [graph.neighbors(i) for i in range(graph.num_nodes)]
-        self.vec: dict[DirEdge, tuple] = {}
+        self.vector = graph.vector
         self.escore: dict[DirEdge, float] = {}
         self.len_noconf: dict[DirEdge, float] = {}
         self.grow_pen: dict[DirEdge, dict] = {}  # label -> penalty
@@ -49,7 +49,6 @@ class SearchContext:
             lnc = edge_cost(None, None, length, c, cfg)
             for u, v in ((i, j), (j, i)):
                 vec = graph.vector(u, v)
-                self.vec[(u, v)] = vec
                 self.escore[(u, v)] = es
                 self.len_noconf[(u, v)] = lnc
                 self.grow_pen[(u, v)] = {
@@ -61,7 +60,7 @@ class SearchContext:
         key = (a, b, c)
         pen = self._pen_cache.get(key)
         if pen is None:
-            pen = turn_penalty(self.vec[(b, c)], self.vec[(a, b)],
+            pen = turn_penalty(self.vector(b, c), self.vector(a, b),
                                Label.NONE, Label.NONE, self.cfg)
             self._pen_cache[key] = pen
             self._pen_cache[(c, b, a)] = pen
@@ -80,20 +79,20 @@ class PathPrior:
     """Per-tip minimum-cost edge paths for every directed dense edge.
 
     For each reachable state the prior caches the path cost, successor
-    state, edge-score sum over the path (including the state itself), and
-    the turn-penalty sum with its two largest terms (for the label-based
-    drop rule of the growth potential).
+    state, the bitmask of the path's nodes without the state's tail node,
+    edge-score sum over the path (including the state itself), and the
+    turn-penalty sum with its two largest terms (for the label-based drop
+    rule of the growth potential).
     """
 
     def __init__(self, ctx: SearchContext, tip: int):
         self.tip = tip
-        self.ctx = ctx
         self.cost: dict[DirEdge, float] = {}
         self.succ: dict[DirEdge, DirEdge | None] = {}
+        self.path_mask: dict[DirEdge, int] = {}  # bit n set: node n on path
         self.esum: dict[DirEdge, float] = {}
         # pen_minus[state] = (sum, sum - top1, sum - top1 - top2)
         self.pen_minus: dict[DirEdge, tuple] = {}
-        self._nodes: dict[DirEdge, frozenset] = {}
         self._run(ctx, tip)
 
     def _run(self, ctx: SearchContext, tip: int):
@@ -113,11 +112,13 @@ class PathPrior:
             final[state] = d
             self.succ[state] = via
             if via is None:
+                self.path_mask[state] = 1 << state[1]
                 self.esum[state] = ctx.escore[state]
                 top2[state] = (0.0, 0.0)
                 self.pen_minus[state] = (0.0, 0.0, 0.0)
             else:
                 pen = ctx.turn_pen_none(state[0], state[1], via[1])
+                self.path_mask[state] = 1 << state[1] | self.path_mask[via]
                 self.esum[state] = ctx.escore[state] + self.esum[via]
                 t1, t2 = top2[via]
                 if pen >= t1:
@@ -139,22 +140,6 @@ class PathPrior:
                     dist[prev] = nd
                     heapq.heappush(heap, (nd, prev, state))
 
-    def path_nodes(self, state: DirEdge) -> frozenset:
-        """Nodes on the path excluding the state's tail node."""
-        cached = self._nodes.get(state)
-        if cached is not None:
-            return cached
-        chain = []
-        cur: DirEdge | None = state
-        while cur is not None and cur not in self._nodes:
-            chain.append(cur)
-            cur = self.succ[cur]
-        acc = set() if cur is None else set(self._nodes[cur])
-        for st in reversed(chain):
-            acc.add(st[1])
-            self._nodes[st] = frozenset(acc)
-        return self._nodes[state]
-
     def dropped_pen(self, state: DirEdge, label: Label) -> float:
         """Turn-penalty sum after dropping the 2 - Order(label) largest."""
         sums = self.pen_minus[state]
@@ -170,7 +155,7 @@ class Candidate:
 
     skeleton: LabeledSkeleton
     score: float
-    nodes: frozenset
+    nodes: int  # bitmask of the skeleton's nodes: bit n set for node n
     frontier: frozenset  # directed edges (in-skeleton -> outside)
     abandoned: frozenset  # tips with no eligible pair left
     key: tuple  # (edge count, order-independent 64-bit content hash)
@@ -193,7 +178,7 @@ def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
     skel = LabeledSkeleton(base)
     frontier = frozenset((base, w) for w, _ in ctx.adj[base])
     return Candidate(
-        skeleton=skel, score=0.0, nodes=frozenset((base,)),
+        skeleton=skel, score=0.0, nodes=1 << base,
         frontier=frontier, abandoned=frozenset(), key=(0, 0))
 
 
@@ -201,14 +186,14 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
                    new_score: float, ctx: SearchContext) -> Candidate:
     u, v = state
     skel = cand.skeleton.attach((u, v), label)
-    nodes = cand.nodes | {v}
+    nodes = cand.nodes | 1 << v
     frontier = set(cand.frontier)
     for w, _eid in ctx.adj[v]:
         frontier.discard((w, v))
-        if w not in nodes:
+        if not nodes >> w & 1:
             frontier.add((v, w))
     return Candidate(
-        skeleton=skel, score=new_score, nodes=frozenset(nodes),
+        skeleton=skel, score=new_score, nodes=nodes,
         frontier=frozenset(frontier), abandoned=cand.abandoned,
         key=_child_key(cand.key, state, label))
 
@@ -231,19 +216,20 @@ def eligible_pairs(cand: Candidate, prior: PathPrior,
     skel = cand.skeleton
     # The skeleton's first edge is always Trunk.
     candidates = (Label.TRUNK,) if skel.num_edges == 0 else STRUCTURAL_LABELS
+    nodes = cand.nodes
     pairs = []
     pred_cache: dict[int, tuple] = {}  # parent node -> allowed labels
     for state in sorted(cand.frontier):
-        if state not in prior.cost:
-            continue
-        if not prior.path_nodes(state).isdisjoint(cand.nodes):
+        # The path to the tip must avoid the skeleton. An unreachable state
+        # has no path: its default, the skeleton's own mask, fails too.
+        if prior.path_mask.get(state, nodes) & nodes:
             continue
         u = state[0]
         labels = pred_cache.get(u)
         if labels is None:
-            pred = skel.parent_edge(u)
+            pred = skel.parent_of(u)
             labels = _allowed_labels(
-                None if pred is None else skel.label_of(pred),
+                None if pred is None else pred[1],
                 tuple(lab for _, lab in skel.children_of(u)), candidates)
             pred_cache[u] = labels
         for lab in labels:
@@ -365,8 +351,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         groups: dict[tuple, list[int]] = {}
         finished: list[int] = []
         for ci, cand in enumerate(population):
-            open_tips = [t for t in tips
-                         if t not in cand.nodes and t not in cand.abandoned]
+            open_tips = [t for t in tips if not cand.nodes >> t & 1
+                         and t not in cand.abandoned]
             if not open_tips:
                 finished.append(ci)
                 continue
@@ -410,10 +396,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             new_scores = []
             pots = []
             for state, lab in pairs:
-                pred = cand.skeleton.parent_edge(state[0])
-                pred_label = None if pred is None else \
-                    cand.skeleton.label_of(pred)
-                pred_tail = None if pred is None else pred[0]
+                pred_tail, pred_label = \
+                    cand.skeleton.parent_of(state[0]) or (None, None)
                 ns = cand.score + ctx.reward(state, lab, pred_tail,
                                              pred_label)
                 new_scores.append(ns)
@@ -466,7 +450,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "iterations": iteration,
         "best_score_history": history,
         "best_score": best.score,
-        "reached_tips": sorted(best.nodes.intersection(tips)),
+        "reached_tips": [t for t in tips if best.nodes >> t & 1],
         "abandoned_tips": sorted(best.abandoned),
         "prior_seconds": prior_time,
     }

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import math
 
 from .config import SearchConfig
@@ -12,8 +11,6 @@ from .labels import Label
 from .skeleton import LabeledSkeleton
 from .superpoints import SuperpointGraph, UnionFind
 
-log = logging.getLogger(__name__)
-
 _ANGLE_LO = math.pi / 4
 _ANGLE_HI = 3 * math.pi / 4
 
@@ -22,9 +19,9 @@ def _leader_direction(skeleton: LabeledSkeleton, node: int,
                       graph: SuperpointGraph):
     """Direction of the leader at an attachment node: the Leader edge into
     the node, else its first Leader child edge."""
-    pred = skeleton.parent_edge(node)
-    if pred is not None and skeleton.label_of(pred) is Label.LEADER:
-        return graph.vector(*pred)
+    pred = skeleton.parent_of(node)
+    if pred is not None and pred[1] is Label.LEADER:
+        return graph.vector(pred[0], node)
     for child, lab in sorted(skeleton.children_of(node)):
         if lab is Label.LEADER:
             return graph.vector(node, child)
@@ -78,14 +75,9 @@ def find_side_branches(skeleton: LabeledSkeleton, graph: SuperpointGraph,
         _, a, x = min(attachments[comp_id])
         if x in claimed:
             continue
-        path = _grow_path(a, x, graph, conf, cfg, claimed)
-        try:
-            for parent, child in path:
-                result = result.attach((parent, child), Label.SIDE_BRANCH)
-                claimed.add(child)
-        except Exception as exc:  # pragma: no cover - defensive
-            log.warning("side-branch component at node %d skipped: %s",
-                        x, exc)
+        for parent, child in _grow_path(a, x, graph, conf, cfg, claimed):
+            result = result.attach((parent, child), Label.SIDE_BRANCH)
+            claimed.add(child)
     return result
 
 

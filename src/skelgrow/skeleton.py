@@ -1,7 +1,11 @@
 """Labeled out-tree skeleton: topology rules, label rules, JSON interchange.
 
-Skeletons are immutable values; ``attach`` returns a new skeleton. The
-label NONE is reserved for the auxiliary path cost and is never stored.
+Skeletons are immutable values; ``attach`` returns a new skeleton. Each
+edge is stored once, as the record ``child -> (parent, label)`` of the
+node it enters; the children index ``_succ`` is the only other map, and
+every other view (edges, labels, nodes, equality) is derived from the
+records. The label NONE is reserved for the auxiliary path cost and is
+never stored.
 """
 
 from __future__ import annotations
@@ -18,14 +22,13 @@ Edge = tuple[int, int]  # (parent, child)
 class LabeledSkeleton:
     """Directed out-tree over superpoint node ids with one label per edge."""
 
-    __slots__ = ("base", "_parent", "_labels", "_succ")
+    __slots__ = ("base", "_parent", "_succ")
 
-    def __init__(self, base: int, _parent=None, _labels=None, _succ=None):
+    def __init__(self, base: int, _parent=None, _succ=None):
         self.base = base
-        # child -> parent
-        self._parent: dict[int, int] = _parent if _parent is not None else {}
-        # (parent, child) -> Label
-        self._labels: dict[Edge, Label] = _labels if _labels is not None else {}
+        # child -> (parent, label) of the edge into it, in attach order
+        self._parent: dict[int, tuple[int, Label]] = \
+            _parent if _parent is not None else {}
         # node -> tuple of (child, label) for its outgoing edges
         self._succ: dict[int, tuple] = _succ if _succ is not None else {}
 
@@ -38,37 +41,40 @@ class LabeledSkeleton:
 
     @property
     def edge_labels(self) -> dict[Edge, Label]:
-        return dict(self._labels)
+        """(parent, child) -> label, in attach order."""
+        return {(p, c): lab for c, (p, lab) in self._parent.items()}
 
     @property
     def num_edges(self) -> int:
-        return len(self._labels)
+        return len(self._parent)
 
     def has_node(self, node: int) -> bool:
         return node == self.base or node in self._parent
 
-    def edges(self):
-        return self._labels.keys()
+    def edges(self) -> list[Edge]:
+        return [(p, c) for c, (p, _) in self._parent.items()]
 
     def label_of(self, edge: Edge) -> Label:
-        return self._labels[edge]
+        parent, child = edge
+        record = self._parent.get(child)
+        if record is None or record[0] != parent:
+            raise KeyError(edge)
+        return record[1]
 
-    def parent_edge(self, node: int) -> Edge | None:
-        """The unique edge into ``node``, or None for the base."""
-        parent = self._parent.get(node)
-        if parent is None:
-            return None
-        return (parent, node)
+    def parent_of(self, node: int) -> tuple[int, Label] | None:
+        """(parent, label) of the unique edge into ``node``, or None for
+        the base."""
+        return self._parent.get(node)
 
     def children_of(self, node: int) -> tuple:
         return self._succ.get(node, ())
 
     def __eq__(self, other):
         return (isinstance(other, LabeledSkeleton)
-                and self.base == other.base and self._labels == other._labels)
+                and self.base == other.base and self._parent == other._parent)
 
     def __hash__(self):
-        return hash((self.base, frozenset(self._labels.items())))
+        return hash((self.base, frozenset(self._parent.items())))
 
     # -- label rules ------------------------------------------------------
     def check_all(self, e_new: Edge, l_new: Label) -> str | None:
@@ -80,9 +86,9 @@ class LabeledSkeleton:
             return "out-tree"
         if self.has_node(child):
             return "out-tree"
-        pred = self.parent_edge(parent)
+        pred = self._parent.get(parent)
         return label_rule_violation(
-            None if pred is None else self._labels[pred],
+            None if pred is None else pred[1],
             tuple(lab for _, lab in self.children_of(parent)), l_new)
 
     # -- growth -----------------------------------------------------------
@@ -95,12 +101,10 @@ class LabeledSkeleton:
             return self._reject(rule, e_new, l_new)
         parent, child = e_new
         new_parent = dict(self._parent)
-        new_parent[child] = parent
-        new_labels = dict(self._labels)
-        new_labels[e_new] = l_new
+        new_parent[child] = (parent, l_new)
         new_succ = dict(self._succ)
         new_succ[parent] = new_succ.get(parent, ()) + ((child, l_new),)
-        return LabeledSkeleton(self.base, new_parent, new_labels, new_succ)
+        return LabeledSkeleton(self.base, new_parent, new_succ)
 
     def _reject(self, rule, e_new, l_new):
         raise AttachmentError(
@@ -108,8 +112,7 @@ class LabeledSkeleton:
 
     # -- validation -------------------------------------------------------
     def topology_violations(self) -> list[str]:
-        return topology_violations(
-            self.base, [(p, c) for (p, c) in self._labels])
+        return topology_violations(self.base, self.edges())
 
     def label_violations(self) -> list[str]:
         """Check the three label rules over the whole skeleton.
@@ -118,19 +121,19 @@ class LabeledSkeleton:
         can check each attach decision against a whole-skeleton verdict.
         """
         out = []
-        for (parent, child), label in self._labels.items():
-            pred = self.parent_edge(parent)
+        for child, (parent, label) in self._parent.items():
+            pred = self._parent.get(parent)
             if pred is not None:
-                plab = self._labels[pred]
+                grand, plab = pred
                 if plab.order > label.order:
                     out.append(
-                        f"label-progression: {pred} {plab} -> "
+                        f"label-progression: {(grand, parent)} {plab} -> "
                         f"({parent},{child}) {label}")
         for node, succ in self._succ.items():
-            pred = self.parent_edge(node)
+            pred = self._parent.get(node)
             if pred is None:
                 continue
-            plab = self._labels[pred]
+            plab = pred[1]
             same = [c for c, lab in succ if lab is plab]
             if len(same) >= 2:
                 out.append(f"label-linearity: node {node} label {plab}")

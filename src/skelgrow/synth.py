@@ -18,7 +18,7 @@ from .cloud import PointCloud
 from .labels import Label
 from .skeleton import LabeledSkeleton
 from .superpoints import SuperpointGraph
-from .edge_scoring import ConfidenceMap
+from .edge_scoring import ConfidenceMap, edge_key
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class SynthTruth:
 
     def oracle_override_table(self, graph: SuperpointGraph) -> dict[str, float]:
         conf = self.oracle_confidences(graph)
-        return {f"{int(i)}-{int(j)}": float(conf[k])
+        return {edge_key(int(i), int(j)): float(conf[k])
                 for k, (i, j) in enumerate(graph.edges)}
 
     def reference_skeleton(self, graph: SuperpointGraph, tol: float = 0.05):

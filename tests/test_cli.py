@@ -367,6 +367,29 @@ def test_bench_requires_sizes():
         cmd_bench(args)
 
 
+def test_bench_builds_one_cloud_index(tmp_path, monkeypatch):
+    """Per size, the superpoint cover and the scoring share one neighbour
+    index over the cloud; the only other index is the one over the
+    superpoints for the dense edges."""
+    built = []
+    init = GridIndex.__init__
+
+    def counting_init(self, points, r):
+        built.append(len(points))
+        init(self, points, r)
+
+    monkeypatch.setattr(GridIndex, "__init__", counting_init)
+    out = tmp_path / "bench.csv"
+    args = Namespace(sizes=[100], config=_write_json(tmp_path / "cfg.json",
+                                                     {"K": 10}),
+                     seed=None, out=str(out))
+    assert cmd_bench(args) == EXIT_OK
+    row = out.read_text().splitlines()[1].split(",")
+    assert len(built) == 2
+    assert built[1] == int(row[1])  # n_superpoints
+    assert built[0] > built[1]
+
+
 def test_parse_scorer():
     assert _parse_scorer("heuristic") == ("heuristic",)
     assert _parse_scorer("model:m.json") == ("model", "m.json")

@@ -218,7 +218,7 @@ def test_prior_straight_chain_zero_cost(chain_graph):
             path.append(cur)
             cur = prior.succ[cur]
         assert path == [(j, j + 1) for j in range(k, 4)]
-    assert prior.path_nodes((0, 1)) == frozenset({1, 2, 3, 4})
+    assert prior.path_mask[(0, 1)] == 0b11110  # nodes 1, 2, 3 and 4
 
 
 def test_prior_isolated_tip_unreachable():
@@ -283,6 +283,14 @@ def test_prior_matches_brute_force_small_instances():
         assert set(prior.cost) == set(expected)
         for state, cost in expected.items():
             assert prior.cost[state] == pytest.approx(cost, abs=1e-9)
+        # Each path mask holds the head of every state on the succ chain.
+        assert set(prior.path_mask) == set(prior.cost)
+        for state in prior.cost:
+            mask, cur = 0, state
+            while cur is not None:
+                mask |= 1 << cur[1]
+                cur = prior.succ[cur]
+            assert prior.path_mask[state] == mask
 
 
 def test_prior_dropped_penalty_rule():
@@ -348,18 +356,18 @@ def test_context_tables_match_geometry():
     formulas exactly, for every directed edge and turn of a tree."""
     graph, conf, ctx = _synthetic_context()
     edge_data = {}
-    for k, (i, j) in enumerate(graph.edges):
+    for k, (i, j) in enumerate(graph.edges.tolist()):
         edge_data[(i, j)] = edge_data[(j, i)] = (float(graph.lengths[k]),
                                                  conf[k])
-    for (u, v), vec in ctx.vec.items():
-        length, c = edge_data[(u, v)]
+    for (u, v), (length, c) in edge_data.items():
+        vec = graph.vector(u, v)
         for lab in STRUCTURAL_LABELS:
             assert ctx.reward((u, v), lab, None, None) == reward(
                 vec, length, c, lab, None, None, CFG)
         for w, _eid in ctx.adj[u]:
             if w == v:
                 continue
-            pvec = ctx.vec[(w, u)]
+            pvec = graph.vector(w, u)
             assert ctx.turn_pen_none(w, u, v) == turn_penalty(
                 vec, pvec, Label.NONE, Label.NONE, CFG)
             for lab in STRUCTURAL_LABELS:
@@ -368,10 +376,24 @@ def test_context_tables_match_geometry():
                         vec, length, c, lab, pvec, plab, CFG)
 
 
+def _path_avoids_skeleton(prior, state, skel):
+    """Whether the state reaches the prior's tip along ``prior.succ``
+    without entering a skeleton node (the state's tail excluded)."""
+    if state not in prior.cost:
+        return False
+    cur = state
+    while cur is not None:
+        if skel.has_node(cur[1]):
+            return False
+        cur = prior.succ[cur]
+    return True
+
+
 def test_eligible_labels_match_check_all():
     """Along random lineages on a synthetic tree, every frontier state that
     passes the prior's reachability and path filters gets exactly the
-    labels ``check_all`` accepts (Trunk alone for the first edge)."""
+    labels ``check_all`` accepts (Trunk alone for the first edge), and no
+    other state gets any."""
     graph, conf, ctx = _synthetic_context()
     base = resolve_base(graph, "lowest-z")
     tips = frozenset(t for t in find_tips(graph, conf, CFG) if t != base)
@@ -385,8 +407,8 @@ def test_eligible_labels_match_check_all():
             pairs = eligible_pairs(cand, prior, ctx)
             skel = cand.skeleton
             for state in sorted(cand.frontier):
-                if state not in prior.cost or not prior.path_nodes(
-                        state).isdisjoint(cand.nodes):
+                if not _path_avoids_skeleton(prior, state, skel):
+                    assert all(s != state for s, _ in pairs)
                     continue
                 if skel.num_edges == 0:
                     expected = [Label.TRUNK]
@@ -425,9 +447,7 @@ def test_potential_unreachable_rejected():
 def _recomputed_score(skel, ctx):
     total = 0.0
     for (p, c), lab in skel.edge_labels.items():
-        pred = skel.parent_edge(p)
-        pred_label = None if pred is None else skel.label_of(pred)
-        pred_tail = None if pred is None else pred[0]
+        pred_tail, pred_label = skel.parent_of(p) or (None, None)
         total += ctx.reward((p, c), lab, pred_tail, pred_label)
     return total
 

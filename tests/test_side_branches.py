@@ -3,9 +3,11 @@
 import ast
 
 import numpy as np
+import pytest
 
 from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.config import SearchConfig
+from skelgrow.errors import AttachmentError
 from skelgrow.labels import Label
 from skelgrow import side_branches
 from skelgrow.side_branches import find_side_branches
@@ -95,3 +97,17 @@ def test_post_processing_does_not_import_the_search():
                 if isinstance(node, ast.Import) for alias in node.names}
     assert "geometry" in modules
     assert not {"search", "skelgrow.search"} & modules
+
+
+def test_attach_error_on_a_side_branch_path_is_raised(monkeypatch):
+    # A path whose second edge re-enters a skeleton node breaks the
+    # out-tree rule; the error reaches the caller (the cli exits 4)
+    # instead of leaving a half-attached path behind.
+    positions = _CHAIN_POS + [(0.15, 0.0, 0.30)]
+    graph = make_graph(positions, _CHAIN_EDGES + [(2, 4)])
+    monkeypatch.setattr(side_branches, "_grow_path",
+                        lambda a, x, *rest: [(a, x), (x, 1)])
+    with pytest.raises(AttachmentError) as err:
+        find_side_branches(_leader_skeleton(), graph, uniform_conf(graph),
+                           CFG)
+    assert err.value.rule == "out-tree"

@@ -204,6 +204,7 @@ def test_random_growth_fuzz_small():
     labels = (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH)
     for _ in range(200):
         skel = LabeledSkeleton(0)
+        attached = []  # (parent, child, label) in attach order
         next_node = 1
         for _ in range(int(rng.integers(3, 15))):
             nodes = sorted(skel.nodes)
@@ -214,6 +215,14 @@ def test_random_growth_fuzz_small():
                 continue
             lab = options[int(rng.integers(len(options)))]
             skel = skel.attach((parent, next_node), lab)
+            attached.append((parent, next_node, lab))
             next_node += 1
         assert skel.topology_violations() == []
         assert skel.label_violations() == []
+        assert list(skel.edge_labels.items()) == [
+            ((p, c), lab) for p, c, lab in attached]
+        assert skel.nodes == {0} | {c for _, c, _ in attached}
+        assert skel.parent_of(0) is None
+        for p, c, lab in attached:
+            assert skel.parent_of(c) == (p, lab)
+            assert skel.label_of((p, c)) is lab
