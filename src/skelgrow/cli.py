@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -16,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     else:
         cfg = PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        import dataclasses
         cfg = dataclasses.replace(
             cfg, search=dataclasses.replace(cfg.search, seed=args.seed))
     return cfg
@@ -94,9 +93,23 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+@functools.cache
+def _code_digest() -> str:
+    """Digest of the package's own sources, part of every cache key so
+    that a cache written by other code is not reused."""
+    return _digest(*(path.read_bytes() for path in
+                     sorted(Path(__file__).parent.glob("*.py"))))
+
+
+def _check_at_least_one(**options: int) -> None:
+    for name, value in options.items():
+        if value < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {value}")
+
+
 def _prepare_cloud(args, cfg: PipelineConfig):
     cloud = load_cloud(args.cloud)
-    if cfg.crop_min is not None and cfg.crop_max is not None:
+    if cfg.crop_min is not None:
         cloud = crop_cloud(cloud, cfg.crop_min, cfg.crop_max)
     return random_downsample(cloud, args.points, cfg.search.seed)
 
@@ -140,8 +153,9 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
     index = functools.cache(
         lambda: GridIndex(cloud.points, cfg.search.r_super))
 
-    key = _digest(cloud.points.tobytes(), cfg.search.r_super,
-                  cfg.search.seed, args.points, cfg.crop_min, cfg.crop_max)
+    key = _digest(_code_digest(), cloud.points.tobytes(),
+                  cfg.search.r_super, cfg.search.seed, args.points,
+                  cfg.crop_min, cfg.crop_max)
     graph_cache = out / f"cache_graph_{key}.json"
     t0 = time.perf_counter()
     graph = _read_cache(graph_cache, graph_from_dict, caches, "graph")
@@ -208,8 +222,7 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
 
 
 def cmd_skeletonize(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    _check_at_least_one(threads=args.threads, points=args.points)
     cfg = _load_pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -235,7 +248,7 @@ def cmd_skeletonize(args) -> int:
         "threads": args.threads,
         "threads_used": 1,  # no stage runs in parallel yet
         "config": {f.name: getattr(cfg.search, f.name)
-                   for f in dataclass_fields(SearchConfig)},
+                   for f in dataclasses.fields(SearchConfig)},
         "crop": {"min": cfg.crop_min, "max": cfg.crop_max},
         "points": args.points,
         "scorer": args.scorer,
@@ -253,13 +266,14 @@ def cmd_skeletonize(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_at_least_one(points=args.points)
     if args.spec:
         try:
             with open(args.spec) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CloudFormatError(f"cannot read spec {args.spec}: {exc}")
-        known = {f.name for f in dataclass_fields(synth.SynthSpec)}
+        known = {f.name for f in dataclasses.fields(synth.SynthSpec)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
@@ -270,7 +284,6 @@ def cmd_synth(args) -> int:
     else:
         spec = synth.SynthSpec(seed=args.seed or 0)
     if args.seed is not None:
-        import dataclasses
         spec = dataclasses.replace(spec, seed=args.seed)
 
     out = Path(args.out)

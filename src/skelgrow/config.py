@@ -67,11 +67,21 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Search parameters plus the optional axis-aligned crop box."""
+    """Search parameters plus the optional axis-aligned crop box, given
+    by both corners or by neither."""
 
     search: SearchConfig = dataclasses.field(default_factory=SearchConfig)
     crop_min: tuple[float, float, float] | None = None
     crop_max: tuple[float, float, float] | None = None
+
+    def __post_init__(self):
+        if (self.crop_min is None) != (self.crop_max is None):
+            raise ConfigError("crop.min and crop.max must be given together")
+        # Written so that a NaN corner fails too.
+        if self.crop_min is not None and not all(
+                lo <= hi for lo, hi in zip(self.crop_min, self.crop_max)):
+            raise ConfigError(f"crop.min {list(self.crop_min)} must not exceed"
+                              f" crop.max {list(self.crop_max)} on any axis")
 
 
 _SEARCH_KEYS = {f.name for f in dataclasses.fields(SearchConfig)}
@@ -81,7 +91,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Load a flat-key JSON config file.
 
     Recognized keys are the ``SearchConfig`` field names plus ``crop.min``
-    and ``crop.max``; anything else is an error.
+    and ``crop.max`` (both or neither); anything else is an error.
     """
     try:
         with open(path) as fh:
@@ -104,7 +114,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             return None
         v = raw[key]
         if (not isinstance(v, (list, tuple)) or len(v) != 3
-                or not all(isinstance(x, (int, float)) for x in v)):
+                or not all(type(x) in (int, float) for x in v)):
             raise ConfigError(f"{key} must be a list of 3 numbers")
         return tuple(float(x) for x in v)
 

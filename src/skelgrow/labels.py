@@ -12,24 +12,16 @@ class Label(enum.Enum):
     SIDE_BRANCH = "SideBranch"
     NONE = "None"
 
-    @property
-    def order(self) -> int:
-        """Progression order; undefined (raises) for NONE."""
-        try:
-            return _ORDER[self]
-        except KeyError:
-            raise ValueError("Order is undefined for Label.NONE") from None
-
     def __str__(self) -> str:
         return self.value
 
 
-_ORDER = {
-    Label.TRUNK: 0,
-    Label.SUPPORT: 1,
-    Label.LEADER: 2,
-    Label.SIDE_BRANCH: 3,
-}
+# Progression order, a plain attribute of each member; NONE has none, so
+# reading ``Label.NONE.order`` raises AttributeError.
+Label.TRUNK.order = 0
+Label.SUPPORT.order = 1
+Label.LEADER.order = 2
+Label.SIDE_BRANCH.order = 3
 
 #: The labels assignable during skeleton growth and post-processing.
 STRUCTURAL_LABELS = (Label.TRUNK, Label.SUPPORT, Label.LEADER)

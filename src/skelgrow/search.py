@@ -40,7 +40,8 @@ class SearchContext:
         self.vector = graph.vector
         self.escore: dict[DirEdge, float] = {}
         self.len_noconf: dict[DirEdge, float] = {}
-        self.grow_pen: dict[DirEdge, dict] = {}  # label -> penalty
+        # Growth penalty of each structural label, indexed by label order.
+        self.grow_pen: dict[DirEdge, tuple] = {}
         for k, (i, j) in enumerate(graph.edges):
             i, j = int(i), int(j)
             length = float(graph.lengths[k])
@@ -51,8 +52,8 @@ class SearchContext:
                 vec = graph.vector(u, v)
                 self.escore[(u, v)] = es
                 self.len_noconf[(u, v)] = lnc
-                self.grow_pen[(u, v)] = {
-                    lab: grow_penalty(vec, lab, cfg) for lab in Label}
+                self.grow_pen[(u, v)] = tuple(
+                    grow_penalty(vec, lab, cfg) for lab in STRUCTURAL_LABELS)
         self._pen_cache: dict[tuple, float] = {}
 
     def turn_pen_none(self, a: int, b: int, c: int) -> float:
@@ -72,7 +73,7 @@ class SearchContext:
         r = self.escore[state]
         if pred_tail is not None and pred_label is label:
             r -= self.turn_pen_none(pred_tail, state[0], state[1])
-        return r - self.grow_pen[state][label]
+        return r - self.grow_pen[state][label.order]
 
 
 class PathPrior:
@@ -81,8 +82,11 @@ class PathPrior:
     For each reachable state the prior caches the path cost, successor
     state, the bitmask of the path's nodes without the state's tail node,
     edge-score sum over the path (including the state itself), and the
-    turn-penalty sum with its two largest terms (for the label-based drop
-    rule of the growth potential).
+    path's turn-penalty sum after the label-dependent drop of the growth
+    potential: a label of order o drops the 2 - o largest turns, clamped
+    at 0, so ``turn_pen[state]`` is ``(max(sum - t1 - t2, 0),
+    max(sum - t1, 0), sum)`` for Trunk, Support and Leader, with t1 >= t2
+    the two largest turn penalties.
     """
 
     def __init__(self, ctx: SearchContext, tip: int):
@@ -91,8 +95,7 @@ class PathPrior:
         self.succ: dict[DirEdge, DirEdge | None] = {}
         self.path_mask: dict[DirEdge, int] = {}  # bit n set: node n on path
         self.esum: dict[DirEdge, float] = {}
-        # pen_minus[state] = (sum, sum - top1, sum - top1 - top2)
-        self.pen_minus: dict[DirEdge, tuple] = {}
+        self.turn_pen: dict[DirEdge, tuple] = {}  # indexed by label order
         self._run(ctx, tip)
 
     def _run(self, ctx: SearchContext, tip: int):
@@ -115,7 +118,7 @@ class PathPrior:
                 self.path_mask[state] = 1 << state[1]
                 self.esum[state] = ctx.escore[state]
                 top2[state] = (0.0, 0.0)
-                self.pen_minus[state] = (0.0, 0.0, 0.0)
+                self.turn_pen[state] = (0.0, 0.0, 0.0)
             else:
                 pen = ctx.turn_pen_none(state[0], state[1], via[1])
                 self.path_mask[state] = 1 << state[1] | self.path_mask[via]
@@ -126,8 +129,9 @@ class PathPrior:
                 elif pen > t2:
                     t2 = pen
                 top2[state] = (t1, t2)
-                total = self.pen_minus[via][0] + pen
-                self.pen_minus[state] = (total, total - t1, total - t1 - t2)
+                total = self.turn_pen[via][2] + pen
+                self.turn_pen[state] = (max(total - t1 - t2, 0.0),
+                                        max(total - t1, 0.0), total)
             u, v = state
             base = ctx.len_noconf
             for w, _eid in ctx.adj[u]:
@@ -140,14 +144,6 @@ class PathPrior:
                     dist[prev] = nd
                     heapq.heappush(heap, (nd, prev, state))
 
-    def dropped_pen(self, state: DirEdge, label: Label) -> float:
-        """Turn-penalty sum after dropping the 2 - Order(label) largest."""
-        sums = self.pen_minus[state]
-        drop = 2 - label.order
-        if drop <= 0:
-            return sums[0]
-        return max(sums[min(drop, 2)], 0.0)
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -157,7 +153,7 @@ class Candidate:
     score: float
     nodes: int  # bitmask of the skeleton's nodes: bit n set for node n
     frontier: frozenset  # directed edges (in-skeleton -> outside)
-    abandoned: frozenset  # tips with no eligible pair left
+    abandoned: int  # bitmask of tips with no eligible pair left
     key: tuple  # (edge count, order-independent 64-bit content hash)
 
 
@@ -179,11 +175,13 @@ def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
     frontier = frozenset((base, w) for w, _ in ctx.adj[base])
     return Candidate(
         skeleton=skel, score=0.0, nodes=1 << base,
-        frontier=frontier, abandoned=frozenset(), key=(0, 0))
+        frontier=frontier, abandoned=0, key=(0, 0))
 
 
 def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
-                   new_score: float, ctx: SearchContext) -> Candidate:
+                   new_score: float, key: tuple,
+                   ctx: SearchContext) -> Candidate:
+    """``cand`` grown by (state, label), keyed ``key`` (its child key)."""
     u, v = state
     skel = cand.skeleton.attach((u, v), label)
     nodes = cand.nodes | 1 << v
@@ -194,8 +192,7 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
             frontier.add((v, w))
     return Candidate(
         skeleton=skel, score=new_score, nodes=nodes,
-        frontier=frozenset(frontier), abandoned=cand.abandoned,
-        key=_child_key(cand.key, state, label))
+        frontier=frozenset(frontier), abandoned=cand.abandoned, key=key)
 
 
 # Memoised: the arguments range over a few short label tuples, so the
@@ -209,41 +206,46 @@ def _allowed_labels(pred_label: Label | None, siblings: tuple,
                  if label_rule_violation(pred_label, siblings, lab) is None)
 
 
-def eligible_pairs(cand: Candidate, prior: PathPrior,
-                   ctx: SearchContext) -> list[tuple[DirEdge, Label]]:
-    """All (directed edge, label) pairs that may extend the candidate
-    toward the prior's tip without topology or label violations."""
+def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
+                   ) -> list[tuple[DirEdge, Label, float]]:
+    """All (directed edge, label, grown score) proposals that extend the
+    candidate toward the prior's tip without topology or label violations,
+    in frontier order: order-free ranks, distinct child keys and the
+    key-sorted pool keep that order out of the output."""
     skel = cand.skeleton
     # The skeleton's first edge is always Trunk.
     candidates = (Label.TRUNK,) if skel.num_edges == 0 else STRUCTURAL_LABELS
     nodes = cand.nodes
-    pairs = []
-    pred_cache: dict[int, tuple] = {}  # parent node -> allowed labels
-    for state in sorted(cand.frontier):
+    score = cand.score
+    proposals = []
+    tails: dict[int, tuple] = {}  # tail -> (pred tail, pred label, labels)
+    for state in cand.frontier:
         # The path to the tip must avoid the skeleton. An unreachable state
         # has no path: its default, the skeleton's own mask, fails too.
         if prior.path_mask.get(state, nodes) & nodes:
             continue
         u = state[0]
-        labels = pred_cache.get(u)
-        if labels is None:
-            pred = skel.parent_of(u)
-            labels = _allowed_labels(
-                None if pred is None else pred[1],
-                tuple(lab for _, lab in skel.children_of(u)), candidates)
-            pred_cache[u] = labels
+        tail = tails.get(u)
+        if tail is None:
+            pred_tail, pred_label = skel.parent_of(u) or (None, None)
+            tail = tails[u] = (pred_tail, pred_label, _allowed_labels(
+                pred_label, tuple(lab for _, lab in skel.children_of(u)),
+                candidates))
+        pred_tail, pred_label, labels = tail
         for lab in labels:
-            pairs.append((state, lab))
-    return pairs
+            proposals.append((state, lab, score + ctx.reward(
+                state, lab, pred_tail, pred_label)))
+    return proposals
 
 
-def potential(prior: PathPrior, pair, new_score: float) -> float:
-    """``new_score`` (the grown skeleton's score) plus the path prior's
-    edge scores minus its turn penalties after the label-dependent drop."""
-    state, label = pair
+def potential(prior: PathPrior, proposal) -> float:
+    """The grown score of the proposal (state, label, new_score) plus the
+    path prior's edge scores minus its turn penalties after the
+    label-dependent drop."""
+    state, label, new_score = proposal
     if state not in prior.cost:
         raise ValueError(f"edge {state} unreachable from tip {prior.tip}")
-    return new_score + prior.esum[state] - prior.dropped_pen(state, label)
+    return new_score + prior.esum[state] - prior.turn_pen[state][label.order]
 
 
 def rank(values) -> list[float]:
@@ -351,8 +353,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         groups: dict[tuple, list[int]] = {}
         finished: list[int] = []
         for ci, cand in enumerate(population):
-            open_tips = [t for t in tips if not cand.nodes >> t & 1
-                         and t not in cand.abandoned]
+            done = cand.nodes | cand.abandoned
+            open_tips = [t for t in tips if not done >> t & 1]
             if not open_tips:
                 finished.append(ci)
                 continue
@@ -370,67 +372,49 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
         pool: dict[tuple, _PoolEntry] = {}
 
-        def add_carried(cand: Candidate, w: float):
-            entry = pool.get(cand.key)
+        def add(key: tuple, w: float, cand: Candidate, proposal=None):
+            entry = pool.get(key)
             if entry is None:
-                pool[cand.key] = _PoolEntry(w, cand, None)
+                pool[key] = _PoolEntry(w, cand, proposal)
             else:
                 entry.weight += w
 
         for ci in finished:
-            add_carried(population[ci], score_ranks[ci])
+            add(population[ci].key, score_ranks[ci], population[ci])
 
-        for gkey in sorted(groups):
-            members = groups[gkey]
+        for (_, tip), members in sorted(groups.items()):
             cand = population[members[0]]
-            tip = gkey[1]
             prior = priors[tip]
-            pairs = eligible_pairs(cand, prior, ctx)
-            if not pairs:
+            proposals = eligible_pairs(cand, prior, ctx)
+            if not proposals:
                 for ci in members:
                     stuck = population[ci]
-                    add_carried(
-                        replace(stuck, abandoned=stuck.abandoned | {tip}),
-                        score_ranks[ci])
+                    add(stuck.key, score_ranks[ci], replace(
+                        stuck, abandoned=stuck.abandoned | 1 << tip))
                 continue
-            new_scores = []
-            pots = []
-            for state, lab in pairs:
-                pred_tail, pred_label = \
-                    cand.skeleton.parent_of(state[0]) or (None, None)
-                ns = cand.score + ctx.reward(state, lab, pred_tail,
-                                             pred_label)
-                new_scores.append(ns)
-                pots.append(potential(prior, (state, lab), ns))
-            pot_ranks = rank(pots)
+            pot_ranks = rank([potential(prior, p) for p in proposals])
             group_score_rank = sum(score_ranks[ci] for ci in members)
-            for p, (state, lab) in enumerate(pairs):
-                pkey = _child_key(cand.key, state, lab)
-                w = weight(group_score_rank, pot_ranks[p])
-                entry = pool.get(pkey)
-                if entry is None:
-                    pool[pkey] = _PoolEntry(
-                        w, cand, (state, lab, new_scores[p]))
-                else:
-                    entry.weight += w
+            for proposal, pot_rank in zip(proposals, pot_ranks):
+                add(_child_key(cand.key, proposal[0], proposal[1]),
+                    weight(group_score_rank, pot_rank), cand, proposal)
 
         if not pool:
             break
-        entries = [pool[k] for k in sorted(pool)]
+        entries = sorted(pool.items())  # (child key, entry); keys unique
         rng_rs = np.random.default_rng((cfg.seed, iteration, 1 << 30))
-        chosen = resample([e.weight for e in entries], cfg.K,
+        chosen = resample([e.weight for _, e in entries], cfg.K,
                           cfg.k_max_rep, rng_rs)
         realized: dict[int, Candidate] = {}
         new_pop = []
         for idx in chosen:
             cand = realized.get(idx)
             if cand is None:
-                entry = entries[idx]
+                key, entry = entries[idx]
                 if entry.proposal is None:
                     cand = entry.cand
                 else:
-                    state, lab, ns = entry.proposal
-                    cand = grow_candidate(entry.cand, state, lab, ns, ctx)
+                    cand = grow_candidate(entry.cand, *entry.proposal, key,
+                                          ctx)
                 realized[idx] = cand
             new_pop.append(cand)
         population = new_pop
@@ -451,7 +435,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "best_score_history": history,
         "best_score": best.score,
         "reached_tips": [t for t in tips if best.nodes >> t & 1],
-        "abandoned_tips": sorted(best.abandoned),
+        "abandoned_tips": [t for t in tips if best.abandoned >> t & 1],
         "prior_seconds": prior_time,
     }
     return best.skeleton, info

@@ -9,9 +9,11 @@ import sys
 from argparse import Namespace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skelgrow
+from skelgrow import cli
 from conftest import make_graph, uniform_conf
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _grow_skeleton, _parse_scorer,
@@ -220,6 +222,95 @@ def test_threads_below_one_rejected(synth_dir, tmp_path, threads, capsys):
                  "--threads", threads, "--out", str(out)]) == EXIT_CONFIG
     assert "--threads must be at least 1" in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_points_below_one_rejected_before_any_output(synth_dir, tmp_path,
+                                                     points, capsys):
+    """Both commands check --points before they read or write a file."""
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(tmp_path / "absent.ply"),
+                 "--points", points, "--out", str(out)]) == EXIT_CONFIG
+    assert "--points must be at least 1" in capsys.readouterr().err
+    spec = _write_json(tmp_path / "spec.json", _SMALL_SPEC)
+    assert main(["synth", "--spec", spec, "--points", points,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "--points must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [{"crop.min": [5, 5, 5]},
+                                 {"crop.max": [5, 5, 5]},
+                                 {"crop.min": [0, 0, 1],
+                                  "crop.max": [9, 9, 0]}],
+                         ids=["min-only", "max-only", "inverted"])
+def test_skeletonize_bad_crop_box_rejected(synth_dir, tmp_path, doc):
+    cfg = _write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_crop_box_lowers_superpoint_count(synth_dir, tmp_path):
+    """A two-corner crop that cuts the top fifth off the cloud leaves
+    fewer superpoints, and the manifest records the box."""
+    points = load_cloud(synth_dir / "cloud.ply").points
+    lo = [float(x) - 1.0 for x in points.min(axis=0)]
+    hi = [float(x) + 1.0 for x in points.max(axis=0)]
+    hi[2] = float(points[:, 2].min() + 0.8 * np.ptp(points[:, 2]))
+
+    def n_superpoints(name, doc):
+        cfg = _write_json(tmp_path / f"{name}.json", {"K": 20, **doc})
+        out = tmp_path / name
+        assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        return manifest["n_superpoints"], manifest["crop"]
+
+    full, crop = n_superpoints("full", {})
+    assert crop == {"min": None, "max": None}
+    cropped, crop = n_superpoints("cropped", {"crop.min": lo, "crop.max": hi})
+    assert crop == {"min": lo, "max": hi}
+    assert 0 < cropped < full
+
+
+def test_base_node_and_base_point(synth_dir, tmp_path):
+    """--base-node N grows from node N, and --base-point grows from the
+    superpoint nearest the point."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+
+    def skeleton(name, *base_args):
+        out = tmp_path / name
+        assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg, *base_args,
+                     "--out", str(out)]) == EXIT_OK
+        return json.loads((out / "skeleton.json").read_text())
+
+    default = skeleton("default")
+    # The child of the default base: not the lowest superpoint.
+    node = next(e["child"] for e in default["edges"]
+                if e["parent"] == default["base"])
+    assert skeleton("node", "--base-node", str(node))["base"] == node
+    pos = next(n["pos"] for n in default["nodes"] if n["id"] == node)
+    point = [str(x + 0.01) for x in pos]
+    assert skeleton("point", "--base-point", *point)["base"] == node
+
+
+def test_cache_from_other_code_is_missed(synth_dir, tmp_path, monkeypatch):
+    """Both cache keys include a digest of the package's sources: once it
+    changes, a warm rerun misses both caches."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+            "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert _cache_outcomes(out) == {"graph": "hit", "scores": "hit"}
+    monkeypatch.setattr(cli, "_code_digest", lambda: "other code")
+    assert main(argv) == EXIT_OK
+    assert _cache_outcomes(out) == {"graph": "miss", "scores": "miss"}
+    assert len(list(out.glob("cache_graph_*.json"))) == 2
 
 
 def test_skeletonize_builds_one_search_context(synth_dir, tmp_path,

@@ -31,3 +31,27 @@ def test_field_type_checked(name):
         # An int too large for a float is not a finite float value.
         with pytest.raises(ConfigError, match="finite float"):
             config_from_dict({name: 10 ** 400})
+
+
+@pytest.mark.parametrize("key", ["crop.min", "crop.max"])
+def test_crop_box_with_one_corner_rejected(key):
+    with pytest.raises(ConfigError, match="together"):
+        config_from_dict({key: [5, 5, 5]})
+
+
+@pytest.mark.parametrize("corner", [[0, 0, 2], [0, 0, math.nan]],
+                         ids=["inverted", "nan"])
+def test_inverted_crop_box_rejected(corner):
+    with pytest.raises(ConfigError, match="must not exceed"):
+        config_from_dict({"crop.min": corner, "crop.max": [1, 1, 1]})
+
+
+def test_crop_corner_of_booleans_rejected():
+    with pytest.raises(ConfigError, match="3 numbers"):
+        config_from_dict({"crop.min": [0, 0, 0], "crop.max": [True, 1, 1]})
+
+
+def test_flat_crop_box_accepted():
+    # A box that is flat on an axis is still a box.
+    cfg = config_from_dict({"crop.min": [0, 0, 1], "crop.max": [1, 1, 1]})
+    assert (cfg.crop_min, cfg.crop_max) == ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0))

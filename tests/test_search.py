@@ -11,7 +11,7 @@ from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import edge_cost, reward, turn_penalty
 from skelgrow.labels import Label, STRUCTURAL_LABELS
-from skelgrow.search import (PathPrior, SearchContext,
+from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              eligible_pairs, grow_candidate,
                              make_root_candidate, potential, rank, resample,
                              run_search, weight)
@@ -294,12 +294,34 @@ def test_prior_matches_brute_force_small_instances():
 
 
 def test_prior_dropped_penalty_rule():
-    prior = object.__new__(PathPrior)
-    # Penalties {0.3, 0.1}: (sum, sum - top1, sum - top1 - top2).
-    prior.pen_minus = {("s",): (0.4, 0.1, 0.0)}
-    assert prior.dropped_pen(("s",), Label.LEADER) == pytest.approx(0.4)
-    assert prior.dropped_pen(("s",), Label.SUPPORT) == pytest.approx(0.1)
-    assert prior.dropped_pen(("s",), Label.TRUNK) == pytest.approx(0.0)
+    """The per-label turn-penalty table of a path with two known turns: a
+    label of order o drops the 2 - o largest, so Leader keeps the sum,
+    Support drops the larger turn and Trunk drops both."""
+    # 0 -> 1 -> 2 -> 3 with a 60 degree turn at node 1 and a 90 degree
+    # turn at node 2; the tip is node 3.
+    s3 = math.sqrt(3) / 2
+    positions = [(0, 0, 0), (0.1, 0, 0), (0.1 + 0.05, 0.1 * s3, 0),
+                 (0.15, 0.1 * s3, 0.1)]
+    graph = make_graph(positions, [(0, 1), (1, 2), (2, 3)])
+    ctx = SearchContext(graph, uniform_conf(graph), CFG)
+    prior = PathPrior(ctx, tip=3)
+    big = CFG.c_turn * (math.pi / 2 - CFG.theta_turn_min) ** CFG.p_turn
+    small = CFG.c_turn * (math.pi / 3 - CFG.theta_turn_min) ** CFG.p_turn
+    assert ctx.turn_pen_none(1, 2, 3) == pytest.approx(big)
+    assert ctx.turn_pen_none(0, 1, 2) == pytest.approx(small)
+    table = prior.turn_pen[(0, 1)]
+    assert table[Label.LEADER.order] == pytest.approx(big + small)
+    assert table[Label.SUPPORT.order] == pytest.approx(small)
+    # Rounding leaves sum - t1 - t2 near 0; the clamp keeps it >= 0.
+    assert 0.0 <= table[Label.TRUNK.order] <= 1e-12
+    # One turn ahead: Support already drops it; a turnless state keeps 0.
+    assert prior.turn_pen[(1, 2)] == pytest.approx((0.0, 0.0, big))
+    assert prior.turn_pen[(2, 3)] == (0.0, 0.0, 0.0)
+    # The potential subtracts the label's entry.
+    new_score = 1.0
+    for lab in STRUCTURAL_LABELS:
+        assert potential(prior, ((0, 1), lab, new_score)) == (
+            new_score + prior.esum[(0, 1)] - table[lab.order])
 
 
 # -- eligibility and potential --------------------------------------------
@@ -318,7 +340,8 @@ def test_eligible_empty_skeleton_trunk_only():
     prior = PathPrior(ctx, tip=3)
     root = make_root_candidate(0, ctx)
     pairs = eligible_pairs(root, prior, ctx)
-    assert pairs == [((0, 1), Label.TRUNK)]
+    assert pairs == [((0, 1), Label.TRUNK,
+                      ctx.reward((0, 1), Label.TRUNK, None, None))]
 
 
 def test_eligible_after_leader_only_leader():
@@ -329,9 +352,11 @@ def test_eligible_after_leader_only_leader():
     for state, lab in (((0, 1), Label.TRUNK), ((1, 2), Label.LEADER)):
         cand = grow_candidate(cand, state, lab,
                               cand.score + ctx.reward(state, lab, None, None),
-                              ctx)
+                              _child_key(cand.key, state, lab), ctx)
     pairs = eligible_pairs(cand, prior, ctx)
-    assert pairs == [((2, 3), Label.LEADER)]
+    # The grown score counts the turn from the Leader edge (1, 2).
+    assert pairs == [((2, 3), Label.LEADER, cand.score + ctx.reward(
+        (2, 3), Label.LEADER, 1, Label.LEADER))]
 
 
 def test_eligible_tip_already_reached_empty():
@@ -340,7 +365,8 @@ def test_eligible_tip_already_reached_empty():
     cand = make_root_candidate(0, ctx)
     for k in range(3):
         state = (k, k + 1)
-        cand = grow_candidate(cand, state, Label.TRUNK, 0.0, ctx)
+        cand = grow_candidate(cand, state, Label.TRUNK, 0.0,
+                              _child_key(cand.key, state, Label.TRUNK), ctx)
     assert eligible_pairs(cand, prior, ctx) == []
 
 
@@ -393,7 +419,8 @@ def test_eligible_labels_match_check_all():
     """Along random lineages on a synthetic tree, every frontier state that
     passes the prior's reachability and path filters gets exactly the
     labels ``check_all`` accepts (Trunk alone for the first edge), and no
-    other state gets any."""
+    other state gets any. Each proposal's grown score adds the edge's
+    reward after the parent edge to the candidate's score."""
     graph, conf, ctx = _synthetic_context()
     base = resolve_base(graph, "lowest-z")
     tips = frozenset(t for t in find_tips(graph, conf, CFG) if t != base)
@@ -408,18 +435,24 @@ def test_eligible_labels_match_check_all():
             skel = cand.skeleton
             for state in sorted(cand.frontier):
                 if not _path_avoids_skeleton(prior, state, skel):
-                    assert all(s != state for s, _ in pairs)
+                    assert all(s != state for s, _, _ in pairs)
                     continue
                 if skel.num_edges == 0:
                     expected = [Label.TRUNK]
                 else:
                     expected = [lab for lab in STRUCTURAL_LABELS
                                 if skel.check_all(state, lab) is None]
-                assert [lab for s, lab in pairs if s == state] == expected
+                assert [lab for s, lab, _ in pairs if s == state] == expected
                 checked += 1
+            for state, lab, new_score in pairs:
+                pred_tail, pred_label = \
+                    skel.parent_of(state[0]) or (None, None)
+                assert new_score == cand.score + ctx.reward(
+                    state, lab, pred_tail, pred_label)
             if pairs:
-                state, lab = pairs[int(rng.integers(len(pairs)))]
-                cand = grow_candidate(cand, state, lab, 0.0, ctx)
+                state, lab, new_score = pairs[int(rng.integers(len(pairs)))]
+                cand = grow_candidate(cand, state, lab, new_score,
+                                      _child_key(cand.key, state, lab), ctx)
     assert checked > 1000
 
 
@@ -427,11 +460,11 @@ def test_potential_no_penalties_is_score_plus_esum():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
     new_score = ctx.reward((0, 1), Label.TRUNK, None, None)
-    got = potential(prior, ((0, 1), Label.TRUNK), new_score)
+    got = potential(prior, ((0, 1), Label.TRUNK, new_score))
     assert got == pytest.approx(new_score + prior.esum[(0, 1)], rel=1e-9)
     # Straight chain: no turn penalties, so all labels agree.
-    assert potential(prior, ((0, 1), Label.LEADER),
-                     new_score) == pytest.approx(got, rel=1e-9)
+    assert potential(prior, ((0, 1), Label.LEADER,
+                             new_score)) == pytest.approx(got, rel=1e-9)
 
 
 def test_potential_unreachable_rejected():
@@ -439,7 +472,7 @@ def test_potential_unreachable_rejected():
     ctx = SearchContext(graph, uniform_conf(graph), CFG)
     prior = PathPrior(ctx, tip=2)
     with pytest.raises(ValueError):
-        potential(prior, ((0, 1), Label.TRUNK), 0.0)
+        potential(prior, ((0, 1), Label.TRUNK, 0.0))
 
 
 # -- run_search ------------------------------------------------------------

@@ -19,7 +19,8 @@ def chain(*labels, base=0):
 def test_label_order():
     assert [lab.order for lab in (Label.TRUNK, Label.SUPPORT, Label.LEADER,
                                   Label.SIDE_BRANCH)] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
+    # NONE has no order: it is never attached or compared.
+    with pytest.raises(AttributeError):
         Label.NONE.order
 
 
