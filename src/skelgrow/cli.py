@@ -223,6 +223,11 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
 
 def cmd_skeletonize(args) -> int:
     _check_at_least_one(threads=args.threads, points=args.points)
+    # argparse reads "nan" and "inf" as floats; neither names a superpoint.
+    if args.base_point is not None and not all(
+            map(math.isfinite, args.base_point)):
+        raise ConfigError(
+            f"--base-point must be finite, got {args.base_point}")
     cfg = _load_pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,24 +272,25 @@ def cmd_skeletonize(args) -> int:
 
 def cmd_synth(args) -> int:
     _check_at_least_one(points=args.points)
+    raw = {}
     if args.spec:
         try:
             with open(args.spec) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CloudFormatError(f"cannot read spec {args.spec}: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError("synth spec root must be a JSON object")
         known = {f.name for f in dataclasses.fields(synth.SynthSpec)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
-        try:
-            spec = synth.SynthSpec(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc))
-    else:
-        spec = synth.SynthSpec(seed=args.seed or 0)
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        raw = {**raw, "seed": args.seed}
+    try:
+        spec = synth.SynthSpec(**raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

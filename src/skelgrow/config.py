@@ -12,13 +12,33 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def check_field_types(obj, error=ConfigError) -> None:
+    """Raise ``error`` unless every field of the dataclass ``obj`` holds a
+    finite value of its annotated type: a bool for ``bool``, an int (not a
+    bool) for ``int``, an int or float for ``float``.
+
+    A file can hold any JSON value, and range checks assume finite numbers.
+    The annotations are strings, so the calling module must use
+    ``from __future__ import annotations``.
+    """
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "bool":
+            ok = isinstance(v, bool)
+        else:
+            kinds = int if f.type == "int" else (int, float)
+            ok = (not isinstance(v, bool) and isinstance(v, kinds)
+                  and abs(v) <= sys.float_info.max)
+        if not ok:
+            raise error(f"{f.name} must be a finite {f.type}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """All tunable parameters of the skeletonization pipeline.
 
-    Defaults follow the published parameter table; ``seed`` and
-    ``max_iterations`` are artifact additions (``max_iterations`` <= 0 means
-    "10x the superpoint count", resolved at search time).
+    Defaults follow the published parameter table; ``seed`` is an
+    artifact addition.
     """
 
     r_super: float = 0.10
@@ -33,18 +53,9 @@ class SearchConfig:
     K: int = 500
     k_max_rep: int = 3
     seed: int = 0
-    max_iterations: int = 0
 
     def __post_init__(self):
-        # A config file can hold any JSON value, and the range checks below
-        # assume finite numbers (annotations are strings in this module).
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            kinds = int if f.type == "int" else (int, float)
-            if (isinstance(v, bool) or not isinstance(v, kinds)
-                    or not abs(v) <= sys.float_info.max):
-                raise ConfigError(
-                    f"{f.name} must be a finite {f.type}, got {v!r}")
+        check_field_types(self)
         for name in ("r_super", "theta_turn_min", "theta_grow_min"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
@@ -58,11 +69,6 @@ class SearchConfig:
             raise ConfigError("k_max_rep must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def resolve_max_iterations(self, n_nodes: int) -> int:
-        if self.max_iterations > 0:
-            return self.max_iterations
-        return 10 * max(n_nodes, 1)
 
 
 @dataclass(frozen=True)

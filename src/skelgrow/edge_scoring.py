@@ -48,9 +48,6 @@ class ConfidenceMap:
     def __getitem__(self, edge_id: int) -> float:
         return float(self.values[edge_id])
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
                  r_super: float, index: GridIndex | None = None) -> EdgeRaster:
@@ -150,22 +147,39 @@ class DenseModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DenseModel":
-        layers = doc.get("layers")
-        if not layers:
-            raise ModelFormatError("model file has no layers")
+        layers = doc.get("layers") if isinstance(doc, dict) else None
+        if not layers or not isinstance(layers, list):
+            raise ModelFormatError("model file has no list of layers")
         ws, bs = [], []
         expected = GRID_ALONG * GRID_LATERAL + 4
         for k, layer in enumerate(layers):
+            if not isinstance(layer, dict) or not all(
+                    key in layer for key in ("rows", "cols", "weights",
+                                             "bias")):
+                raise ModelFormatError(
+                    f"layer {k}: must be an object with rows, cols, weights "
+                    f"and bias")
             rows, cols = layer["rows"], layer["cols"]
-            if cols != expected:
+            if type(rows) is not int or rows < 1:
+                raise ModelFormatError(
+                    f"layer {k}: rows must be a positive int, got {rows!r}")
+            if type(cols) is not int or cols != expected:
                 raise ModelFormatError(
                     f"layer {k}: expected {expected} input columns, "
-                    f"got {cols}")
-            w = np.asarray(layer["weights"], dtype=np.float64)
+                    f"got {cols!r}")
+            try:
+                w = np.asarray(layer["weights"], dtype=np.float64)
+                b = np.asarray(layer["bias"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ModelFormatError(
+                    f"layer {k}: weights and bias must be numbers: {exc}"
+                ) from exc
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ModelFormatError(
+                    f"layer {k}: weights and bias must be finite")
             if w.size != rows * cols:
                 raise ModelFormatError(
                     f"layer {k}: {w.size} weights for shape {rows}x{cols}")
-            b = np.asarray(layer["bias"], dtype=np.float64)
             if b.size != rows:
                 raise ModelFormatError(
                     f"layer {k}: {b.size} biases for {rows} rows")
@@ -182,12 +196,22 @@ class DenseModel:
             x = w @ x + b
             if k + 1 < len(self.weights):
                 x = np.maximum(x, 0.0)
-        return 1.0 / (1.0 + math.exp(-float(x[0])))
+        try:
+            return 1.0 / (1.0 + math.exp(-float(x[0])))
+        except OverflowError:  # a logit below about -709
+            return 0.0
 
 
 def model_confidence(raster: EdgeRaster, model: DenseModel) -> float:
     x = np.concatenate([raster.grid.reshape(-1), raster.descriptor()])
     return model.forward(x)
+
+
+#: Why an override table can miss or exceed the graph's edges.
+_OVERRIDE_HINT = (
+    "An override table is keyed to the superpoint graph of one cloud, "
+    "r_super, --points, seed and crop; `skelgrow synth` writes it for the "
+    "default r_super and its own --points")
 
 
 def edge_key(i: int, j: int) -> str:
@@ -198,9 +222,15 @@ def edge_key(i: int, j: int) -> str:
 def load_override(path: str | Path) -> dict[str, float]:
     with open(path) as fh:
         doc = json.load(fh)
-    scores = doc.get("scores")
+    scores = doc.get("scores") if isinstance(doc, dict) else None
     if not isinstance(scores, dict):
         raise OverrideError("override file must contain a 'scores' object")
+    bad = sorted(k for k, v in scores.items()
+                 if type(v) not in (int, float))
+    if bad:
+        raise OverrideError(
+            f"override scores must be numbers; {len(bad)} are not: "
+            f"{bad[:20]}")
     return {k: float(v) for k, v in scores.items()}
 
 
@@ -223,8 +253,10 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
         if not isinstance(table, dict):
             table = load_override(table)
         missing = []
+        keys = set()
         for k, (i, j) in enumerate(graph.edges):
             key = edge_key(int(i), int(j))
+            keys.add(key)
             if key in table:
                 values[k] = table[key]
             else:
@@ -232,10 +264,12 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
         if missing:
             raise OverrideError(
                 f"override file missing {len(missing)} edges: "
-                f"{missing[:20]}. An override table is keyed to the "
-                f"superpoint graph of one cloud, r_super, --points, seed and "
-                f"crop; `skelgrow synth` writes it for the default r_super "
-                f"and its own --points")
+                f"{missing[:20]}. {_OVERRIDE_HINT}")
+        extra = sorted(table.keys() - keys)
+        if extra:
+            raise OverrideError(
+                f"override file has {len(extra)} keys for edges the graph "
+                f"lacks: {extra[:20]}. {_OVERRIDE_HINT}")
         # Written so that a NaN, which fails every comparison, is rejected.
         if not np.all((values >= 0) & (values <= 1)):
             raise OverrideError("override scores must lie in [0, 1]")

@@ -9,6 +9,7 @@ mean of edges per contiguous segment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +51,12 @@ class SegmentStats:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SegmentStats":
+        # Written so that a NaN, which fails every comparison, is rejected.
+        if not isinstance(doc, dict) or not all(
+                type(v) in (int, float) and 0 <= v < math.inf
+                for v in doc.values()):
+            raise ValueError("segment stats must be an object mapping "
+                             "labels to finite numbers >= 0")
         return cls({parse_label(k): float(v) for k, v in doc.items()})
 
 
@@ -173,9 +180,7 @@ def apply_corrections(s: LabeledSkeleton, script: list) -> LabeledSkeleton:
                 s.base,
                 [(p, c, lab) for (p, c), lab in sorted(labels.items())])
         except Exception as exc:
-            raise CorrectionError(
-                step, f"correction step {step} ({op!r}) failed: {exc}"
-            ) from exc
+            raise CorrectionError(step, f"{op!r} failed: {exc}") from exc
     return result
 
 

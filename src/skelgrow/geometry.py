@@ -53,20 +53,21 @@ def edge_score(length: float, conf: float, alpha_conf: float) -> float:
     return length * (1.0 - (1.0 - conf) / (1.0 - alpha_conf))
 
 
-def turn_penalty(e_s, e_p, label_s: Label, label_p: Label,
-                 cfg: SearchConfig) -> float:
-    """Penalty for bending between same-label adjacent edges.
-
-    With ``label_s == Label.NONE`` the label exemption is skipped and the
-    penalty applies to any pair of adjacent edges past the angle threshold
-    (the auxiliary cost's labelling).
-    """
-    if label_s is not Label.NONE and label_s is not label_p:
-        return 0.0
+def bend_penalty(e_s, e_p, cfg: SearchConfig) -> float:
+    """Penalty for the bend from edge e_p into edge e_s, whatever their
+    labels; zero up to the angle threshold."""
     ang = turn_angle(e_s, e_p)
     if ang <= cfg.theta_turn_min:
         return 0.0
     return cfg.c_turn * (ang - cfg.theta_turn_min) ** cfg.p_turn
+
+
+def turn_penalty(e_s, e_p, label_s: Label, label_p: Label,
+                 cfg: SearchConfig) -> float:
+    """Penalty for bending between same-label adjacent edges."""
+    if label_s is not label_p:
+        return 0.0
+    return bend_penalty(e_s, e_p, cfg)
 
 
 def grow_penalty(e, label: Label, cfg: SearchConfig) -> float:
@@ -85,10 +86,10 @@ def grow_penalty(e, label: Label, cfg: SearchConfig) -> float:
 def edge_cost(e_s, e_p, length: float, conf: float,
               cfg: SearchConfig) -> float:
     """Transition cost for entering edge e_s after e_p (None at path start):
-    Len * (1 - Conf) plus the unlabeled turn penalty."""
+    Len * (1 - Conf) plus the bend penalty."""
     cost = length * (1.0 - conf)
     if e_p is not None:
-        cost += turn_penalty(e_s, e_p, Label.NONE, Label.NONE, cfg)
+        cost += bend_penalty(e_s, e_p, cfg)
     return cost
 
 

@@ -10,14 +10,12 @@ class Label(enum.Enum):
     SUPPORT = "Support"
     LEADER = "Leader"
     SIDE_BRANCH = "SideBranch"
-    NONE = "None"
 
     def __str__(self) -> str:
         return self.value
 
 
-# Progression order, a plain attribute of each member; NONE has none, so
-# reading ``Label.NONE.order`` raises AttributeError.
+# Progression order, a plain attribute of each member.
 Label.TRUNK.order = 0
 Label.SUPPORT.order = 1
 Label.LEADER.order = 2

@@ -2,7 +2,7 @@
 
 Path priors are Dijkstra shortest paths on the directed line graph:
 states are directed dense edges, transition cost is the confidence-length
-term of the entered edge plus the unlabeled turn penalty. A population of
+term of the entered edge plus its bend penalty. A population of
 candidate skeletons grows one edge-label pair per iteration, with
 rank-product weighted resampling.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from .config import SearchConfig
 from .edge_scoring import ConfidenceMap
 from .errors import SearchStalledError, NoTipsError
-from .geometry import edge_cost, edge_score, grow_penalty, turn_penalty
+from .geometry import bend_penalty, edge_cost, edge_score, grow_penalty
 from .labels import Label, STRUCTURAL_LABELS
 from .seeds import SeedSet
 from .skeleton import LabeledSkeleton, label_rule_violation
@@ -57,12 +57,12 @@ class SearchContext:
         self._pen_cache: dict[tuple, float] = {}
 
     def turn_pen_none(self, a: int, b: int, c: int) -> float:
-        """Unlabeled turn penalty of the turn a->b then b->c."""
+        """Bend penalty of the turn a->b then b->c, whatever the labels."""
         key = (a, b, c)
         pen = self._pen_cache.get(key)
         if pen is None:
-            pen = turn_penalty(self.vector(b, c), self.vector(a, b),
-                               Label.NONE, Label.NONE, self.cfg)
+            pen = bend_penalty(self.vector(b, c), self.vector(a, b),
+                               self.cfg)
             self._pen_cache[key] = pen
             self._pen_cache[(c, b, a)] = pen
         return pen
@@ -337,7 +337,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     root = make_root_candidate(seeds.base, ctx)
     population: list[Candidate] = [root] * cfg.K
     best = root
-    max_iter = cfg.resolve_max_iterations(graph.num_nodes)
+    # Never binds: the search ends in num_nodes - 1 + len(tips) iterations.
+    max_iter = 10 * max(graph.num_nodes, 1)
     history = []
     iteration = 0
 

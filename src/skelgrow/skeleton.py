@@ -4,8 +4,7 @@ Skeletons are immutable values; ``attach`` returns a new skeleton. Each
 edge is stored once, as the record ``child -> (parent, label)`` of the
 node it enters; the children index ``_succ`` is the only other map, and
 every other view (edges, labels, nodes, equality) is derived from the
-records. The label NONE is reserved for the auxiliary path cost and is
-never stored.
+records.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ class LabeledSkeleton:
     def edges(self) -> list[Edge]:
         return [(p, c) for c, (p, _) in self._parent.items()]
 
-    def label_of(self, edge: Edge) -> Label:
-        parent, child = edge
-        record = self._parent.get(child)
-        if record is None or record[0] != parent:
-            raise KeyError(edge)
-        return record[1]
-
     def parent_of(self, node: int) -> tuple[int, Label] | None:
         """(parent, label) of the unique edge into ``node``, or None for
         the base."""
@@ -72,9 +64,6 @@ class LabeledSkeleton:
     def __eq__(self, other):
         return (isinstance(other, LabeledSkeleton)
                 and self.base == other.base and self._parent == other._parent)
-
-    def __hash__(self):
-        return hash((self.base, frozenset(self._parent.items())))
 
     # -- label rules ------------------------------------------------------
     def check_all(self, e_new: Edge, l_new: Label) -> str | None:
@@ -94,21 +83,16 @@ class LabeledSkeleton:
     # -- growth -----------------------------------------------------------
     def attach(self, e_new: Edge, l_new: Label) -> "LabeledSkeleton":
         """New skeleton with (edge, label) added; raises on any violation."""
-        if l_new is Label.NONE:
-            raise AttachmentError("label", "Label.NONE cannot be attached")
         rule = self.check_all(e_new, l_new)
         if rule is not None:
-            return self._reject(rule, e_new, l_new)
+            raise AttachmentError(
+                rule, f"cannot attach edge {e_new} with label {l_new}")
         parent, child = e_new
         new_parent = dict(self._parent)
         new_parent[child] = (parent, l_new)
         new_succ = dict(self._succ)
         new_succ[parent] = new_succ.get(parent, ()) + ((child, l_new),)
         return LabeledSkeleton(self.base, new_parent, new_succ)
-
-    def _reject(self, rule, e_new, l_new):
-        raise AttachmentError(
-            rule, f"cannot attach edge {e_new} with label {l_new}")
 
     # -- validation -------------------------------------------------------
     def topology_violations(self) -> list[str]:
@@ -163,8 +147,6 @@ def label_rule_violation(pred_label: Label | None, sibling_labels: tuple,
     - trunk-support-split: the successors of a Trunk edge are either all
       Trunk, or all non-Trunk with at most two Supports.
     """
-    if new_label is Label.NONE:
-        raise ValueError("Label.NONE is never assigned during growth")
     if pred_label is None:
         return None
     if pred_label.order > new_label.order:
@@ -269,15 +251,45 @@ def skeleton_from_edges(base: int, edges) -> LabeledSkeleton:
     return skeleton
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_pos(v) -> bool:
+    return (isinstance(v, list) and len(v) == 3
+            and all(type(x) in (int, float) for x in v))
+
+
+def _records(doc: dict, key: str, fields: dict) -> list:
+    """``doc[key]`` checked to be a list of objects whose ``fields`` pass
+    their checks; raises ValueError naming the first bad entry."""
+    records = doc.get(key)
+    if not isinstance(records, list):
+        raise ValueError(f"invalid skeleton document: {key!r} must be a list")
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or not all(
+                name in rec and ok(rec[name]) for name, ok in fields.items()):
+            raise ValueError(
+                f"invalid skeleton document: {key}[{k}] must be an object "
+                f"with {', '.join(fields)}; got {rec!r}")
+    return records
+
+
 def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
     """Parse skeleton JSON; returns (skeleton, node positions).
 
-    Raises ValueError on topology violations in the document.
+    Raises ValueError on a missing key, a value of the wrong shape or a
+    topology violation in the document.
     """
-    positions = {n["id"]: tuple(float(x) for x in n["pos"])
-                 for n in doc["nodes"]}
+    if not isinstance(doc, dict) or not _is_int(doc.get("base")):
+        raise ValueError("invalid skeleton document: must be an object with "
+                         "an int 'base'")
+    nodes = _records(doc, "nodes", {"id": _is_int, "pos": _is_pos})
+    edges = _records(doc, "edges", {"parent": _is_int, "child": _is_int,
+                                    "label": lambda v: isinstance(v, str)})
+    positions = {n["id"]: tuple(float(x) for x in n["pos"]) for n in nodes}
     edges = [(e["parent"], e["child"], parse_label(e["label"]))
-             for e in doc["edges"]]
+             for e in edges]
     return skeleton_from_edges(doc["base"], edges), positions
 
 

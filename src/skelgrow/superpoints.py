@@ -15,7 +15,6 @@ from .spatial import GridIndex
 class Superpoint:
     """Mean of the cloud points within r_super of the covering seed point."""
 
-    id: int
     position: np.ndarray  # (3,) float64
     member_indices: np.ndarray  # indices into the cloud
     seed_index: int
@@ -140,7 +139,6 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
         members = index.ball(pts[idx])
         uncovered[rank[members]] = False
         out.append(Superpoint(
-            id=len(out),
             position=pts[members].astype(np.float64).mean(axis=0),
             member_indices=members,
             seed_index=idx,

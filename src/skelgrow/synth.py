@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
+from .config import check_field_types
 from .labels import Label
 from .skeleton import LabeledSkeleton
 from .superpoints import SuperpointGraph
@@ -38,12 +39,19 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if self.n_leaders < 1:
             raise ValueError("n_leaders must be >= 1")
         for name in ("leader_spacing", "leader_height", "support_height",
-                     "branch_radius", "side_branch_length"):
+                     "branch_radius", "side_branch_length",
+                     "points_per_meter", "gap_length"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("noise_sigma", "n_side_branches", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.gap_probability <= 1:
+            raise ValueError("gap_probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,33 @@ def test_synth_unknown_spec_key(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("doc", [
+    {"n_leaders": 2.5}, {"leader_spacing": math.nan},
+    {"gap_probability": 3}, {"points_per_meter": 0}, {"gap_length": 0},
+    {"noise_sigma": -0.01}, {"n_side_branches": -1}, {"seed": -1},
+    {"seed": True}, {"allow_junction_gaps": 1}, [{"n_leaders": 2}]],
+    ids=["float-int", "nan", "gap-probability", "density", "gap-length",
+         "noise", "side-branches", "seed", "bool-seed", "int-bool",
+         "list-root"])
+def test_synth_spec_it_cannot_honour_rejected(tmp_path, doc, capsys):
+    """Each bad spec exits 3 with nothing written."""
+    spec = _write_json(tmp_path / "spec.json", doc)
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: invalid configuration")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [None, _SMALL_SPEC], ids=["default", "file"])
+def test_synth_negative_seed_rejected(tmp_path, spec):
+    args = [] if spec is None else [
+        "--spec", _write_json(tmp_path / "spec.json", spec)]
+    out = tmp_path / "out"
+    assert main(["synth", *args, "--seed", "-1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_skeletonize_missing_cloud(tmp_path):
     code = main(["skeletonize", "--cloud", str(tmp_path / "nope.ply"),
                  "--out", str(tmp_path)])
@@ -297,6 +324,17 @@ def test_base_node_and_base_point(synth_dir, tmp_path):
     assert skeleton("point", "--base-point", *point)["base"] == node
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_base_point_rejected_before_any_output(tmp_path, value,
+                                                          capsys):
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(tmp_path / "absent.ply"),
+                 "--base-point", "0", value, "0",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "--base-point must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cache_from_other_code_is_missed(synth_dir, tmp_path, monkeypatch):
     """Both cache keys include a digest of the package's sources: once it
     changes, a warm rerun misses both caches."""
@@ -353,6 +391,60 @@ def test_override_for_other_r_super_names_the_key(synth_dir, tmp_path,
     assert "override file missing" in err and "r_super" in err
 
 
+def test_override_with_keys_for_absent_edges_rejected(synth_dir, tmp_path,
+                                                      capsys):
+    """A table with every edge of the graph and more was written for
+    another graph."""
+    doc = json.loads((synth_dir / "override.json").read_text())
+    doc["scores"]["99998-99999"] = 0.5
+    override = _write_json(tmp_path / "override.json", doc)
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--seed", "1", "--scorer", f"override:{override}",
+                 "--out", str(tmp_path / "run")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "1 keys for edges the graph lacks: ['99998-99999']" in err
+    assert "r_super" in err
+
+
+@pytest.mark.parametrize("score", [None, True, "0.5", "list-root"],
+                         ids=["null-score", "bool-score", "str-score",
+                              "list-root"])
+def test_malformed_override_document_rejected(synth_dir, tmp_path, score,
+                                              capsys):
+    """The graph's own table with one score that is not a number, or that
+    table's scores as a list."""
+    doc = json.loads((synth_dir / "override.json").read_text())
+    if score == "list-root":
+        doc = list(doc["scores"].values())
+    else:
+        doc["scores"][min(doc["scores"])] = score
+    override = _write_json(tmp_path / "override.json", doc)
+    assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                 "--seed", "1", "--scorer", f"override:{override}",
+                 "--out", str(tmp_path / "run")]) == EXIT_DATA
+    assert "error: override" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer", [
+    {"cols": GRID_ALONG * GRID_LATERAL + 4},
+    {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
+     "weights": ["w"] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [0.0]},
+    {"rows": 1.5, "cols": GRID_ALONG * GRID_LATERAL + 4, "weights": [],
+     "bias": [0.0]},
+    {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
+     "weights": [0.0] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [math.nan]},
+    "layer"],
+    ids=["no-rows", "str-weights", "float-rows", "nan-bias", "str-layer"])
+def test_malformed_model_document_rejected(synth_dir, tmp_path, layer,
+                                           capsys):
+    for name, doc in (("layer", {"layers": [layer]}), ("root", [layer])):
+        model = _write_json(tmp_path / f"{name}.json", doc)
+        assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--scorer", f"model:{model}",
+                     "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_tips_outside_base_component_warned(caplog):
     """Two vertical chains with no edge between them: the second chain's
     tip is cut off from the base, which the manifest and a warning say."""
@@ -394,6 +486,48 @@ def test_eval_node_moved_beyond_tolerance(tmp_path):
     far = _write_json(tmp_path / "far.json", doc(1.0 + 1e-5))
     assert main(["eval", "--skeleton", skel, "--reference", near]) == EXIT_OK
     assert main(["eval", "--skeleton", skel, "--reference", far]) == EXIT_DATA
+
+
+_ONE_EDGE = {"base": 0,
+             "nodes": [{"id": 0, "pos": [0, 0, 0]},
+                       {"id": 1, "pos": [0, 0, 1]}],
+             "edges": [{"parent": 0, "child": 1, "label": "Trunk"}]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"base": 0, "edges": []}, [_ONE_EDGE], {**_ONE_EDGE, "base": [0]},
+    {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0]}]},
+    {**_ONE_EDGE, "edges": [{"parent": 0, "label": "Trunk"}]},
+    {**_ONE_EDGE, "edges": "0-1"}],
+    ids=["no-nodes", "list-root", "list-base", "short-pos", "no-child",
+         "str-edges"])
+def test_malformed_skeleton_document_rejected(tmp_path, doc, capsys):
+    good = _write_json(tmp_path / "good.json", _ONE_EDGE)
+    bad = _write_json(tmp_path / "bad.json", doc)
+    assert main(["eval", "--skeleton", bad, "--reference", good]) == EXIT_DATA
+    assert "invalid skeleton document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[1.5], {"Trunk": None}, {"Trunk": "2"},
+                                 {"Leader": -1.0}, {"Leader": math.nan}],
+                         ids=["list-root", "null-value", "str-value",
+                              "negative", "nan"])
+def test_malformed_segment_stats_rejected(tmp_path, doc, capsys):
+    good = _write_json(tmp_path / "good.json", _ONE_EDGE)
+    stats = _write_json(tmp_path / "stats.json", doc)
+    assert main(["eval", "--skeleton", good, "--reference", good,
+                 "--stats", stats]) == EXIT_DATA
+    assert "segment stats must be" in capsys.readouterr().err
+
+
+def test_eval_none_edge_label_rejected(tmp_path, capsys):
+    """"None" is not a label: the document is refused when it is parsed."""
+    good = _write_json(tmp_path / "good.json", _ONE_EDGE)
+    bad = _write_json(tmp_path / "bad.json", {
+        **_ONE_EDGE,
+        "edges": [{"parent": 0, "child": 1, "label": "None"}]})
+    assert main(["eval", "--skeleton", bad, "--reference", good]) == EXIT_DATA
+    assert "unknown label 'None'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_stats():

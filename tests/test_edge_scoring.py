@@ -143,6 +143,15 @@ def test_model_large_bias_saturates():
     assert got == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), rel=1e-12)
 
 
+def test_model_very_negative_logit_gives_zero():
+    n_in = GRID_ALONG * GRID_LATERAL + 4
+    model = DenseModel.from_dict({"layers": [
+        {"rows": 1, "cols": n_in, "weights": [0.0] * n_in,
+         "bias": [-1000.0]}]})
+    grid = np.zeros((GRID_ALONG, GRID_LATERAL))
+    assert model_confidence(_raster(grid), model) == 0.0
+
+
 def test_model_two_layers_match_manual_forward():
     rng = np.random.default_rng(8)
     n_in = GRID_ALONG * GRID_LATERAL + 4

@@ -178,6 +178,15 @@ def test_corrections_invalid_intermediate_state():
         apply_corrections(skel, script)
 
 
+def test_correction_error_names_its_step_once():
+    script = [{"op": "remove-edge", "parent": 0}]
+    with pytest.raises(CorrectionError) as err:
+        apply_corrections(chain(Label.TRUNK), script)
+    assert str(err.value) == (
+        "correction step 0: {'op': 'remove-edge', 'parent': 0} failed: "
+        "'child'")
+
+
 def test_load_script_forms(tmp_path):
     ops = [{"op": "remove-edge", "parent": 0, "child": 1}]
     bare = tmp_path / "bare.json"

@@ -6,8 +6,8 @@ import pytest
 
 from skelgrow.config import SearchConfig
 from skelgrow.errors import ConfigError, DegenerateGeometryError
-from skelgrow.geometry import (edge_score, grow_angle, grow_penalty, reward,
-                               turn_angle, turn_penalty)
+from skelgrow.geometry import (bend_penalty, edge_score, grow_angle,
+                               grow_penalty, reward, turn_angle, turn_penalty)
 from skelgrow.labels import Label
 
 CFG = SearchConfig()
@@ -100,8 +100,9 @@ def test_turn_penalty_same_label_right_angle():
 
 
 def test_turn_penalty_none_label_always_applies():
+    # The bend penalty is charged whatever the labels.
     expected = 0.5 * (math.pi / 4) ** 2
-    got = turn_penalty((0, 0, 1), (1, 0, 0), Label.NONE, Label.SUPPORT, CFG)
+    got = bend_penalty((0, 0, 1), (1, 0, 0), CFG)
     assert got == pytest.approx(expected, rel=REL)
 
 

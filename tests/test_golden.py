@@ -35,10 +35,14 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("spec, config, scorer, digest", GOLDEN,
-                         ids=["oracle-2-leaders", "heuristic-side-branches",
-                              "oracle-corpus-clean-0"])
-def test_skeleton_json_digest(tmp_path, spec, config, scorer, digest):
+@pytest.fixture(scope="module", params=GOLDEN,
+                ids=["oracle-2-leaders", "heuristic-side-branches",
+                     "oracle-corpus-clean-0"])
+def golden_run(request, tmp_path_factory):
+    """(spec, skeletonize output directory, expected digest) of one
+    golden tree."""
+    spec, config, scorer, digest = request.param
+    tmp_path = tmp_path_factory.mktemp("golden")
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     synth = tmp_path / "synth"
@@ -50,11 +54,26 @@ def test_skeleton_json_digest(tmp_path, spec, config, scorer, digest):
     assert main(["skeletonize", "--cloud", str(synth / "cloud.ply"),
                  "--config", str(tmp_path / "cfg.json"), "--scorer", scorer,
                  "--out", str(out)]) == EXIT_OK
+    return spec, out, digest
+
+
+def test_skeleton_json_digest(golden_run):
+    spec, out, digest = golden_run
     data = (out / "skeleton.json").read_bytes()
     if spec.get("n_side_branches"):
         labels = [e["label"] for e in json.loads(data)["edges"]]
         assert "SideBranch" in labels
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_search_ends_within_node_and_tip_bound(golden_run):
+    """Every iteration adds an edge or abandons a tip in each unfinished
+    candidate, so the search ends within n_superpoints - 1 + len(tips)
+    iterations, far below run_search's guard of 10 x n_superpoints."""
+    _, out, _ = golden_run
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert 0 < manifest["iterations"] <= (
+        manifest["n_superpoints"] - 1 + len(manifest["tips"]))
 
 
 # Heuristic skeleton of the side-branch tree against its reference skeleton,

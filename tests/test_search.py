@@ -9,7 +9,7 @@ from scipy.stats import chisquare, rankdata
 from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
-from skelgrow.geometry import edge_cost, reward, turn_penalty
+from skelgrow.geometry import bend_penalty, edge_cost, reward
 from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              eligible_pairs, grow_candidate,
@@ -394,8 +394,8 @@ def test_context_tables_match_geometry():
             if w == v:
                 continue
             pvec = graph.vector(w, u)
-            assert ctx.turn_pen_none(w, u, v) == turn_penalty(
-                vec, pvec, Label.NONE, Label.NONE, CFG)
+            assert ctx.turn_pen_none(w, u, v) == bend_penalty(vec, pvec,
+                                                              CFG)
             for lab in STRUCTURAL_LABELS:
                 for plab in STRUCTURAL_LABELS:
                     assert ctx.reward((u, v), lab, w, plab) == reward(
@@ -491,7 +491,7 @@ def test_run_search_linear_chain(chain_graph):
     skel, info = run_search(chain_graph, conf,
                             SeedSet(tips=(4,), base=0), cfg)
     assert sorted(skel.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    orders = [skel.label_of((k, k + 1)).order for k in range(4)]
+    orders = [skel.edge_labels[(k, k + 1)].order for k in range(4)]
     assert orders == sorted(orders)
     assert skel.topology_violations() == []
     assert skel.label_violations() == []

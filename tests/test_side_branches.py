@@ -82,7 +82,7 @@ def test_component_attached_once_via_cheapest_entry():
     grown = find_side_branches(skel, graph, uniform_conf(graph), CFG)
     new_edges = {e for e in grown.edge_labels if e not in skel.edge_labels}
     assert new_edges == {(2, 4), (4, 5)}
-    assert all(grown.label_of(e) is Label.SIDE_BRANCH for e in new_edges)
+    assert all(grown.edge_labels[e] is Label.SIDE_BRANCH for e in new_edges)
     assert grown.topology_violations() == []
 
 

@@ -17,11 +17,9 @@ def chain(*labels, base=0):
 
 
 def test_label_order():
-    assert [lab.order for lab in (Label.TRUNK, Label.SUPPORT, Label.LEADER,
-                                  Label.SIDE_BRANCH)] == [0, 1, 2, 3]
-    # NONE has no order: it is never attached or compared.
-    with pytest.raises(AttributeError):
-        Label.NONE.order
+    assert [lab.order for lab in Label] == [0, 1, 2, 3]
+    assert list(Label) == [Label.TRUNK, Label.SUPPORT, Label.LEADER,
+                           Label.SIDE_BRANCH]
 
 
 def test_parse_label_round_trip():
@@ -35,7 +33,7 @@ def test_attach_simple_chain():
     skel = chain(Label.TRUNK, Label.SUPPORT, Label.LEADER)
     assert skel.num_edges == 3
     assert skel.nodes == {0, 1, 2, 3}
-    assert skel.label_of((1, 2)) is Label.SUPPORT
+    assert skel.edge_labels[(1, 2)] is Label.SUPPORT
     assert skel.topology_violations() == []
     assert skel.label_violations() == []
 
@@ -64,13 +62,6 @@ def test_progression_first_edge_any_label():
     skel = LabeledSkeleton(0)
     for lab in (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH):
         assert skel.check_all((0, 1), lab) is None
-
-
-def test_progression_none_label_invalid():
-    with pytest.raises(ValueError):
-        LabeledSkeleton(0).check_all((0, 1), Label.NONE)
-    with pytest.raises(AttachmentError):
-        LabeledSkeleton(0).attach((0, 1), Label.NONE)
 
 
 def test_linearity_same_label_y_junction_rejected():
@@ -226,4 +217,4 @@ def test_random_growth_fuzz_small():
         assert skel.parent_of(0) is None
         for p, c, lab in attached:
             assert skel.parent_of(c) == (p, lab)
-            assert skel.label_of((p, c)) is lab
+            assert skel.edge_labels[(p, c)] is lab
