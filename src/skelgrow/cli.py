@@ -215,6 +215,17 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
     info["graph"] = {"components": n_components,
                      "base_component_size": base_size,
                      "tips_outside_base_component": outside}
+    reached = set(info["reached_tips"])
+    info["tip_outcomes"] = {
+        t: "reached" if t in reached
+        else "outside_base_component" if roots[t] != roots[base]
+        else "abandoned_reachable" for t in info["tips"]}
+    lost = [t for t, outcome in info["tip_outcomes"].items()
+            if outcome == "abandoned_reachable"]
+    if lost:
+        log.warning(
+            "the skeleton abandons tips %s although the base's component "
+            "of the dense graph holds them", lost)
     t0 = time.perf_counter()
     skeleton = find_side_branches(skeleton, graph, conf, cfg)
     timings["side_branch_seconds"] = time.perf_counter() - t0

@@ -14,6 +14,7 @@ import functools
 import heapq
 import time
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -315,6 +316,113 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
     return chosen
 
 
+# numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
+# LCG multiplier: ``candidate_draws`` replays both algorithms.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+
+def _hash_constants(c: int, mult: int):
+    """SeedSequence's running hash constant: ``c * mult**k`` mod 2**32."""
+    while True:
+        yield c
+        c = c * mult & _M32
+
+
+# (pool word, xor constant, multiplier) of each uint32 word that
+# ``generate_state(4, np.uint64)`` emits.
+_STATE_HASHES = [
+    (i % _POOL_SIZE, xor, mult) for i, (xor, mult) in zip(
+        range(2 * _POOL_SIZE), pairwise(_hash_constants(_INIT_B, _MULT_B)))]
+
+
+def _uint32_words(x: int) -> list[int]:
+    """SeedSequence's entropy words of the int ``x`` >= 0: its 32-bit
+    words, least significant first, and ``[0]`` for 0."""
+    words = [x & _M32]
+    x >>= 32
+    while x:
+        words.append(x & _M32)
+        x >>= 32
+    return words
+
+
+def _pcg64_uint32s(state: int, inc: int):
+    """The uint32 stream ``Generator.integers`` reads from PCG64 in
+    ``state``: each XSL-RR 64-bit output's low half, then its high half."""
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        x = (x >> rot | x << 64 - rot) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+def candidate_draws(seed: int, iteration: int, cis: list[int],
+                    ns: list[int]) -> list[int]:
+    """``[int(np.random.default_rng((seed, iteration, ci)).integers(n))
+    for ci, n in zip(cis, ns)]``, bit for bit, without building a generator
+    per draw. Each ``ci`` is below 2**32 and each ``n`` below 2**32.
+
+    SeedSequence's entropy mixing and ``generate_state`` run as uint32
+    array arithmetic over every ``ci`` at once. Their words seed PCG64,
+    whose uint32 stream feeds ``integers``' bounded Lemire draw, rejection
+    loop included.
+    """
+    hashes = pairwise(_hash_constants(_INIT_A, _MULT_A))
+
+    def hashmix(value):
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    # Only the last entropy word, ci's, differs between the draws.
+    entropy = [np.array([w], dtype=np.uint32)
+               for w in _uint32_words(seed) + _uint32_words(iteration)]
+    entropy.append(np.array(cis, dtype=np.uint32))
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = []
+    for src, xor, mult in _STATE_HASHES:
+        value = (pool[src] ^ xor) * mult
+        state.append((value ^ value >> 16).astype(np.uint64))
+    # Little-endian word pairs: PCG64's seed (s0, s1) and sequence (q0, q1).
+    state64 = [(state[2 * j] | state[2 * j + 1] << 32).tolist()
+               for j in range(4)]
+    draws = []
+    for s0, s1, q0, q1, n in zip(*state64, ns):
+        inc = (q0 << 65 | q1 << 1 | 1) & _M128
+        # PCG64 seeding: state 0, one step, add the seed, one more step.
+        seeded = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _M128
+        words = _pcg64_uint32s(seeded, inc)
+        m = next(words) * n
+        if m & _M32 < n:
+            threshold = (0x100000000 - n) % n
+            while m & _M32 < threshold:
+                m = next(words) * n
+        draws.append(m >> 32)
+    return draws
+
+
 @dataclass
 class _PoolEntry:
     weight: float
@@ -341,6 +449,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     max_iter = 10 * max(graph.num_nodes, 1)
     history = []
     iteration = 0
+    tip_draws = 0
 
     while iteration < max_iter:
         for cand in population:
@@ -348,24 +457,28 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 best = cand
         history.append(best.score)
 
-        # Each unfinished candidate draws one open tip (neither reached nor
-        # abandoned); identical (skeleton, tip) pairs are grouped so
-        # eligibility and potential are computed once per group.
+        # Each unfinished candidate draws one of its open tips (neither
+        # reached nor abandoned). Candidate ci with n >= 2 open tips takes
+        # ``default_rng((seed, iteration, ci)).integers(n)``; all of an
+        # iteration's draws are computed in one batch.
+        open_tips = []
+        for cand in population:
+            done = cand.nodes | cand.abandoned
+            open_tips.append([t for t in tips if not done >> t & 1])
+        drawing = [ci for ci, ts in enumerate(open_tips) if len(ts) > 1]
+        draws = iter(candidate_draws(cfg.seed, iteration, drawing,
+                                     [len(open_tips[ci]) for ci in drawing]))
+        tip_draws += len(drawing)
+        # Identical (skeleton, tip) pairs are grouped so eligibility and
+        # potential are computed once per group.
         groups: dict[tuple, list[int]] = {}
         finished: list[int] = []
-        for ci, cand in enumerate(population):
-            done = cand.nodes | cand.abandoned
-            open_tips = [t for t in tips if not done >> t & 1]
-            if not open_tips:
+        for ci, ts in enumerate(open_tips):
+            if not ts:
                 finished.append(ci)
                 continue
-            if len(open_tips) == 1:
-                # The generator serves this one draw only: not needed here.
-                t = open_tips[0]
-            else:
-                rng = np.random.default_rng((cfg.seed, iteration, ci))
-                t = open_tips[int(rng.integers(len(open_tips)))]
-            groups.setdefault((cand.key, t), []).append(ci)
+            t = ts[next(draws)] if len(ts) > 1 else ts[0]
+            groups.setdefault((population[ci].key, t), []).append(ci)
         if not groups:
             break
 
@@ -433,6 +546,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "tips": list(tips),
         "base": seeds.base,
         "iterations": iteration,
+        "tip_draws": tip_draws,
         "best_score_history": history,
         "best_score": best.score,
         "reached_tips": [t for t in tips if best.nodes >> t & 1],

@@ -457,11 +457,57 @@ def test_tips_outside_base_component_warned(caplog):
                                  SearchConfig(K=5), {})
     assert info["graph"] == {"components": 2, "base_component_size": 5,
                              "tips_outside_base_component": 1}
+    assert info["tip_outcomes"] == {4: "reached",
+                                    8: "outside_base_component"}
     warnings = [r.getMessage() for r in caplog.records
                 if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].startswith("1 of 2 tips lie outside the base's "
                                   "component")
+
+
+def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
+    """A tip in the base's component that the best skeleton misses is
+    told apart from one cut off by a gap, and a warning names it."""
+    positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
+    positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
+    graph = make_graph(positions, [(k, k + 1) for k in range(4)]
+                       + [(k, k + 1) for k in range(5, 8)])
+    cli_run_search = cli.run_search
+
+    def losing_tip_4(*args):
+        skeleton, info = cli_run_search(*args)
+        info["reached_tips"] = []
+        return skeleton, info
+
+    monkeypatch.setattr(cli, "run_search", losing_tip_4)
+    with caplog.at_level(logging.WARNING, logger="skelgrow"):
+        _, info = _grow_skeleton(graph, uniform_conf(graph), "lowest-z",
+                                 SearchConfig(K=5), {})
+    assert info["tip_outcomes"] == {4: "abandoned_reachable",
+                                    8: "outside_base_component"}
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert len(warnings) == 2
+    assert warnings[1] == ("the skeleton abandons tips [4] although the "
+                           "base's component of the dense graph holds them")
+
+
+def test_default_tree_tip_outcomes(tmp_path):
+    """The README's default tree: three of its nine tips lie outside the
+    base's component, and the search reaches the other six. The manifest
+    says so and counts the search's tip draws."""
+    assert main(["synth", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
+    out = tmp_path / "run"
+    assert main(["skeletonize", "--cloud", str(tmp_path / "cloud.ply"),
+                 "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    outside = {"86", "109", "126"}
+    assert manifest["tip_outcomes"] == {
+        str(t): "outside_base_component" if str(t) in outside else "reached"
+        for t in manifest["tips"]}
+    assert len(manifest["tips"]) == 9
+    assert manifest["tip_draws"] > 0
 
 
 def test_eval_against_other_node_space(synth_dir, tmp_path):

@@ -11,8 +11,9 @@ from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import bend_penalty, edge_cost, reward
 from skelgrow.labels import Label, STRUCTURAL_LABELS
+from skelgrow import search
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
-                             eligible_pairs, grow_candidate,
+                             candidate_draws, eligible_pairs, grow_candidate,
                              make_root_candidate, potential, rank, resample,
                              run_search, weight)
 from skelgrow.seeds import SeedSet, find_tips, resolve_base
@@ -202,6 +203,46 @@ def test_resample_respects_cap_until_fill():
     chosen = resample([0.5, 0.5], K=10, k_max_rep=3, rng=rng)
     # 6 capped draws, then fill cycles both entries twice.
     assert sorted(chosen) == [0] * 5 + [1] * 5
+
+
+# -- tip draws -------------------------------------------------------------
+
+def _numpy_draws(seed, iteration, cis, ns):
+    """The per-candidate generators that ``candidate_draws`` replays."""
+    return [int(np.random.default_rng((seed, iteration, ci)).integers(n))
+            for ci, n in zip(cis, ns)]
+
+
+def test_candidate_draws_match_numpy():
+    """Draw for draw, the batched tip draws equal numpy's, for seeds of one
+    to three entropy words, iterations 0-5000, ci 0-600 and bounds 2-64."""
+    rng = np.random.default_rng(11)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5]
+    seeds += rng.integers(0, 2**62, size=4).tolist()
+    for seed in seeds:
+        for iteration in [0, 1, 5000] + rng.integers(2, 5000, 3).tolist():
+            cis = np.flatnonzero(rng.random(601) < 0.5).tolist()
+            ns = rng.integers(2, 65, size=len(cis)).tolist()
+            assert candidate_draws(seed, iteration, cis, ns) == \
+                _numpy_draws(seed, iteration, cis, ns)
+    assert candidate_draws(3, 4, [], []) == []
+
+
+def test_candidate_draws_match_numpy_through_rejection():
+    """With n = 3 * 2**30 the first uint32 of a quarter of the streams
+    falls below Lemire's threshold, so the draw reads further words."""
+    n = 3 * 2**30
+    threshold = (2**32 - n) % n
+    rejected = 0
+    for seed, iteration in ((0, 0), (5, 17), (2**40 + 3, 4999)):
+        cis = list(range(601))
+        assert candidate_draws(seed, iteration, cis, [n] * len(cis)) == \
+            _numpy_draws(seed, iteration, cis, [n] * len(cis))
+        for ci in cis:
+            gen = np.random.default_rng((seed, iteration, ci)).bit_generator
+            rejected += (gen.random_raw() & 0xFFFFFFFF) * n % 2**32 \
+                < threshold
+    assert 300 < rejected < 600
 
 
 # -- path priors -----------------------------------------------------------
@@ -523,17 +564,22 @@ def test_run_search_best_score_monotone(chain_graph):
     assert all(a <= b + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
-def test_run_search_two_leader_tree_exact():
-    spec = SynthSpec(n_leaders=2, leader_height=1.0, seed=1)
-    cloud, truth = generate(spec)
+def _two_leader_tree():
+    """(graph, oracle confidences, reference skeleton, seeds) of the
+    two-leader synthetic tree."""
+    cloud, truth = generate(SynthSpec(n_leaders=2, leader_height=1.0, seed=1))
     graph = build_graph(cloud, CFG.r_super, 1)
     conf = truth.oracle_confidences(graph)
     ref, _ = truth.reference_skeleton(graph)
+    tips = tuple(t for t in find_tips(graph, conf, CFG) if t != ref.base)
+    return graph, conf, ref, SeedSet(tips=tips, base=ref.base)
+
+
+def test_run_search_two_leader_tree_exact():
+    graph, conf, ref, seeds = _two_leader_tree()
+    assert len(seeds.tips) == 2
     cfg = SearchConfig(K=50, seed=1)
-    tips = tuple(t for t in find_tips(graph, conf, cfg) if t != ref.base)
-    assert len(tips) == 2
-    skel, info = run_search(graph, conf,
-                            SeedSet(tips=tips, base=ref.base), cfg)
+    skel, info = run_search(graph, conf, seeds, cfg)
     # The tree's topology is recovered exactly; at the support-to-leader
     # junction the first leader edge may legitimately carry either label,
     # so allow at most that one relabel.
@@ -545,3 +591,54 @@ def test_run_search_two_leader_tree_exact():
     ctx = SearchContext(graph, conf, cfg)
     assert info["best_score"] == pytest.approx(_recomputed_score(skel, ctx),
                                                rel=1e-9)
+
+
+def _three_leader_tree():
+    """(graph, oracle confidences, seeds) of the tree behind
+    ``_synthetic_context``."""
+    graph, conf, _ = _synthetic_context()
+    base = resolve_base(graph, "lowest-z")
+    tips = tuple(t for t in find_tips(graph, conf, CFG) if t != base)
+    return graph, conf, SeedSet(tips=tips, base=base)
+
+
+def test_run_search_builds_one_generator_per_iteration(monkeypatch):
+    """The tip draws build no generator: each iteration constructs only
+    the resampling one, at (seed, iteration, 1 << 30)."""
+    graph, conf, _, seeds = _two_leader_tree()
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search.np.random, "default_rng", counting)
+    _, info = run_search(graph, conf, seeds, SearchConfig(K=50, seed=1))
+    assert info["tip_draws"] > 0
+    assert made == [((1, it, 1 << 30),) for it in range(info["iterations"])]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+@pytest.mark.parametrize("fixture", [_two_leader_tree, _three_leader_tree])
+def test_run_search_matches_per_candidate_generators(monkeypatch, seed,
+                                                     fixture):
+    """A run with the batched tip draws equals the run with one numpy
+    generator per draw, skeleton and manifest alike, also for a seed of
+    two entropy words; ``tip_draws`` counts the draws made."""
+    graph, conf, *_, seeds = fixture()
+    assert len(seeds.tips) >= 2
+    cfg = SearchConfig(K=40, seed=seed)
+    skel, info = run_search(graph, conf, seeds, cfg)
+    drawn = []
+
+    def per_candidate(seed, iteration, cis, ns):
+        drawn.extend(cis)
+        return _numpy_draws(seed, iteration, cis, ns)
+
+    monkeypatch.setattr(search, "candidate_draws", per_candidate)
+    ref_skel, ref_info = run_search(graph, conf, seeds, cfg)
+    assert skel == ref_skel
+    del info["prior_seconds"], ref_info["prior_seconds"]
+    assert info == ref_info
+    assert info["tip_draws"] == len(drawn) > 0
