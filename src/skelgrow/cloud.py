@@ -97,22 +97,25 @@ def _read_ply(path: Path):
         if not parts or parts[0] in ("ply", "comment", "obj_info", "end_header"):
             continue
         if parts[0] == "format":
-            fmt = parts[1]
-            if fmt not in ("ascii", "binary_little_endian"):
+            if parts[1:2] not in (["ascii"], ["binary_little_endian"]):
                 raise CloudFormatError(
-                    f"{path}:{lineno}: unsupported format {fmt}")
+                    f"{path}:{lineno}: unsupported format {line.strip()!r}")
+            fmt = parts[1]
         elif parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise CloudFormatError(
+                    f"{path}:{lineno}: expected 'element <name> <count>' "
+                    f"with a count >= 0, got {line.strip()!r}")
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
                 raise CloudFormatError(
                     f"{path}:{lineno}: property before any element")
-            if parts[1] == "list":
+            # Rejects list properties too: theirs is not a scalar type.
+            if len(parts) != 3 or parts[1] not in _PLY_TYPES:
                 raise CloudFormatError(
-                    f"{path}:{lineno}: list properties are not supported")
-            if parts[1] not in _PLY_TYPES:
-                raise CloudFormatError(
-                    f"{path}:{lineno}: unknown property type {parts[1]}")
+                    f"{path}:{lineno}: expected 'property <scalar type> "
+                    f"<name>', got {line.strip()!r}")
             elements[-1][2].append((parts[2], _PLY_TYPES[parts[1]]))
     if fmt is None:
         raise CloudFormatError(f"{path}: header missing format line")

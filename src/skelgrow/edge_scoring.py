@@ -92,7 +92,10 @@ def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
     dy = z_axis[1]
     if dy < 0 or (dy == 0 and z_axis[2] < 0):
         z_axis = -z_axis
-    y_axis = np.cross(z_axis, x_axis)
+    # z x x as np.cross forms it, in scalar floats: the same bits, faster.
+    (z0, z1, z2), (x0, x1, x2) = z_axis.tolist(), x_axis.tolist()
+    y_axis = np.array([z1 * x2 - z2 * x1, z2 * x0 - z0 * x2,
+                       z0 * x1 - z1 * x0])
 
     rel = local - mid
     u = rel @ x_axis
@@ -101,8 +104,9 @@ def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
                  0, GRID_ALONG - 1)
     iv = np.clip(((v + r_super) / (2 * r_super) * GRID_LATERAL).astype(int),
                  0, GRID_LATERAL - 1)
-    grid = np.zeros((GRID_ALONG, GRID_LATERAL))
-    np.add.at(grid, (iu, iv), 1.0)
+    grid = np.bincount(iu * GRID_LATERAL + iv,
+                       minlength=GRID_ALONG * GRID_LATERAL).reshape(
+        GRID_ALONG, GRID_LATERAL).astype(np.float64)
     peak = grid.max()
     if peak > 0:
         grid /= peak

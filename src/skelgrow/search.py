@@ -91,7 +91,6 @@ class PathPrior:
     """
 
     def __init__(self, ctx: SearchContext, tip: int):
-        self.tip = tip
         self.cost: dict[DirEdge, float] = {}
         self.succ: dict[DirEdge, DirEdge | None] = {}
         self.path_mask: dict[DirEdge, int] = {}  # bit n set: node n on path
@@ -148,9 +147,12 @@ class PathPrior:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One population member: a skeleton plus cached growth state."""
+    """One population member: a growth record per node plus cached growth
+    state. ``records`` maps each node, in growth order, to (parent, label
+    of the edge into it, labels of its child edges, labels a new child edge
+    may take); parent and label are None at the base."""
 
-    skeleton: LabeledSkeleton
+    records: dict
     score: float
     nodes: int  # bitmask of the skeleton's nodes: bit n set for node n
     frontier: frozenset  # directed edges (in-skeleton -> outside)
@@ -172,19 +174,36 @@ def _child_key(key: tuple, state: DirEdge, label: Label) -> tuple:
 
 
 def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
-    skel = LabeledSkeleton(base)
+    # The skeleton's first edge is always Trunk.
+    records = {base: (None, None, (), (Label.TRUNK,))}
     frontier = frozenset((base, w) for w, _ in ctx.adj[base])
     return Candidate(
-        skeleton=skel, score=0.0, nodes=1 << base,
+        records=records, score=0.0, nodes=1 << base,
         frontier=frontier, abandoned=0, key=(0, 0))
+
+
+# Memoised: the arguments range over a few short label tuples, so the
+# cache stays small, and it spares the search most rule evaluations.
+@functools.cache
+def _allowed_labels(pred_label: Label | None, siblings: tuple) -> tuple:
+    """The structural labels that break no label rule below ``pred_label``
+    next to ``siblings``."""
+    return tuple(lab for lab in STRUCTURAL_LABELS
+                 if label_rule_violation(pred_label, siblings, lab) is None)
 
 
 def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
                    new_score: float, key: tuple,
                    ctx: SearchContext) -> Candidate:
-    """``cand`` grown by (state, label), keyed ``key`` (its child key)."""
+    """``cand`` grown by an :func:`eligible_pairs` pair (state, label),
+    keyed ``key`` (its child key)."""
     u, v = state
-    skel = cand.skeleton.attach((u, v), label)
+    records = dict(cand.records)
+    parent, parent_label, children, _ = records[u]
+    children += (label,)
+    records[u] = (parent, parent_label, children,
+                  _allowed_labels(parent_label, children))
+    records[v] = (u, label, (), _allowed_labels(label, ()))
     nodes = cand.nodes | 1 << v
     frontier = set(cand.frontier)
     for w, _eid in ctx.adj[v]:
@@ -192,61 +211,46 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
         if not nodes >> w & 1:
             frontier.add((v, w))
     return Candidate(
-        skeleton=skel, score=new_score, nodes=nodes,
+        records=records, score=new_score, nodes=nodes,
         frontier=frozenset(frontier), abandoned=cand.abandoned, key=key)
 
 
-# Memoised: the arguments range over a few short label tuples, so the
-# cache stays small, and it spares the search most rule evaluations.
-@functools.cache
-def _allowed_labels(pred_label: Label | None, siblings: tuple,
-                    candidates: tuple) -> tuple:
-    """The candidate labels that break no label rule below ``pred_label``
-    next to ``siblings``."""
-    return tuple(lab for lab in candidates
-                 if label_rule_violation(pred_label, siblings, lab) is None)
+def skeleton_from_records(records: dict) -> LabeledSkeleton:
+    """The skeleton of a candidate's records, attached edge by edge in
+    growth order, so that every attach rule checks it."""
+    (base, _), *grown = records.items()
+    skel = LabeledSkeleton(base)
+    for node, (parent, label, _, _) in grown:
+        skel = skel.attach((parent, node), label)
+    return skel
 
 
 def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
-                   ) -> list[tuple[DirEdge, Label, float]]:
-    """All (directed edge, label, grown score) proposals that extend the
-    candidate toward the prior's tip without topology or label violations,
-    in frontier order: order-free ranks, distinct child keys and the
-    key-sorted pool keep that order out of the output."""
-    skel = cand.skeleton
-    # The skeleton's first edge is always Trunk.
-    candidates = (Label.TRUNK,) if skel.num_edges == 0 else STRUCTURAL_LABELS
+                   ) -> list[tuple[DirEdge, Label, float, float]]:
+    """All (directed edge, label, grown score, potential) proposals that
+    extend the candidate toward the prior's tip without topology or label
+    violations (the labels its tail's record allows), in frontier order:
+    order-free ranks, distinct child keys and the key-sorted pool keep that
+    order out of the output. The potential adds the prior path's edge
+    scores and subtracts its turn penalties after the label-dependent drop.
+    """
+    records = cand.records
     nodes = cand.nodes
     score = cand.score
     proposals = []
-    tails: dict[int, tuple] = {}  # tail -> (pred tail, pred label, labels)
     for state in cand.frontier:
         # The path to the tip must avoid the skeleton. An unreachable state
         # has no path: its default, the skeleton's own mask, fails too.
         if prior.path_mask.get(state, nodes) & nodes:
             continue
-        u = state[0]
-        tail = tails.get(u)
-        if tail is None:
-            pred_tail, pred_label = skel.parent_of(u) or (None, None)
-            tail = tails[u] = (pred_tail, pred_label, _allowed_labels(
-                pred_label, tuple(lab for _, lab in skel.children_of(u)),
-                candidates))
-        pred_tail, pred_label, labels = tail
+        pred_tail, pred_label, _, labels = records[state[0]]
+        esum = prior.esum[state]
+        turn_pen = prior.turn_pen[state]
         for lab in labels:
-            proposals.append((state, lab, score + ctx.reward(
-                state, lab, pred_tail, pred_label)))
+            new_score = score + ctx.reward(state, lab, pred_tail, pred_label)
+            proposals.append((state, lab, new_score,
+                              new_score + esum - turn_pen[lab.order]))
     return proposals
-
-
-def potential(prior: PathPrior, proposal) -> float:
-    """The grown score of the proposal (state, label, new_score) plus the
-    path prior's edge scores minus its turn penalties after the
-    label-dependent drop."""
-    state, label, new_score = proposal
-    if state not in prior.cost:
-        raise ValueError(f"edge {state} unreachable from tip {prior.tip}")
-    return new_score + prior.esum[state] - prior.turn_pen[state][label.order]
 
 
 def rank(values) -> list[float]:
@@ -272,10 +276,6 @@ def rank(values) -> list[float]:
             ranks[order[k]] = r
         i = j
     return ranks
-
-
-def weight(skeleton_rank: float, pair_rank: float) -> float:
-    return skeleton_rank * pair_rank
 
 
 def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
@@ -423,13 +423,6 @@ def candidate_draws(seed: int, iteration: int, cis: list[int],
     return draws
 
 
-@dataclass
-class _PoolEntry:
-    weight: float
-    cand: Candidate
-    proposal: tuple | None  # (state, label, new_score) or None for carried
-
-
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
@@ -484,14 +477,15 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
         score_ranks = rank([c.score for c in population])
 
-        pool: dict[tuple, _PoolEntry] = {}
+        # child key -> [weight, candidate, proposal or None if carried]
+        pool: dict[tuple, list] = {}
 
         def add(key: tuple, w: float, cand: Candidate, proposal=None):
             entry = pool.get(key)
             if entry is None:
-                pool[key] = _PoolEntry(w, cand, proposal)
+                pool[key] = [w, cand, proposal]
             else:
-                entry.weight += w
+                entry[0] += w
 
         for ci in finished:
             add(population[ci].key, score_ranks[ci], population[ci])
@@ -506,29 +500,26 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                     add(stuck.key, score_ranks[ci], replace(
                         stuck, abandoned=stuck.abandoned | 1 << tip))
                 continue
-            pot_ranks = rank([potential(prior, p) for p in proposals])
+            pot_ranks = rank([p[3] for p in proposals])
             group_score_rank = sum(score_ranks[ci] for ci in members)
             for proposal, pot_rank in zip(proposals, pot_ranks):
                 add(_child_key(cand.key, proposal[0], proposal[1]),
-                    weight(group_score_rank, pot_rank), cand, proposal)
+                    group_score_rank * pot_rank, cand, proposal)
 
         if not pool:
             break
         entries = sorted(pool.items())  # (child key, entry); keys unique
         rng_rs = np.random.default_rng((cfg.seed, iteration, 1 << 30))
-        chosen = resample([e.weight for _, e in entries], cfg.K,
+        chosen = resample([e[0] for _, e in entries], cfg.K,
                           cfg.k_max_rep, rng_rs)
         realized: dict[int, Candidate] = {}
         new_pop = []
         for idx in chosen:
             cand = realized.get(idx)
             if cand is None:
-                key, entry = entries[idx]
-                if entry.proposal is None:
-                    cand = entry.cand
-                else:
-                    cand = grow_candidate(entry.cand, *entry.proposal, key,
-                                          ctx)
+                key, (_, cand, proposal) = entries[idx]
+                if proposal is not None:
+                    cand = grow_candidate(cand, *proposal[:3], key, ctx)
                 realized[idx] = cand
             new_pop.append(cand)
         population = new_pop
@@ -538,7 +529,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         if cand.score > best.score:
             best = cand
 
-    if best.skeleton.num_edges == 0:
+    if len(best.records) == 1:
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
 
@@ -553,4 +544,4 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "abandoned_tips": [t for t in tips if best.abandoned >> t & 1],
         "prior_seconds": prior_time,
     }
-    return best.skeleton, info
+    return skeleton_from_records(best.records), info

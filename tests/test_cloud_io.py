@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skelgrow.cli import EXIT_IO, main
 from skelgrow.cloud import (PointCloud, crop_cloud, export_cloud,
                             export_colored, load_cloud, random_downsample,
                             read_ply_with_edges)
@@ -153,3 +154,32 @@ def test_export_colored_edge_count_matches_skeleton(tmp_path):
     export_colored(cloud, skel, positions, path)
     _, edges = read_ply_with_edges(path)
     assert len(edges) == skel.num_edges
+
+
+
+_XYZ = ["property float x", "property float y", "property float z"]
+
+
+@pytest.mark.parametrize("header, bad, body", [
+    (["format ascii 1.0", "element vertex", *_XYZ], 3, b"0 0 0\n"),
+    (["format ascii 1.0", "element vertex 1", "property float"], 4, b"0\n"),
+    # A negative count made numpy read the whole binary body.
+    (["format binary_little_endian 1.0", "element vertex -1", *_XYZ], 3,
+     np.arange(30, dtype="<f4").tobytes()),
+    (["format ascii 1.0", "element vertex 2.5", *_XYZ], 3,
+     b"0 0 0\n1 1 1\n"),
+    (["format", "element vertex 1", *_XYZ], 2, b"0 0 0\n"),
+], ids=["no-count", "no-property-name", "negative-count", "float-count",
+        "no-format"])
+def test_ply_header_fault_exits_2(tmp_path, capsys, header, bad, body):
+    """A malformed header line ends ``skeletonize`` with exit 2 and an
+    error naming the file and the line, not a traceback or a silent
+    read."""
+    path = tmp_path / "cloud.ply"
+    lines = ["ply", *header, "end_header"]
+    path.write_bytes("\n".join(lines).encode() + b"\n" + body)
+    code = main(["skeletonize", "--cloud", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{bad}:" in err and repr(lines[bad - 1]) in err

@@ -32,12 +32,15 @@ GOLDEN = [
       "seed": 0}, {"K": 200},
      "override",
      "8ce6aab11536281fece0b04055a236722fbf6c3ae92d6ba242169bb4b05cfeec"),
+    # A deep skeleton: 32 tips and 316 edges, heuristic scores.
+    ({"n_leaders": 32, "seed": 0}, {"K": 100}, "heuristic",
+     "ef65ec4912c832b0baf7db097be007e209dabc7aede7c60d3f887dc5dd871292"),
 ]
 
 
 @pytest.fixture(scope="module", params=GOLDEN,
                 ids=["oracle-2-leaders", "heuristic-side-branches",
-                     "oracle-corpus-clean-0"])
+                     "oracle-corpus-clean-0", "heuristic-wide-tree"])
 def golden_run(request, tmp_path_factory):
     """(spec, skeletonize output directory, expected digest) of one
     golden tree."""

@@ -14,8 +14,9 @@ from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow import search
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              candidate_draws, eligible_pairs, grow_candidate,
-                             make_root_candidate, potential, rank, resample,
-                             run_search, weight)
+                             make_root_candidate, rank, resample, run_search,
+                             skeleton_from_records)
+from skelgrow.skeleton import LabeledSkeleton
 from skelgrow.seeds import SeedSet, find_tips, resolve_base
 from skelgrow.superpoints import build_graph
 from skelgrow.synth import SynthSpec, generate
@@ -42,7 +43,7 @@ def test_edge_cost_composite():
     assert got == pytest.approx(expected, rel=1e-9)
 
 
-# -- rank / weight ---------------------------------------------------------
+# -- rank ------------------------------------------------------------------
 
 def test_rank_worked_example():
     got = rank([4, 5, 5, 3, 7])
@@ -84,19 +85,6 @@ def test_rank_rejects_nan():
         rank([0.5, math.nan, 0.2])
     with pytest.raises(ValueError):
         rank([math.nan])
-
-
-def test_weight_is_product():
-    assert weight(1.0, 1.0) == 1.0
-    assert weight(0.5, 0.4) == pytest.approx(0.2)
-
-
-def test_weight_table_small_case():
-    skel_ranks = rank([1.0, 2.0])
-    pair_ranks = rank([0.3, 0.2, 0.1])
-    table = [weight(s, p) for s in skel_ranks for p in pair_ranks]
-    expected = [s * p for s in (0.5, 1.0) for p in (1.0, 2 / 3, 1 / 3)]
-    np.testing.assert_allclose(table, expected)
 
 
 # -- resample --------------------------------------------------------------
@@ -339,11 +327,11 @@ def test_prior_dropped_penalty_rule():
     label of order o drops the 2 - o largest, so Leader keeps the sum,
     Support drops the larger turn and Trunk drops both."""
     # 0 -> 1 -> 2 -> 3 with a 60 degree turn at node 1 and a 90 degree
-    # turn at node 2; the tip is node 3.
+    # turn at node 2; the tip is node 3. Base 4 leads straight into 0.
     s3 = math.sqrt(3) / 2
     positions = [(0, 0, 0), (0.1, 0, 0), (0.1 + 0.05, 0.1 * s3, 0),
-                 (0.15, 0.1 * s3, 0.1)]
-    graph = make_graph(positions, [(0, 1), (1, 2), (2, 3)])
+                 (0.15, 0.1 * s3, 0.1), (-0.1, 0, 0)]
+    graph = make_graph(positions, [(0, 1), (1, 2), (2, 3), (4, 0)])
     ctx = SearchContext(graph, uniform_conf(graph), CFG)
     prior = PathPrior(ctx, tip=3)
     big = CFG.c_turn * (math.pi / 2 - CFG.theta_turn_min) ** CFG.p_turn
@@ -358,11 +346,15 @@ def test_prior_dropped_penalty_rule():
     # One turn ahead: Support already drops it; a turnless state keeps 0.
     assert prior.turn_pen[(1, 2)] == pytest.approx((0.0, 0.0, big))
     assert prior.turn_pen[(2, 3)] == (0.0, 0.0, 0.0)
-    # The potential subtracts the label's entry.
-    new_score = 1.0
-    for lab in STRUCTURAL_LABELS:
-        assert potential(prior, ((0, 1), lab, new_score)) == (
-            new_score + prior.esum[(0, 1)] - table[lab.order])
+    # Each proposal's potential subtracts its label's entry.
+    root = make_root_candidate(4, ctx)
+    cand = grow_candidate(root, (4, 0), Label.TRUNK, 0.5,
+                          _child_key(root.key, (4, 0), Label.TRUNK), ctx)
+    pairs = eligible_pairs(cand, prior, ctx)
+    assert [(s, lab) for s, lab, _, _ in pairs] == [
+        ((0, 1), lab) for lab in STRUCTURAL_LABELS]
+    for state, lab, new_score, pot in pairs:
+        assert pot == new_score + prior.esum[(0, 1)] - table[lab.order]
 
 
 # -- eligibility and potential --------------------------------------------
@@ -381,8 +373,10 @@ def test_eligible_empty_skeleton_trunk_only():
     prior = PathPrior(ctx, tip=3)
     root = make_root_candidate(0, ctx)
     pairs = eligible_pairs(root, prior, ctx)
-    assert pairs == [((0, 1), Label.TRUNK,
-                      ctx.reward((0, 1), Label.TRUNK, None, None))]
+    new_score = ctx.reward((0, 1), Label.TRUNK, None, None)
+    assert pairs == [((0, 1), Label.TRUNK, new_score,
+                      new_score + prior.esum[(0, 1)]
+                      - prior.turn_pen[(0, 1)][Label.TRUNK.order])]
 
 
 def test_eligible_after_leader_only_leader():
@@ -396,8 +390,10 @@ def test_eligible_after_leader_only_leader():
                               _child_key(cand.key, state, lab), ctx)
     pairs = eligible_pairs(cand, prior, ctx)
     # The grown score counts the turn from the Leader edge (1, 2).
-    assert pairs == [((2, 3), Label.LEADER, cand.score + ctx.reward(
-        (2, 3), Label.LEADER, 1, Label.LEADER))]
+    new_score = cand.score + ctx.reward((2, 3), Label.LEADER, 1, Label.LEADER)
+    assert pairs == [((2, 3), Label.LEADER, new_score,
+                      new_score + prior.esum[(2, 3)]
+                      - prior.turn_pen[(2, 3)][Label.LEADER.order])]
 
 
 def test_eligible_tip_already_reached_empty():
@@ -459,9 +455,10 @@ def _path_avoids_skeleton(prior, state, skel):
 def test_eligible_labels_match_check_all():
     """Along random lineages on a synthetic tree, every frontier state that
     passes the prior's reachability and path filters gets exactly the
-    labels ``check_all`` accepts (Trunk alone for the first edge), and no
-    other state gets any. Each proposal's grown score adds the edge's
-    reward after the parent edge to the candidate's score."""
+    labels ``check_all`` accepts on the skeleton of the candidate's records
+    (Trunk alone for the first edge), and no other state gets any. Each
+    proposal's grown score adds the edge's reward after the parent edge to
+    the candidate's score, and its potential adds the prior's path terms."""
     graph, conf, ctx = _synthetic_context()
     base = resolve_base(graph, "lowest-z")
     tips = frozenset(t for t in find_tips(graph, conf, CFG) if t != base)
@@ -473,25 +470,29 @@ def test_eligible_labels_match_check_all():
         for _step in range(80):
             prior = priors[int(rng.integers(len(priors)))]
             pairs = eligible_pairs(cand, prior, ctx)
-            skel = cand.skeleton
+            skel = skeleton_from_records(cand.records)
             for state in sorted(cand.frontier):
                 if not _path_avoids_skeleton(prior, state, skel):
-                    assert all(s != state for s, _, _ in pairs)
+                    assert all(s != state for s, _, _, _ in pairs)
                     continue
                 if skel.num_edges == 0:
                     expected = [Label.TRUNK]
                 else:
                     expected = [lab for lab in STRUCTURAL_LABELS
                                 if skel.check_all(state, lab) is None]
-                assert [lab for s, lab, _ in pairs if s == state] == expected
+                assert [lab for s, lab, _, _ in pairs if s == state] == \
+                    expected
                 checked += 1
-            for state, lab, new_score in pairs:
+            for state, lab, new_score, pot in pairs:
                 pred_tail, pred_label = \
                     skel.parent_of(state[0]) or (None, None)
                 assert new_score == cand.score + ctx.reward(
                     state, lab, pred_tail, pred_label)
+                assert pot == new_score + prior.esum[state] - \
+                    prior.turn_pen[state][lab.order]
             if pairs:
-                state, lab, new_score = pairs[int(rng.integers(len(pairs)))]
+                state, lab, new_score, _ = \
+                    pairs[int(rng.integers(len(pairs)))]
                 cand = grow_candidate(cand, state, lab, new_score,
                                       _child_key(cand.key, state, lab), ctx)
     assert checked > 1000
@@ -500,20 +501,18 @@ def test_eligible_labels_match_check_all():
 def test_potential_no_penalties_is_score_plus_esum():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    new_score = ctx.reward((0, 1), Label.TRUNK, None, None)
-    got = potential(prior, ((0, 1), Label.TRUNK, new_score))
-    assert got == pytest.approx(new_score + prior.esum[(0, 1)], rel=1e-9)
-    # Straight chain: no turn penalties, so all labels agree.
-    assert potential(prior, ((0, 1), Label.LEADER,
-                             new_score)) == pytest.approx(got, rel=1e-9)
-
-
-def test_potential_unreachable_rejected():
-    graph = make_graph([(0, 0, 0), (0.1, 0, 0), (5, 5, 5)], [(0, 1)])
-    ctx = SearchContext(graph, uniform_conf(graph), CFG)
-    prior = PathPrior(ctx, tip=2)
-    with pytest.raises(ValueError):
-        potential(prior, ((0, 1), Label.TRUNK, 0.0))
+    cand = make_root_candidate(0, ctx)
+    [(state, lab, new_score, pot)] = eligible_pairs(cand, prior, ctx)
+    assert pot == pytest.approx(new_score + prior.esum[(0, 1)], rel=1e-9)
+    # Straight chain: no turn penalties, so every label's potential is its
+    # grown score plus the path's edge scores.
+    cand = grow_candidate(cand, state, lab, new_score,
+                          _child_key(cand.key, state, lab), ctx)
+    pairs = eligible_pairs(cand, prior, ctx)
+    assert [lab for _, lab, _, _ in pairs] == list(STRUCTURAL_LABELS)
+    for state, lab, new_score, pot in pairs:
+        assert pot == pytest.approx(new_score + prior.esum[(1, 2)],
+                                    rel=1e-9)
 
 
 # -- run_search ------------------------------------------------------------
@@ -617,6 +616,29 @@ def test_run_search_builds_one_generator_per_iteration(monkeypatch):
     _, info = run_search(graph, conf, seeds, SearchConfig(K=50, seed=1))
     assert info["tip_draws"] > 0
     assert made == [((1, it, 1 << 30),) for it in range(info["iterations"])]
+
+
+def test_run_search_attaches_only_the_result(monkeypatch):
+    """Growth is not validated edge by edge: of all the candidates grown,
+    the search calls ``attach`` only for the edges of the skeleton it
+    returns, to build that skeleton."""
+    graph, conf, _, seeds = _two_leader_tree()
+    calls, grown = [], []
+    real_attach, real_grow = LabeledSkeleton.attach, search.grow_candidate
+
+    def counting_attach(self, e_new, l_new):
+        calls.append(e_new)
+        return real_attach(self, e_new, l_new)
+
+    def counting_grow(*args):
+        grown.append(args[1])
+        return real_grow(*args)
+
+    monkeypatch.setattr(LabeledSkeleton, "attach", counting_attach)
+    monkeypatch.setattr(search, "grow_candidate", counting_grow)
+    skel, _ = run_search(graph, conf, seeds, SearchConfig(K=50, seed=1))
+    assert len(grown) > 10 * skel.num_edges > 0
+    assert calls == skel.edges()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
