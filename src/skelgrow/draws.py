@@ -1,0 +1,161 @@
+"""The search's tip draws: numpy's per-candidate generators, replayed in
+one batch.
+
+In iteration ``it`` of the search, candidate ``ci`` with ``n`` >= 2 open
+tips takes ``numpy.random.default_rng((seed, it, ci)).integers(n)``.
+:func:`candidate_draws` computes a whole iteration's draws bit for bit
+without building a generator per candidate.
+"""
+
+from __future__ import annotations
+
+from itertools import pairwise
+
+import numpy as np
+
+# numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
+# LCG multiplier: ``candidate_draws`` replays both algorithms.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & _M64)
+
+
+def _hash_constants(c: int, mult: int):
+    """SeedSequence's running hash constant: ``c * mult**k`` mod 2**32."""
+    while True:
+        yield c
+        c = c * mult & _M32
+
+
+# (pool word, xor constant, multiplier) of each uint32 word that
+# ``generate_state(4, np.uint64)`` emits.
+_STATE_HASHES = [
+    (i % _POOL_SIZE, xor, mult) for i, (xor, mult) in zip(
+        range(2 * _POOL_SIZE), pairwise(_hash_constants(_INIT_B, _MULT_B)))]
+
+
+def _uint32_words(x: int) -> list[int]:
+    """SeedSequence's entropy words of the int ``x`` >= 0: its 32-bit
+    words, least significant first, and ``[0]`` for 0."""
+    words = [x & _M32]
+    x >>= 32
+    while x:
+        words.append(x & _M32)
+        x >>= 32
+    return words
+
+
+def _pcg64_uint32s(state: int, inc: int):
+    """The uint32 stream ``Generator.integers`` reads from PCG64 in
+    ``state``: each XSL-RR 64-bit output's low half, then its high half."""
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        x = (x >> rot | x << 64 - rot) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+def _mul_hi64(a, b):
+    """High 64 bits of the 128-bit products of uint64 ``a`` and ``b``,
+    from their 32-bit limbs; no partial sum overflows."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    w = (t & _M32) + a0 * b1
+    return a1 * b1 + (t >> 32) + (w >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    """(hi, lo) + (add_hi, add_lo) mod 2**128, as uint64 word pairs."""
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * _PCG_MULT + inc mod 2**128, on uint64
+    word pairs."""
+    prod_hi = (_mul_hi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO
+               + lo * _PCG_MULT_HI)
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def candidate_draws(seed: int, iteration: int, cis: list[int],
+                    ns: list[int]) -> list[int]:
+    """``[int(np.random.default_rng((seed, iteration, ci)).integers(n))
+    for ci, n in zip(cis, ns)]``, bit for bit, without building a generator
+    per draw. Each ``ci`` is below 2**32 and each ``n`` below 2**32.
+
+    SeedSequence's entropy mixing and ``generate_state`` run as uint32
+    array arithmetic over every ``ci`` at once, and PCG64's seeding and
+    first step as arithmetic on uint64 word pairs, 128-bit products built
+    from 32-bit limbs. The first uint32 of each stream feeds ``integers``'
+    bounded Lemire draw; the rare draw that enters its rejection test
+    replays its stream with Python ints.
+    """
+    if not cis:
+        return []
+    hashes = pairwise(_hash_constants(_INIT_A, _MULT_A))
+
+    def hashmix(value):
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    # Only the last entropy word, ci's, differs between the draws.
+    entropy = [np.array([w], dtype=np.uint32)
+               for w in _uint32_words(seed) + _uint32_words(iteration)]
+    entropy.append(np.array(cis, dtype=np.uint32))
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = []
+    for src, xor, mult in _STATE_HASHES:
+        value = (pool[src] ^ xor) * mult
+        state.append((value ^ value >> 16).astype(np.uint64))
+    # Little-endian word pairs: PCG64's seed (s0, s1) and sequence (q0, q1).
+    s0, s1, q0, q1 = (state[2 * j] | state[2 * j + 1] << 32
+                      for j in range(4))
+    inc = (q0 << 1 | q1 >> 63, q1 << 1 | 1)  # (q0 << 65 | q1 << 1 | 1)
+    # PCG64 seeding: state 0, one step, add the seed, one more step.
+    seeded = _pcg64_step(*_add128(s0, s1, *inc), *inc)
+    hi, lo = _pcg64_step(*seeded, *inc)
+    # The first XSL-RR output's low half; (-rot) & 63 keeps the left
+    # shift in range and rotates by 0 when rot is 0.
+    rot = hi >> 58
+    x = lo ^ hi
+    word = (x >> rot | x << (-rot & 63)) & _M32
+    ns = np.array(ns, dtype=np.uint64)
+    m = word * ns
+    draws = (m >> 32).tolist()
+    # Lemire's rejection test, rarely entered (chance n / 2**32 per draw):
+    # replay those draws' streams with Python ints.
+    for k in np.flatnonzero((m & _M32) < ns).tolist():
+        n = int(ns[k])
+        words = _pcg64_uint32s(int(seeded[0][k]) << 64 | int(seeded[1][k]),
+                               int(inc[0][k]) << 64 | int(inc[1][k]))
+        m = next(words) * n
+        threshold = (0x100000000 - n) % n
+        while m & _M32 < threshold:
+            m = next(words) * n
+        draws[k] = m >> 32
+    return draws

@@ -3,6 +3,11 @@
 The CNN of the original system is replaced by (a) a coverage/compactness
 heuristic over the raster, (b) an optional user-supplied dense feedforward
 model, and (c) an exact score-override file.
+
+Rasters are made in blocks of edges: each edge's neighbourhood, frame and
+projection are computed on their own, then a block's bucketing, histogram,
+normalisation and heuristic score run as one set of array operations.
+The result equals the one-edge computation bit for bit.
 """
 
 from __future__ import annotations
@@ -49,20 +54,26 @@ class ConfidenceMap:
         return float(self.values[edge_id])
 
 
-def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
-                 r_super: float, index: GridIndex | None = None) -> EdgeRaster:
-    """Rasterize the two-sphere neighborhood of a candidate edge.
+#: Points per raster block. The bucketing, histogram, peak normalisation
+#: and heuristic score of a block's edges run as one set of array
+#: operations; blocks are sized by points, not edges, because one dense
+#: edge can hold thousands of points.
+BLOCK_POINTS = 1 << 16
 
-    Frame: origin at the edge midpoint, x along the edge, z along the
-    least-significant singular vector orthogonalized against the edge
-    (sign fixed toward world +Y). The z component is dropped and (x, y)
-    histogrammed over [-2r, 2r] x [-r, r]; out-of-range points land in
-    the boundary buckets. ``index`` is a GridIndex over the cloud with
-    radius r_super, if given.
+
+def _edge_frame(cloud: PointCloud, graph: SuperpointGraph, edge: int,
+                r_super: float, index: GridIndex):
+    """(u, v, midpoint, edge vector) of one edge: the x and y coordinates,
+    in the edge's frame, of the points near its endpoints (see
+    :func:`project_edge`). Raises DegenerateGeometryError for fewer than
+    3 points or coincident endpoints.
+
+    The ball query, mean, SVD, axes and projections run per edge: a
+    batched ``@`` or a segmented sum would round differently.
     """
     i, j = (int(v) for v in graph.edges[edge])
     pa, pb = graph.positions[i], graph.positions[j]
-    idx = (index or GridIndex(cloud.points, r_super)).ball(pa, pb)
+    idx = index.ball(pa, pb)
     if len(idx) < 3:
         raise DegenerateGeometryError(
             f"edge {edge}: only {len(idx)} points near endpoints")
@@ -98,19 +109,100 @@ def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
                        z0 * x1 - z1 * x0])
 
     rel = local - mid
-    u = rel @ x_axis
-    v = rel @ y_axis
+    return rel @ x_axis, rel @ y_axis, mid, evec
+
+
+def _rasterise(us: list, vs: list, r_super: float) -> np.ndarray:
+    """(n, 32, 16) max-normalized grids of n edges from their (u, v)
+    coordinate arrays, all edges bucketed and histogrammed at once;
+    out-of-range points land in the boundary buckets."""
+    cells = GRID_ALONG * GRID_LATERAL
+    u, v = np.concatenate(us), np.concatenate(vs)
     iu = np.clip(((u + 2 * r_super) / (4 * r_super) * GRID_ALONG).astype(int),
                  0, GRID_ALONG - 1)
     iv = np.clip(((v + r_super) / (2 * r_super) * GRID_LATERAL).astype(int),
                  0, GRID_LATERAL - 1)
-    grid = np.bincount(iu * GRID_LATERAL + iv,
-                       minlength=GRID_ALONG * GRID_LATERAL).reshape(
-        GRID_ALONG, GRID_LATERAL).astype(np.float64)
-    peak = grid.max()
-    if peak > 0:
-        grid /= peak
-    return EdgeRaster(grid=grid, midpoint=mid, growth_angle=grow_angle(evec))
+    first = np.repeat(np.arange(0, len(us) * cells, cells),
+                      [len(a) for a in us])
+    grids = np.bincount(first + iu * GRID_LATERAL + iv,
+                        minlength=len(us) * cells).reshape(
+        len(us), GRID_ALONG, GRID_LATERAL).astype(np.float64)
+    # Every edge has at least 3 points, so every peak is positive.
+    grids /= grids.max(axis=(1, 2))[:, None, None]
+    return grids
+
+
+def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
+                 r_super: float, index: GridIndex | None = None) -> EdgeRaster:
+    """Rasterize the two-sphere neighborhood of a candidate edge.
+
+    Frame: origin at the edge midpoint, x along the edge, z along the
+    least-significant singular vector orthogonalized against the edge
+    (sign fixed toward world +Y). The z component is dropped and (x, y)
+    histogrammed over [-2r, 2r] x [-r, r]; out-of-range points land in
+    the boundary buckets. ``index`` is a GridIndex over the cloud with
+    radius r_super, if given. The raster is a one-edge block of the
+    rasteriser :func:`score_all_edges` runs.
+    """
+    u, v, mid, evec = _edge_frame(
+        cloud, graph, edge, r_super,
+        index or GridIndex(cloud.points, r_super))
+    return EdgeRaster(grid=_rasterise([u], [v], r_super)[0], midpoint=mid,
+                      growth_angle=grow_angle(evec))
+
+
+def _raster_blocks(cloud: PointCloud, graph: SuperpointGraph,
+                   r_super: float, index: GridIndex):
+    """(edge ids, (n, 32, 16) grids, [(midpoint, edge vector)] * n) of
+    the graph's non-degenerate edges, in order, in blocks of about
+    BLOCK_POINTS points."""
+    edges, us, vs, frames = [], [], [], []
+    points = 0
+    for k in range(graph.num_edges):
+        try:
+            u, v, mid, evec = _edge_frame(cloud, graph, k, r_super, index)
+        except DegenerateGeometryError:
+            continue
+        edges.append(k)
+        us.append(u)
+        vs.append(v)
+        frames.append((mid, evec))
+        points += len(u)
+        if points >= BLOCK_POINTS:
+            yield edges, _rasterise(us, vs, r_super), frames
+            edges, us, vs, frames = [], [], [], []
+            points = 0
+    if edges:
+        yield edges, _rasterise(us, vs, r_super), frames
+
+
+def _heuristic_scores(grids: np.ndarray) -> list[float]:
+    """:func:`heuristic_confidence` of each of the (n, 32, 16) grids.
+
+    Column masses, means and deviations run over the whole block. Each
+    grid's mean deviation over its non-empty columns is taken grid by
+    grid, because a pairwise sum's rounding depends on its length.
+    """
+    col_mass = grids.sum(axis=2)
+    nonempty = col_mass > 0
+    lat = np.arange(GRID_LATERAL, dtype=np.float64)
+    cols = grids[nonempty]
+    mass = col_mass[nonempty]
+    mean = (cols * lat).sum(axis=1) / mass
+    var = (cols * (lat[None, :] - mean[:, None]) ** 2).sum(axis=1) / mass
+    sd = np.sqrt(var)
+    scores = []
+    end = 0
+    for coverage, count in zip(nonempty.mean(axis=1).tolist(),
+                               nonempty.sum(axis=1).tolist()):
+        if count == 0:
+            scores.append(0.0)
+            continue
+        start, end = end, end + count
+        compactness = 1.0 - float(sd[start:end].mean()) / (GRID_LATERAL / 2)
+        compactness = min(max(compactness, 0.0), 1.0)
+        scores.append(min(max(coverage * compactness, 0.0), 1.0))
+    return scores
 
 
 def heuristic_confidence(raster: EdgeRaster) -> float:
@@ -120,20 +212,7 @@ def heuristic_confidence(raster: EdgeRaster) -> float:
     mean lateral intensity-weighted standard deviation over nonempty
     columns, scaled by half the lateral bucket count.
     """
-    grid = raster.grid
-    col_mass = grid.sum(axis=1)
-    nonempty = col_mass > 0
-    coverage = float(nonempty.mean())
-    if coverage == 0.0:
-        return 0.0
-    lat = np.arange(GRID_LATERAL, dtype=np.float64)
-    cols = grid[nonempty]
-    mass = col_mass[nonempty]
-    mean = (cols * lat).sum(axis=1) / mass
-    var = (cols * (lat[None, :] - mean[:, None]) ** 2).sum(axis=1) / mass
-    compactness = 1.0 - float(np.sqrt(var).mean()) / (GRID_LATERAL / 2)
-    compactness = min(max(compactness, 0.0), 1.0)
-    return min(max(coverage * compactness, 0.0), 1.0)
+    return _heuristic_scores(raster.grid[None])[0]
 
 
 @dataclass(frozen=True)
@@ -241,7 +320,9 @@ def load_override(path: str | Path) -> dict[str, float]:
 def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
                     scorer, cfg: SearchConfig,
                     index: GridIndex | None = None) -> ConfidenceMap:
-    """Score every dense edge; ``index`` as in project_edge.
+    """Score every dense edge; ``index`` as in project_edge. Rasters are
+    made and scored in blocks of edges (see BLOCK_POINTS); every score
+    equals that of the edge's own :func:`project_edge` raster.
 
     ``scorer`` is one of:
       - ("heuristic",)
@@ -283,20 +364,21 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
         model = scorer[1]
         if not isinstance(model, DenseModel):
             model = DenseModel.load(model)
-        score_one = lambda raster: model_confidence(raster, model)
+
+        def score_block(grids, frames):
+            return [model_confidence(EdgeRaster(grid, mid, grow_angle(evec)),
+                                     model)
+                    for grid, (mid, evec) in zip(grids, frames)]
     elif kind == "heuristic":
-        score_one = heuristic_confidence
+        def score_block(grids, frames):
+            return _heuristic_scores(grids)
     else:
         raise ValueError(f"unknown scorer kind {kind!r}")
 
     if cloud is None:
         raise ValueError(f"{kind} scorer needs the point cloud")
     index = index or GridIndex(cloud.points, cfg.r_super)
-    for k in range(m):
-        try:
-            raster = project_edge(cloud, graph, k, cfg.r_super, index)
-        except DegenerateGeometryError:
-            values[k] = 0.0
-            continue
-        values[k] = score_one(raster)
+    for edges, grids, frames in _raster_blocks(cloud, graph, cfg.r_super,
+                                               index):
+        values[edges] = score_block(grids, frames)
     return ConfidenceMap(values=values, provenance=kind)

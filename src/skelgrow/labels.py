@@ -11,6 +11,11 @@ class Label(enum.Enum):
     LEADER = "Leader"
     SIDE_BRANCH = "SideBranch"
 
+    # Members are singletons, so identity is equality: hash them as plain
+    # objects, in C, not by name through Enum.__hash__. The search hashes
+    # labels in every memoised rule lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -5,6 +5,11 @@ states are directed dense edges, transition cost is the confidence-length
 term of the entered edge plus its bend penalty. A population of
 candidate skeletons grows one edge-label pair per iteration, with
 rank-product weighted resampling.
+
+Each iteration does its per-member work once per distinct candidate where
+it can (best score, open tips), draws all of its tip choices in one batch
+(:func:`draws.candidate_draws`) and all of its resampling uniforms in one
+``rng.random`` call, with the same numbers the per-member calls gave.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ import bisect
 import functools
 import heapq
 import time
-from dataclasses import dataclass, replace
-from itertools import pairwise
 
 import numpy as np
 
 from .config import SearchConfig
+from .draws import candidate_draws
 from .edge_scoring import ConfidenceMap
 from .errors import SearchStalledError, NoTipsError
 from .geometry import bend_penalty, edge_cost, edge_score, grow_penalty
@@ -145,22 +149,27 @@ class PathPrior:
                     heapq.heappush(heap, (nd, prev, state))
 
 
-@dataclass(frozen=True)
 class Candidate:
     """One population member: a growth record per node plus cached growth
     state. ``records`` maps each node, in growth order, to (parent, label
     of the edge into it, labels of its child edges, labels a new child edge
     may take); parent and label are None at the base."""
 
-    records: dict
-    score: float
-    nodes: int  # bitmask of the skeleton's nodes: bit n set for node n
-    frontier: frozenset  # directed edges (in-skeleton -> outside)
-    abandoned: int  # bitmask of tips with no eligible pair left
-    key: tuple  # (edge count, order-independent 64-bit content hash)
+    __slots__ = ("records", "score", "nodes", "frontier", "abandoned", "key")
+
+    def __init__(self, records: dict, score: float, nodes: int,
+                 frontier: frozenset, abandoned: int, key: int):
+        self.records = records
+        self.score = score
+        self.nodes = nodes  # bitmask of the skeleton's nodes: bit n for n
+        self.frontier = frontier  # directed edges (in-skeleton -> outside)
+        self.abandoned = abandoned  # bitmask of tips with no pair left
+        # Edge count << 64 | order-independent 64-bit content hash: one
+        # int that sorts as the (count, hash) pair does.
+        self.key = key
 
 
-def _child_key(key: tuple, state: DirEdge, label: Label) -> tuple:
+def _child_key(key: int, state: DirEdge, label: Label) -> int:
     """Content key of the candidate keyed ``key`` grown by (state, label)."""
     # Stable 64-bit mix (independent of PYTHONHASHSEED) so candidate
     # content keys, and therefore run output, are identical across runs.
@@ -170,16 +179,15 @@ def _child_key(key: tuple, state: DirEdge, label: Label) -> tuple:
     x ^= x >> 29
     x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 32
-    return (key[0] + 1, key[1] ^ x)
+    # x only touches the hash bits; the count sits above them.
+    return (key ^ x) + (1 << 64)
 
 
 def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
     # The skeleton's first edge is always Trunk.
     records = {base: (None, None, (), (Label.TRUNK,))}
     frontier = frozenset((base, w) for w, _ in ctx.adj[base])
-    return Candidate(
-        records=records, score=0.0, nodes=1 << base,
-        frontier=frontier, abandoned=0, key=(0, 0))
+    return Candidate(records, 0.0, 1 << base, frontier, 0, 0)
 
 
 # Memoised: the arguments range over a few short label tuples, so the
@@ -193,7 +201,7 @@ def _allowed_labels(pred_label: Label | None, siblings: tuple) -> tuple:
 
 
 def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
-                   new_score: float, key: tuple,
+                   new_score: float, key: int,
                    ctx: SearchContext) -> Candidate:
     """``cand`` grown by an :func:`eligible_pairs` pair (state, label),
     keyed ``key`` (its child key)."""
@@ -210,9 +218,8 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
         frontier.discard((w, v))
         if not nodes >> w & 1:
             frontier.add((v, w))
-    return Candidate(
-        records=records, score=new_score, nodes=nodes,
-        frontier=frozenset(frontier), abandoned=cand.abandoned, key=key)
+    return Candidate(records, new_score, nodes, frozenset(frontier),
+                     cand.abandoned, key)
 
 
 def skeleton_from_records(records: dict) -> LabeledSkeleton:
@@ -237,17 +244,18 @@ def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
     records = cand.records
     nodes = cand.nodes
     score = cand.score
+    path_mask, reward = prior.path_mask, ctx.reward
     proposals = []
     for state in cand.frontier:
         # The path to the tip must avoid the skeleton. An unreachable state
         # has no path: its default, the skeleton's own mask, fails too.
-        if prior.path_mask.get(state, nodes) & nodes:
+        if path_mask.get(state, nodes) & nodes:
             continue
         pred_tail, pred_label, _, labels = records[state[0]]
         esum = prior.esum[state]
         turn_pen = prior.turn_pen[state]
         for lab in labels:
-            new_score = score + ctx.reward(state, lab, pred_tail, pred_label)
+            new_score = score + reward(state, lab, pred_tail, pred_label)
             proposals.append((state, lab, new_score,
                               new_score + esum - turn_pen[lab.order]))
     return proposals
@@ -258,6 +266,11 @@ def rank(values) -> list[float]:
     floats as ``scipy.stats.rankdata(values) / n``). Raises ValueError on
     an empty list or a NaN."""
     n = len(values)
+    if n == 1:  # most proposal lists hold one value
+        v = values[0]
+        if v != v:
+            raise ValueError("rank of NaN")
+        return [1.0]
     if n == 0:
         raise ValueError("rank of empty list")
     order = sorted(range(n), key=values.__getitem__)
@@ -282,7 +295,14 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
     """K weighted draws with replacement, each index capped at k_max_rep
     copies. A capped index's weight is zeroed and the rest renormalized;
     if all weights hit zero, remaining slots cycle the distinct indices in
-    descending original-weight order."""
+    descending original-weight order.
+
+    The weights must not be negative. Every draw lands on a positive
+    weight, so the draws stop after K of them or once each of the ``nnz``
+    positive weights is capped: the uniforms are read in one
+    ``rng.random(min(K, nnz * k_max_rep))`` call, the very numbers one
+    ``rng.random()`` per draw would give.
+    """
     w = np.asarray(weights, dtype=np.float64).copy()
     if w.size == 0:
         raise SearchStalledError("no next-generation candidates to resample")
@@ -290,17 +310,15 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
     counts = [0] * w.size
     chosen: list[int] = []
     cdf = None
-    while len(chosen) < K:
+    nnz = int(np.count_nonzero(w > 0))
+    for u in rng.random(min(K, nnz * k_max_rep)).tolist():
         if cdf is None:
             # The CDF ``rng.choice(w.size, p=w / total)`` would build; the
             # weights, and so the CDF, change only when a cap is hit.
-            total = w.sum()
-            if total <= 0:
-                break
-            cum = (w / total).cumsum()
+            cum = (w / w.sum()).cumsum()
             cum /= cum[-1]
             cdf = cum.tolist()
-        idx = bisect.bisect_right(cdf, rng.random())
+        idx = bisect.bisect_right(cdf, u)
         chosen.append(idx)
         counts[idx] += 1
         if counts[idx] >= k_max_rep:
@@ -314,113 +332,6 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
             chosen.append(int(order[k % orig.size]))
             k += 1
     return chosen
-
-
-# numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
-# LCG multiplier: ``candidate_draws`` replays both algorithms.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-
-
-def _hash_constants(c: int, mult: int):
-    """SeedSequence's running hash constant: ``c * mult**k`` mod 2**32."""
-    while True:
-        yield c
-        c = c * mult & _M32
-
-
-# (pool word, xor constant, multiplier) of each uint32 word that
-# ``generate_state(4, np.uint64)`` emits.
-_STATE_HASHES = [
-    (i % _POOL_SIZE, xor, mult) for i, (xor, mult) in zip(
-        range(2 * _POOL_SIZE), pairwise(_hash_constants(_INIT_B, _MULT_B)))]
-
-
-def _uint32_words(x: int) -> list[int]:
-    """SeedSequence's entropy words of the int ``x`` >= 0: its 32-bit
-    words, least significant first, and ``[0]`` for 0."""
-    words = [x & _M32]
-    x >>= 32
-    while x:
-        words.append(x & _M32)
-        x >>= 32
-    return words
-
-
-def _pcg64_uint32s(state: int, inc: int):
-    """The uint32 stream ``Generator.integers`` reads from PCG64 in
-    ``state``: each XSL-RR 64-bit output's low half, then its high half."""
-    while True:
-        state = (state * _PCG_MULT + inc) & _M128
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        x = (x >> rot | x << 64 - rot) & _M64
-        yield x & _M32
-        yield x >> 32
-
-
-def candidate_draws(seed: int, iteration: int, cis: list[int],
-                    ns: list[int]) -> list[int]:
-    """``[int(np.random.default_rng((seed, iteration, ci)).integers(n))
-    for ci, n in zip(cis, ns)]``, bit for bit, without building a generator
-    per draw. Each ``ci`` is below 2**32 and each ``n`` below 2**32.
-
-    SeedSequence's entropy mixing and ``generate_state`` run as uint32
-    array arithmetic over every ``ci`` at once. Their words seed PCG64,
-    whose uint32 stream feeds ``integers``' bounded Lemire draw, rejection
-    loop included.
-    """
-    hashes = pairwise(_hash_constants(_INIT_A, _MULT_A))
-
-    def hashmix(value):
-        xor, mult = next(hashes)
-        value = (value ^ xor) * mult
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = x * _MIX_L - y * _MIX_R
-        return value ^ value >> 16
-
-    # Only the last entropy word, ci's, differs between the draws.
-    entropy = [np.array([w], dtype=np.uint32)
-               for w in _uint32_words(seed) + _uint32_words(iteration)]
-    entropy.append(np.array(cis, dtype=np.uint32))
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = []
-    for src, xor, mult in _STATE_HASHES:
-        value = (pool[src] ^ xor) * mult
-        state.append((value ^ value >> 16).astype(np.uint64))
-    # Little-endian word pairs: PCG64's seed (s0, s1) and sequence (q0, q1).
-    state64 = [(state[2 * j] | state[2 * j + 1] << 32).tolist()
-               for j in range(4)]
-    draws = []
-    for s0, s1, q0, q1, n in zip(*state64, ns):
-        inc = (q0 << 65 | q1 << 1 | 1) & _M128
-        # PCG64 seeding: state 0, one step, add the seed, one more step.
-        seeded = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _M128
-        words = _pcg64_uint32s(seeded, inc)
-        m = next(words) * n
-        if m & _M32 < n:
-            threshold = (0x100000000 - n) % n
-            while m & _M32 < threshold:
-                m = next(words) * n
-        draws.append(m >> 32)
-    return draws
 
 
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
@@ -437,15 +348,21 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
     root = make_root_candidate(seeds.base, ctx)
     population: list[Candidate] = [root] * cfg.K
+    # The population's distinct candidates in order of first appearance.
+    # Members with one key are one object, so per-candidate work (best
+    # score, open tips) is done once per distinct candidate.
+    distinct = [root]
     best = root
     # Never binds: the search ends in num_nodes - 1 + len(tips) iterations.
     max_iter = 10 * max(graph.num_nodes, 1)
     history = []
     iteration = 0
     tip_draws = 0
+    counts = dict.fromkeys(("scans", "proposals", "grows", "resample_draws"),
+                           0)
 
     while iteration < max_iter:
-        for cand in population:
+        for cand in distinct:
             if cand.score > best.score:
                 best = cand
         history.append(best.score)
@@ -454,19 +371,20 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         # reached nor abandoned). Candidate ci with n >= 2 open tips takes
         # ``default_rng((seed, iteration, ci)).integers(n)``; all of an
         # iteration's draws are computed in one batch.
-        open_tips = []
-        for cand in population:
+        open_tips = {}
+        for cand in distinct:
             done = cand.nodes | cand.abandoned
-            open_tips.append([t for t in tips if not done >> t & 1])
-        drawing = [ci for ci, ts in enumerate(open_tips) if len(ts) > 1]
+            open_tips[cand.key] = [t for t in tips if not done >> t & 1]
+        member_tips = [open_tips[cand.key] for cand in population]
+        drawing = [ci for ci, ts in enumerate(member_tips) if len(ts) > 1]
         draws = iter(candidate_draws(cfg.seed, iteration, drawing,
-                                     [len(open_tips[ci]) for ci in drawing]))
+                                     [len(member_tips[ci]) for ci in drawing]))
         tip_draws += len(drawing)
         # Identical (skeleton, tip) pairs are grouped so eligibility and
         # potential are computed once per group.
         groups: dict[tuple, list[int]] = {}
         finished: list[int] = []
-        for ci, ts in enumerate(open_tips):
+        for ci, ts in enumerate(member_tips):
             if not ts:
                 finished.append(ci)
                 continue
@@ -477,55 +395,68 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
         score_ranks = rank([c.score for c in population])
 
-        # child key -> [weight, candidate, proposal or None if carried]
-        pool: dict[tuple, list] = {}
-
-        def add(key: tuple, w: float, cand: Candidate, proposal=None):
-            entry = pool.get(key)
-            if entry is None:
-                pool[key] = [w, cand, proposal]
-            else:
-                entry[0] += w
-
+        # child key -> [weight, candidate, proposal or None if carried];
+        # a key met again only adds its weight.
+        pool: dict[int, list] = {}
         for ci in finished:
-            add(population[ci].key, score_ranks[ci], population[ci])
+            cand = population[ci]
+            entry = pool.get(cand.key)
+            if entry is None:
+                pool[cand.key] = [score_ranks[ci], cand, None]
+            else:
+                entry[0] += score_ranks[ci]
 
-        for (_, tip), members in sorted(groups.items()):
+        for (key, tip), members in sorted(groups.items()):
             cand = population[members[0]]
-            prior = priors[tip]
-            proposals = eligible_pairs(cand, prior, ctx)
+            proposals = eligible_pairs(cand, priors[tip], ctx)
+            counts["scans"] += 1
+            counts["proposals"] += len(proposals)
             if not proposals:
+                # Carried with the tip abandoned.
+                entry = pool.get(key)
                 for ci in members:
-                    stuck = population[ci]
-                    add(stuck.key, score_ranks[ci], replace(
-                        stuck, abandoned=stuck.abandoned | 1 << tip))
+                    if entry is None:
+                        entry = pool[key] = [score_ranks[ci], Candidate(
+                            cand.records, cand.score, cand.nodes,
+                            cand.frontier, cand.abandoned | 1 << tip, key),
+                            None]
+                    else:
+                        entry[0] += score_ranks[ci]
                 continue
             pot_ranks = rank([p[3] for p in proposals])
             group_score_rank = sum(score_ranks[ci] for ci in members)
             for proposal, pot_rank in zip(proposals, pot_ranks):
-                add(_child_key(cand.key, proposal[0], proposal[1]),
-                    group_score_rank * pot_rank, cand, proposal)
+                child = _child_key(key, proposal[0], proposal[1])
+                entry = pool.get(child)
+                if entry is None:
+                    pool[child] = [group_score_rank * pot_rank, cand,
+                                   proposal]
+                else:
+                    entry[0] += group_score_rank * pot_rank
 
-        if not pool:
-            break
-        entries = sorted(pool.items())  # (child key, entry); keys unique
+        keys = sorted(pool)
+        entries = [pool[key] for key in keys]
         rng_rs = np.random.default_rng((cfg.seed, iteration, 1 << 30))
-        chosen = resample([e[0] for _, e in entries], cfg.K,
-                          cfg.k_max_rep, rng_rs)
+        chosen = resample([e[0] for e in entries], cfg.K, cfg.k_max_rep,
+                          rng_rs)
+        # Every pool weight is positive: see resample.
+        counts["resample_draws"] += min(cfg.K, len(entries) * cfg.k_max_rep)
         realized: dict[int, Candidate] = {}
-        new_pop = []
+        population = []
         for idx in chosen:
             cand = realized.get(idx)
             if cand is None:
-                key, (_, cand, proposal) = entries[idx]
+                _, cand, proposal = entries[idx]
                 if proposal is not None:
-                    cand = grow_candidate(cand, *proposal[:3], key, ctx)
+                    cand = grow_candidate(cand, *proposal[:3], keys[idx],
+                                          ctx)
+                    counts["grows"] += 1
                 realized[idx] = cand
-            new_pop.append(cand)
-        population = new_pop
+            population.append(cand)
+        distinct = list(realized.values())
         iteration += 1
 
-    for cand in population:
+    for cand in distinct:
         if cand.score > best.score:
             best = cand
 
@@ -538,6 +469,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "base": seeds.base,
         "iterations": iteration,
         "tip_draws": tip_draws,
+        "search_counts": counts,
         "best_score_history": history,
         "best_score": best.score,
         "reached_tips": [t for t in tips if best.nodes >> t & 1],

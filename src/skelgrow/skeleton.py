@@ -98,38 +98,6 @@ class LabeledSkeleton:
     def topology_violations(self) -> list[str]:
         return topology_violations(self.base, self.edges())
 
-    def label_violations(self) -> list[str]:
-        """Check the three label rules over the whole skeleton.
-
-        Written independently of :func:`label_rule_violation` so that tests
-        can check each attach decision against a whole-skeleton verdict.
-        """
-        out = []
-        for child, (parent, label) in self._parent.items():
-            pred = self._parent.get(parent)
-            if pred is not None:
-                grand, plab = pred
-                if plab.order > label.order:
-                    out.append(
-                        f"label-progression: {(grand, parent)} {plab} -> "
-                        f"({parent},{child}) {label}")
-        for node, succ in self._succ.items():
-            pred = self._parent.get(node)
-            if pred is None:
-                continue
-            plab = pred[1]
-            same = [c for c, lab in succ if lab is plab]
-            if len(same) >= 2:
-                out.append(f"label-linearity: node {node} label {plab}")
-            if plab is Label.TRUNK:
-                labs = [lab for _, lab in succ]
-                non_trunk = [lab for lab in labs if lab is not Label.TRUNK]
-                if non_trunk and any(lab is Label.TRUNK for lab in labs):
-                    out.append(f"trunk-support-split: node {node} mixed")
-                if sum(lab is Label.SUPPORT for lab in labs) > 2:
-                    out.append(f"trunk-support-split: node {node} >2 supports")
-        return out
-
 
 def label_rule_violation(pred_label: Label | None, sibling_labels: tuple,
                          new_label: Label) -> str | None:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import conf_from_dict, make_graph
+from label_rules import label_violations
 from skelgrow.cli import EXIT_OK, main
 from skelgrow.cloud import PointCloud
 from skelgrow.config import SearchConfig
@@ -230,7 +231,7 @@ def test_criterion_05_attachment_rules(criterion):
                         skel.attach(edge, lab)
                 attaches += 1
             assert skel.topology_violations() == []
-            assert skel.label_violations() == []
+            assert label_violations(skel) == []
         assert time.monotonic() - t0 < 60.0
 
 

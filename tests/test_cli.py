@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 import logging
 import math
@@ -26,6 +27,9 @@ from skelgrow.search import SearchContext
 from skelgrow.spatial import GridIndex
 
 _SMALL_SPEC = {"n_leaders": 2, "leader_height": 1.0, "seed": 1}
+#: test_golden's digest of this tree's skeleton (override, K=50, seed 1).
+ORACLE_2_LEADERS = \
+    "f24180a5595fe024259315543f40c9364749150807a7e6f9545a59ded989e69c"
 
 
 def _write_json(path, doc):
@@ -508,6 +512,29 @@ def test_default_tree_tip_outcomes(tmp_path):
         for t in manifest["tips"]}
     assert len(manifest["tips"]) == 9
     assert manifest["tip_draws"] > 0
+
+
+def test_search_counts_repeat_and_leave_the_skeleton(synth_dir, tmp_path):
+    """Two runs record equal integer work counters in the manifest, and
+    the skeleton stays the golden one."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 50, "seed": 1})
+    manifests, skeletons = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg,
+                     "--scorer", f"override:{synth_dir / 'override.json'}",
+                     "--out", str(out)]) == EXIT_OK
+        manifests.append(json.loads((out / "run_manifest.json").read_text()))
+        skeletons.append((out / "skeleton.json").read_bytes())
+    counts = manifests[0]["search_counts"]
+    assert counts == manifests[1]["search_counts"]
+    assert sorted(counts) == ["grows", "proposals", "resample_draws",
+                              "scans"]
+    assert all(type(v) is int and v > 0 for v in counts.values())
+    assert counts["resample_draws"] <= 50 * manifests[0]["iterations"]
+    assert skeletons[0] == skeletons[1]
+    assert hashlib.sha256(skeletons[0]).hexdigest() == ORACLE_2_LEADERS
 
 
 def test_eval_against_other_node_space(synth_dir, tmp_path):

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from raster_reference import reference_grid, reference_heuristic
+from skelgrow import edge_scoring
+from skelgrow.cli import _bench_spec
 from skelgrow.cloud import PointCloud
 from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import (GRID_ALONG, GRID_LATERAL, DenseModel,
@@ -15,6 +18,8 @@ from skelgrow.edge_scoring import (GRID_ALONG, GRID_LATERAL, DenseModel,
                                    score_all_edges)
 from skelgrow.errors import (DegenerateGeometryError, ModelFormatError,
                              OverrideError)
+from skelgrow.geometry import grow_angle
+from skelgrow.spatial import GridIndex
 from skelgrow.synth import SynthSpec, generate
 from skelgrow.superpoints import build_graph
 
@@ -267,3 +272,115 @@ def test_project_edge_same_with_and_without_a_tree():
     for k in range(0, graph.num_edges, 7):
         raster = project_edge(cloud, graph, k, CFG.r_super)
         assert heuristic_confidence(raster) == conf[k]
+
+
+# -- block rasteriser against the per-edge reference ------------------------
+
+@pytest.fixture(scope="module", params=[
+    _bench_spec(100, 0), _bench_spec(400, 0),
+    SynthSpec(n_side_branches=2, points_per_meter=8000, seed=0)],
+    ids=["bench-100", "bench-400", "dense-8000"])
+def tree(request):
+    """(cloud, graph, index) of a `skelgrow bench` tree or a dense one."""
+    cloud, _ = generate(request.param)
+    index = GridIndex(cloud.points, CFG.r_super)
+    return cloud, build_graph(cloud, CFG.r_super, 0, index), index
+
+
+def _random_model(n_hidden=5, seed=2):
+    rng = np.random.default_rng(seed)
+    n_in = GRID_ALONG * GRID_LATERAL + 4
+    return DenseModel.from_dict({"layers": [
+        {"rows": n_hidden, "cols": n_in,
+         "weights": rng.normal(scale=0.05, size=n_hidden * n_in).tolist(),
+         "bias": rng.normal(size=n_hidden).tolist()},
+        {"rows": 1, "cols": n_hidden,
+         "weights": rng.normal(size=n_hidden).tolist(),
+         "bias": rng.normal(size=1).tolist()}]})
+
+
+def _reference_scores(cloud, graph, index, model=None):
+    """Per-edge scores from the per-edge reference raster: the heuristic,
+    or ``model``'s confidence; 0 for a degenerate edge."""
+    scores = np.zeros(graph.num_edges)
+    for k in range(graph.num_edges):
+        grid = reference_grid(cloud, graph, k, CFG.r_super, index)
+        if grid is None:
+            continue
+        if model is None:
+            scores[k] = reference_heuristic(grid)
+        else:
+            pa, pb = graph.positions[graph.edges[k]]
+            scores[k] = model_confidence(EdgeRaster(
+                grid, 0.5 * (pa + pb), grow_angle(pb - pa)), model)
+    return scores
+
+
+def test_block_rasters_equal_per_edge_reference(tree):
+    cloud, graph, index = tree
+    seen = []
+    for edges, grids, _ in edge_scoring._raster_blocks(
+            cloud, graph, CFG.r_super, index):
+        for k, grid in zip(edges, grids):
+            assert np.array_equal(
+                grid, reference_grid(cloud, graph, k, CFG.r_super, index))
+            assert np.array_equal(
+                grid, project_edge(cloud, graph, k, CFG.r_super, index).grid)
+        seen += edges
+    assert seen == list(range(graph.num_edges))
+
+
+def test_block_heuristic_equals_per_edge_reference(tree):
+    cloud, graph, index = tree
+    conf = score_all_edges(cloud, graph, ("heuristic",), CFG, index)
+    assert np.array_equal(conf.values,
+                          _reference_scores(cloud, graph, index))
+
+
+def test_block_model_equals_per_edge_reference(tree):
+    cloud, graph, index = tree
+    model = _random_model()
+    conf = score_all_edges(cloud, graph, ("model", model), CFG, index)
+    assert np.array_equal(conf.values,
+                          _reference_scores(cloud, graph, index, model))
+
+
+def test_blocks_split_by_points_score_the_same(monkeypatch):
+    cloud, _ = generate(_bench_spec(100, 0))
+    index = GridIndex(cloud.points, CFG.r_super)
+    graph = build_graph(cloud, CFG.r_super, 0, index)
+    whole = score_all_edges(cloud, graph, ("heuristic",), CFG, index)
+    monkeypatch.setattr(edge_scoring, "BLOCK_POINTS", 1000)
+    blocks = list(edge_scoring._raster_blocks(cloud, graph, CFG.r_super,
+                                              index))
+    # Runs of several edges, each ending at the first edge that takes the
+    # block past the point budget.
+    assert 10 < len(blocks) < graph.num_edges // 3
+    for edges, grids, frames in blocks:
+        assert len(edges) == len(grids) == len(frames)
+    split = score_all_edges(cloud, graph, ("heuristic",), CFG, index)
+    assert np.array_equal(split.values, whole.values)
+    assert np.array_equal(split.values,
+                          _reference_scores(cloud, graph, index))
+
+
+def test_degenerate_edges_score_zero_among_others():
+    # Edge (0, 1) runs along a dense line of points, (1, 2) has coincident
+    # endpoints, and (3, 4) lies far from every point.
+    xs = np.linspace(-0.05, 0.20, 60)
+    pts = np.stack([xs, 0.01 * np.sin(40 * xs), np.zeros_like(xs)], axis=1)
+    cloud = PointCloud(pts.astype(np.float32))
+    graph = make_graph([(0.0, 0.0, 0.0), (0.15, 0.0, 0.0), (0.15, 0.0, 0.0),
+                        (5.0, 5.0, 5.0), (5.15, 5.0, 5.0)],
+                       [(0, 1), (1, 2), (3, 4)])
+    index = GridIndex(cloud.points, CFG.r_super)
+    for scorer in (("heuristic",), ("model", _random_model())):
+        conf = score_all_edges(cloud, graph, scorer, CFG, index)
+        assert conf[graph.edge_id(0, 1)] > 0
+        assert conf[graph.edge_id(1, 2)] == 0.0
+        assert conf[graph.edge_id(3, 4)] == 0.0
+        assert np.array_equal(conf.values, _reference_scores(
+            cloud, graph, index, scorer[1] if len(scorer) > 1 else None))
+    for edge in ((1, 2), (3, 4)):
+        with pytest.raises(DegenerateGeometryError):
+            project_edge(cloud, graph, graph.edge_id(*edge), CFG.r_super)

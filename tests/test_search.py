@@ -7,11 +7,12 @@ import pytest
 from scipy.stats import chisquare, rankdata
 
 from conftest import conf_from_dict, make_graph, uniform_conf
+from label_rules import label_violations
 from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import bend_penalty, edge_cost, reward
 from skelgrow.labels import Label, STRUCTURAL_LABELS
-from skelgrow import search
+from skelgrow import draws, search
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              candidate_draws, eligible_pairs, grow_candidate,
                              make_root_candidate, rank, resample, run_search,
@@ -85,6 +86,12 @@ def test_rank_rejects_nan():
         rank([0.5, math.nan, 0.2])
     with pytest.raises(ValueError):
         rank([math.nan])
+
+
+def test_rank_one_value_matches_scipy_rankdata():
+    # A one-value NaN still raises: see test_rank_rejects_nan.
+    for value in (0.0, -0.0, 2.5, -1e300, math.inf, -math.inf, 7):
+        assert rank([value]) == rankdata([value]).tolist() == [1.0]
 
 
 # -- resample --------------------------------------------------------------
@@ -174,8 +181,11 @@ class _FixedDraws:
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self):
-        return self.draws.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        taken, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(taken)
 
 
 def test_resample_draw_on_a_cdf_step_takes_the_next_index():
@@ -184,6 +194,22 @@ def test_resample_draw_on_a_cdf_step_takes_the_next_index():
     chosen = resample([0.0, 1.0, 1.0, 0.0, 2.0], K=3, k_max_rep=5,
                       rng=_FixedDraws([0.0, 0.25, 0.5]))
     assert chosen == [1, 2, 4]
+
+
+def test_resample_reads_min_k_nnz_cap_uniforms():
+    """The generator advances by exactly min(K, nnz * k_max_rep) uniforms,
+    nnz being the number of positive weights: the draws the per-draw loop
+    made, so the stream after resampling is unchanged."""
+    cases = [([1.0, 0.0, 2.0], 10, 2), ([0.5] * 5, 3, 2), ([0.0, 1.0], 1, 4),
+             ([3.0, 1.0, 0.0, 1.0], 200, 5), ([0.0, 0.0], 4, 3),
+             ([1.0] * 40, 200, 5), ([1.0] * 40, 200, 3)]
+    for seed, (weights, K, k_max_rep) in enumerate(cases):
+        nnz = sum(w > 0 for w in weights)
+        rng = np.random.default_rng(seed)
+        resample(weights, K, k_max_rep, rng)
+        ref = np.random.default_rng(seed)
+        ref.random(min(K, nnz * k_max_rep))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_resample_respects_cap_until_fill():
@@ -231,6 +257,39 @@ def test_candidate_draws_match_numpy_through_rejection():
             rejected += (gen.random_raw() & 0xFFFFFFFF) * n % 2**32 \
                 < threshold
     assert 300 < rejected < 600
+
+
+@pytest.mark.parametrize("size", [1, 2, 20, 200])
+def test_candidate_draws_match_numpy_at_batch_sizes(size):
+    """Batches of 1 to 200 draws, bounds from 2 up to 2**32 - 1 (the
+    larger ones often enter Lemire's rejection test)."""
+    rng = np.random.default_rng(size)
+    for seed, iteration in ((0, 0), (9, 311), (2**33 + 1, 4999)):
+        cis = np.sort(rng.choice(600, size, replace=False)).tolist()
+        ns = np.where(rng.random(size) < 0.5, rng.integers(2, 65, size),
+                      rng.integers(2, 2**32, size)).tolist()
+        assert candidate_draws(seed, iteration, cis, ns) == \
+            _numpy_draws(seed, iteration, cis, ns)
+
+
+def test_candidate_draws_replay_only_draws_entering_rejection(monkeypatch):
+    """In a batch that mixes bounds 2-64 with bounds near 3 * 2**30, only
+    draws whose first uint32 enters Lemire's rejection test replay their
+    stream with Python ints, and every draw still equals numpy's."""
+    replayed = []
+    real = draws._pcg64_uint32s
+
+    def counting(state, inc):
+        replayed.append(state)
+        return real(state, inc)
+
+    monkeypatch.setattr(draws, "_pcg64_uint32s", counting)
+    cis = list(range(400))
+    ns = [3 * 2**30 + ci if ci % 2 else 2 + ci % 63 for ci in cis]
+    assert candidate_draws(5, 17, cis, ns) == _numpy_draws(5, 17, cis, ns)
+    # A draw with bound n enters the test with chance n / 2**32: about
+    # 3 in 4 of the large bounds, next to none of the small ones.
+    assert 100 < len(replayed) < 200
 
 
 # -- path priors -----------------------------------------------------------
@@ -534,7 +593,7 @@ def test_run_search_linear_chain(chain_graph):
     orders = [skel.edge_labels[(k, k + 1)].order for k in range(4)]
     assert orders == sorted(orders)
     assert skel.topology_violations() == []
-    assert skel.label_violations() == []
+    assert label_violations(skel) == []
     assert info["reached_tips"] == [4]
     ctx = SearchContext(chain_graph, conf, cfg)
     assert info["best_score"] == pytest.approx(_recomputed_score(skel, ctx),
@@ -664,3 +723,49 @@ def test_run_search_matches_per_candidate_generators(monkeypatch, seed,
     del info["prior_seconds"], ref_info["prior_seconds"]
     assert info == ref_info
     assert info["tip_draws"] == len(drawn) > 0
+
+
+class _CountingRng:
+    """Passes uniform draws through from a generator, counting them."""
+
+    def __init__(self, rng, counter):
+        self.rng, self.counter = rng, counter
+
+    def random(self, size=None):
+        self.counter.append(1 if size is None else size)
+        return self.rng.random(size)
+
+
+def test_run_search_counts_its_work(monkeypatch):
+    """``search_counts`` holds the eligibility scans, the proposals they
+    return, the candidates grown and the uniforms resampling draws, as
+    counted at the calls; a second run counts the same."""
+    graph, conf, _, seeds = _two_leader_tree()
+    cfg = SearchConfig(K=50, seed=1)
+    skel, info = run_search(graph, conf, seeds, cfg)
+    scans, grows, uniforms = [], [], []
+    real_eligible = search.eligible_pairs
+    real_grow, real_resample = search.grow_candidate, search.resample
+
+    def eligible(*args):
+        out = real_eligible(*args)
+        scans.append(len(out))
+        return out
+
+    def grow(*args):
+        grows.append(args[1])
+        return real_grow(*args)
+
+    def counted_resample(weights, K, k_max_rep, rng):
+        return real_resample(weights, K, k_max_rep,
+                             _CountingRng(rng, uniforms))
+
+    monkeypatch.setattr(search, "eligible_pairs", eligible)
+    monkeypatch.setattr(search, "grow_candidate", grow)
+    monkeypatch.setattr(search, "resample", counted_resample)
+    traced_skel, traced = run_search(graph, conf, seeds, cfg)
+    assert traced_skel == skel
+    assert info["search_counts"] == traced["search_counts"] == {
+        "scans": len(scans), "proposals": sum(scans), "grows": len(grows),
+        "resample_draws": sum(uniforms)}
+    assert all(v > 0 for v in info["search_counts"].values())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import conf_from_dict, make_graph, uniform_conf
+from label_rules import label_violations
 from skelgrow.config import SearchConfig
 from skelgrow.errors import AttachmentError
 from skelgrow.labels import Label
@@ -41,7 +42,7 @@ def test_orthogonal_stub_attached_as_side_branch():
                          (4, 5): Label.SIDE_BRANCH,
                          (5, 6): Label.SIDE_BRANCH}
     assert grown.topology_violations() == []
-    assert grown.label_violations() == []
+    assert label_violations(grown) == []
 
 
 def test_shallow_stub_not_attached():

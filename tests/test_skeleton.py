@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from label_rules import label_violations
 from skelgrow.errors import AttachmentError
 from skelgrow.labels import Label, parse_label
 from skelgrow.skeleton import (LabeledSkeleton, skeleton_from_dict,
@@ -35,7 +36,7 @@ def test_attach_simple_chain():
     assert skel.nodes == {0, 1, 2, 3}
     assert skel.edge_labels[(1, 2)] is Label.SUPPORT
     assert skel.topology_violations() == []
-    assert skel.label_violations() == []
+    assert label_violations(skel) == []
 
 
 def test_attach_is_immutable():
@@ -91,7 +92,7 @@ def test_trunk_split_two_supports_ok():
     skel = skel.attach((1, 2), Label.SUPPORT)
     assert skel.check_all((1, 3), Label.SUPPORT) is None
     skel = skel.attach((1, 3), Label.SUPPORT)
-    assert skel.label_violations() == []
+    assert label_violations(skel) == []
 
 
 def test_trunk_split_third_support_rejected():
@@ -116,6 +117,31 @@ def test_trunk_split_all_trunk_ok():
     # All-Trunk successors pass the split rule; a second Trunk successor
     # is still a same-label Y junction.
     assert skel.check_all((1, 3), Label.TRUNK) == "label-linearity"
+
+
+def _unchecked(base, edges):
+    """A skeleton over (parent, child, label) edges, built without the
+    attach rules."""
+    parent, succ = {}, {}
+    for p, c, lab in edges:
+        parent[c] = (p, lab)
+        succ[p] = succ.get(p, ()) + ((c, lab),)
+    return LabeledSkeleton(base, parent, succ)
+
+
+def test_label_violations_oracle_flags_each_rule():
+    T, S, L = Label.TRUNK, Label.SUPPORT, Label.LEADER
+    assert label_violations(_unchecked(0, [(0, 1, L), (1, 2, S)])) == [
+        "label-progression: (0, 1) Leader -> (1,2) Support"]
+    assert label_violations(_unchecked(
+        0, [(0, 1, S), (1, 2, S), (1, 3, S)])) == [
+        "label-linearity: node 1 label Support"]
+    assert label_violations(_unchecked(
+        0, [(0, 1, T), (1, 2, T), (1, 3, S)])) == [
+        "trunk-support-split: node 1 mixed"]
+    assert label_violations(_unchecked(
+        0, [(0, 1, T)] + [(1, c, S) for c in (2, 3, 4)])) == [
+        "trunk-support-split: node 1 >2 supports"]
 
 
 def test_attach_rejects_cycle_and_reuse():
@@ -210,7 +236,7 @@ def test_random_growth_fuzz_small():
             attached.append((parent, next_node, lab))
             next_node += 1
         assert skel.topology_violations() == []
-        assert skel.label_violations() == []
+        assert label_violations(skel) == []
         assert list(skel.edge_labels.items()) == [
             ((p, c), lab) for p, c, lab in attached]
         assert skel.nodes == {0} | {c for _, c, _ in attached}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from label_rules import label_violations
 from skelgrow.labels import Label
 from skelgrow.skeleton import skeleton_from_dict
 from skelgrow.superpoints import build_graph
@@ -40,7 +41,7 @@ def test_polyline_skeleton_parses_cleanly():
     doc = truth.polyline_skeleton_dict()
     skel, positions = skeleton_from_dict(doc)
     assert skel.topology_violations() == []
-    assert skel.label_violations() == []
+    assert label_violations(skel) == []
     from collections import Counter
     counts = Counter(str(lab) for lab in skel.edge_labels.values())
     assert counts["Trunk"] == 1
@@ -103,7 +104,7 @@ def test_micro_tree_reference_skeleton():
     }
     assert skel.edge_labels == expected
     assert skel.topology_violations() == []
-    assert skel.label_violations() == []
+    assert label_violations(skel) == []
     assert positions[5] == pytest.approx((0.3, 0.0, 0.6))
 
 
@@ -127,7 +128,7 @@ def test_reference_skeleton_on_generated_tree():
     graph = build_graph(cloud, 0.10, 1)
     skel, positions = truth.reference_skeleton(graph)
     assert skel.topology_violations() == []
-    assert skel.label_violations() == []
+    assert label_violations(skel) == []
     assert set(positions) == skel.nodes
     # The base sits at the trunk bottom.
     assert np.linalg.norm(np.asarray(positions[skel.base])
