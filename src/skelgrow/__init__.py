@@ -4,17 +4,17 @@ Pipeline: point cloud -> superpoint graph -> edge confidences -> tip
 seeds -> population search for a labeled skeleton -> side branches.
 """
 
+import importlib
+
 from .cloud import PointCloud, load_cloud, random_downsample
 from .config import PipelineConfig, SearchConfig, load_config
 from .edge_scoring import ConfidenceMap, score_all_edges
-from .evaluation import EvalReport, edit_distance, evaluate
 from .labels import Label
 from .search import run_search
 from .seeds import SeedSet, find_tips, resolve_base
 from .side_branches import find_side_branches
 from .skeleton import LabeledSkeleton, load_skeleton, save_skeleton
 from .superpoints import SuperpointGraph, build_graph
-from .synth import SynthSpec, generate
 
 __all__ = [
     "ConfidenceMap", "EvalReport", "Label", "LabeledSkeleton",
@@ -26,3 +26,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: The module of each exported name that skeletonizing never reads; it is
+#: imported when the name is first read.
+_LAZY = {"EvalReport": "evaluation", "edit_distance": "evaluation",
+         "evaluate": "evaluation", "SynthSpec": "synth", "generate": "synth"}
+
+
+def __getattr__(name):
+    """Import the module of a name in _LAZY when the name is first read."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

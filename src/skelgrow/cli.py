@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import synth
 from .cloud import (crop_cloud, export_cloud, export_colored, load_cloud,
                     random_downsample)
 from .config import PipelineConfig, SearchConfig, load_config
@@ -30,8 +29,6 @@ from .errors import (AttachmentError, CloudFormatError, ConfigError,
                      CorrectionError, EvalError, ModelFormatError,
                      NoTipsError, OverrideError, SearchStalledError,
                      SkelgrowError)
-from .evaluation import (SegmentStats, apply_corrections, evaluate,
-                         load_script)
 from .seeds import SeedSet, find_tips, resolve_base
 from .search import run_search
 from .side_branches import find_side_branches
@@ -282,6 +279,7 @@ def cmd_skeletonize(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     _check_at_least_one(points=args.points)
     raw = {}
     if args.spec:
@@ -338,6 +336,8 @@ def _check_node_space(positions: dict, ref_positions: dict) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import (SegmentStats, apply_corrections, evaluate,
+                             load_script)
     skeleton, positions = load_skeleton(args.skeleton)
     reference, ref_positions = load_skeleton(args.reference)
     _check_node_space(positions, ref_positions)
@@ -357,18 +357,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bench_spec(target_superpoints: int, seed: int) -> synth.SynthSpec:
-    """Synthetic tree sized so the superpoint count lands near the target.
+def _bench_spec(target_superpoints: int, seed: int):
+    """Synthetic tree (a SynthSpec) sized so the superpoint count lands
+    near the target.
 
     One superpoint covers roughly 2 * r_super = 0.2 m of centerline, so
     total branch length scales with the target.
     """
+    from . import synth
     total_length = 0.2 * target_superpoints
     n_leaders = max(2, round((total_length - 3.0) / 2.4))
     return synth.SynthSpec(n_leaders=n_leaders, seed=seed)
 
 
 def cmd_bench(args) -> int:
+    from . import synth
     if not args.sizes:
         raise ConfigError("bench needs at least one size")
     cfg = _load_pipeline_config(args)

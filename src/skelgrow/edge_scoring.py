@@ -4,10 +4,12 @@ The CNN of the original system is replaced by (a) a coverage/compactness
 heuristic over the raster, (b) an optional user-supplied dense feedforward
 model, and (c) an exact score-override file.
 
-Rasters are made in blocks of edges: each edge's neighbourhood, frame and
-projection are computed on their own, then a block's bucketing, histogram,
-normalisation and heuristic score run as one set of array operations.
-The result equals the one-edge computation bit for bit.
+Rasters are made in blocks of edges. An edge's neighbourhood is the union
+of its two superpoints' balls, each queried once for all of that node's
+edges. Its frame and projection are computed on their own, from one
+gather of its points into coordinate rows. A block's bucketing,
+histogram, normalisation and heuristic score then run as one set of array
+operations. The result equals the one-edge computation bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .cloud import PointCloud
 from .config import SearchConfig
 from .errors import DegenerateGeometryError, ModelFormatError, OverrideError
 from .geometry import grow_angle
-from .spatial import GridIndex
+from .spatial import GridIndex, ball_union, coordinate_rows
 from .superpoints import SuperpointGraph
 
 #: Raster shape: 32 buckets along the edge, 16 lateral.
@@ -61,23 +63,48 @@ class ConfidenceMap:
 BLOCK_POINTS = 1 << 16
 
 
-def _edge_frame(cloud: PointCloud, graph: SuperpointGraph, edge: int,
-                r_super: float, index: GridIndex):
+def _edge_points(graph: SuperpointGraph, index: GridIndex):
+    """(edge id, sorted indices of the points near the edge's endpoints)
+    of every edge, in order.
+
+    Each node's ball is queried once, at its first edge, and dropped after
+    its last; an edge takes the union of its two nodes' balls, the indices
+    ``index.ball(pa, pb)`` gives.
+    """
+    edges = graph.edges.tolist()
+    last = {}
+    for k, ends in enumerate(edges):
+        for node in ends:
+            last[node] = k
+    balls = {}
+    for k, ends in enumerate(edges):
+        for node in ends:
+            if node not in balls:
+                balls[node] = index.ball(graph.positions[node])
+        idx = ball_union(*(balls[node] for node in ends))
+        for node in ends:
+            if last[node] == k:
+                del balls[node]
+        yield k, idx
+
+
+def _edge_frame(points: np.ndarray, graph: SuperpointGraph, edge: int,
+                idx: np.ndarray):
     """(u, v, midpoint, edge vector) of one edge: the x and y coordinates,
-    in the edge's frame, of the points near its endpoints (see
+    in the edge's frame, of the points ``idx`` near its endpoints (see
     :func:`project_edge`). Raises DegenerateGeometryError for fewer than
     3 points or coincident endpoints.
 
-    The ball query, mean, SVD, axes and projections run per edge: a
-    batched ``@`` or a segmented sum would round differently.
+    The points are gathered once into contiguous coordinate rows, which
+    give the mean (:func:`coordinate_rows`), the centred copy and the
+    offsets from the midpoint. The SVD, axes and projections run per
+    edge: a batched ``@`` or a segmented sum would round differently.
     """
-    i, j = (int(v) for v in graph.edges[edge])
+    i, j = graph.edges[edge].tolist()
     pa, pb = graph.positions[i], graph.positions[j]
-    idx = index.ball(pa, pb)
     if len(idx) < 3:
         raise DegenerateGeometryError(
             f"edge {edge}: only {len(idx)} points near endpoints")
-    local = cloud.points[idx].astype(np.float64)
 
     mid = 0.5 * (pa + pb)
     evec = pb - pa
@@ -86,8 +113,13 @@ def _edge_frame(cloud: PointCloud, graph: SuperpointGraph, edge: int,
         raise DegenerateGeometryError(f"edge {edge}: coincident endpoints")
     x_axis = evec / elen
 
-    centered = local - local.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    rows, mean = coordinate_rows(np.take(points, idx, axis=0))
+    # Offsets from the midpoint, written into a C-ordered (n, 3) array:
+    # the projections below round differently on any other layout.
+    rel = np.empty((len(idx), 3))
+    np.subtract(rows, mid[:, None], out=rel.T)
+    rows -= mean[:, None]
+    _, _, vt = np.linalg.svd(rows.T, full_matrices=False)
     z_axis = vt[-1] - np.dot(vt[-1], x_axis) * x_axis
     nz = np.linalg.norm(z_axis)
     if nz < 1e-12:
@@ -107,8 +139,6 @@ def _edge_frame(cloud: PointCloud, graph: SuperpointGraph, edge: int,
     (z0, z1, z2), (x0, x1, x2) = z_axis.tolist(), x_axis.tolist()
     y_axis = np.array([z1 * x2 - z2 * x1, z2 * x0 - z0 * x2,
                        z0 * x1 - z1 * x0])
-
-    rel = local - mid
     return rel @ x_axis, rel @ y_axis, mid, evec
 
 
@@ -144,9 +174,10 @@ def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
     radius r_super, if given. The raster is a one-edge block of the
     rasteriser :func:`score_all_edges` runs.
     """
-    u, v, mid, evec = _edge_frame(
-        cloud, graph, edge, r_super,
-        index or GridIndex(cloud.points, r_super))
+    index = index or GridIndex(cloud.points, r_super)
+    idx = ball_union(*(index.ball(graph.positions[node])
+                       for node in graph.edges[edge]))
+    u, v, mid, evec = _edge_frame(cloud.points, graph, edge, idx)
     return EdgeRaster(grid=_rasterise([u], [v], r_super)[0], midpoint=mid,
                       growth_angle=grow_angle(evec))
 
@@ -158,9 +189,9 @@ def _raster_blocks(cloud: PointCloud, graph: SuperpointGraph,
     BLOCK_POINTS points."""
     edges, us, vs, frames = [], [], [], []
     points = 0
-    for k in range(graph.num_edges):
+    for k, idx in _edge_points(graph, index):
         try:
-            u, v, mid, evec = _edge_frame(cloud, graph, k, r_super, index)
+            u, v, mid, evec = _edge_frame(cloud.points, graph, k, idx)
         except DegenerateGeometryError:
             continue
         edges.append(k)

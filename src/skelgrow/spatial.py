@@ -4,6 +4,8 @@ import numpy as np
 
 #: Most cells along one axis, so that cell keys stay far inside int64.
 MAX_CELLS = 2 ** 20
+#: Rows per block where the whole cloud is walked; keeps temporaries small.
+BLOCK_ROWS = 2 ** 16
 #: The nine (x, y) cell columns around a cell; the three z cells of a
 #: column have consecutive keys, so each column is one run of points.
 _DX, _DY = np.indices((3, 3)).reshape(2, 9) - 1
@@ -23,27 +25,31 @@ class GridIndex:
         if not r > 0:
             raise ValueError("radius must be > 0")
         self.points, self.r = np.asarray(points), float(r)
-        self._lo = self.points.min(axis=0).astype(np.float64)
-        span = self.points.max(axis=0) - self._lo
+        lo, hi = coordinate_bounds(self.points)
+        self._lo = lo.astype(np.float64)
+        span = hi - self._lo
         self._cell = max(self.r * (1 + 1e-6), float(span.max()) / MAX_CELLS)
         # An empty cell on each side, so that every cell has 26 neighbours.
         self._dims = np.floor(span / self._cell).astype(np.int64) + 3
         self._columns = self._key(_DX, _DY, 0)  # key offsets of the nine
-        # Blocks of rows keep the float64 temporaries small.
-        keys = np.concatenate([
-            self._key(*self._cells(self.points[k:k + 2 ** 16]))
-            for k in range(0, len(self.points), 2 ** 16)])
+        keys = np.concatenate([self._key(*self._cells(block))
+                               for block in _blocks(self.points)])
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
         self._sorted = np.take(self.points.T, self._order, axis=1)
 
     def _cells(self, coords):
-        """x, y and z cells of (k, 3) points; a point outside the grid
-        takes the nearest cell inside it, whose neighbours cover its own."""
-        cells = np.floor(np.subtract(coords, self._lo, dtype=np.float64)
-                         / self._cell) + 1
-        return np.minimum(np.maximum(cells, 1), self._dims - 2).astype(
-            np.int64).T
+        """x, y and z cells of (k, 3) points, as three rows; a point
+        outside the grid takes the nearest cell inside it, whose
+        neighbours cover its own. Runs along contiguous coordinate rows."""
+        cells = np.subtract(np.asarray(coords).T, self._lo[:, None],
+                            dtype=np.float64, order="C")
+        cells /= self._cell
+        np.floor(cells, out=cells)
+        cells += 1
+        np.maximum(cells, 1, out=cells)
+        np.minimum(cells, self._dims[:, None] - 2, out=cells)
+        return cells.astype(np.int64)
 
     def _key(self, x, y, z):
         return (x * self._dims[1] + y) * self._dims[2] + z
@@ -92,3 +98,43 @@ class GridIndex:
         key = np.sort(i[inside] * n + self._order[pos[inside]])
         key = key[key // n < key % n]
         return np.stack([key // n, key % n], axis=1)
+
+
+def _blocks(points):
+    return (points[k:k + BLOCK_ROWS]
+            for k in range(0, len(points), BLOCK_ROWS))
+
+
+def coordinate_bounds(points) -> tuple[np.ndarray, np.ndarray]:
+    """``points.min(axis=0)`` and ``points.max(axis=0)`` of (n, 3) points,
+    taken along contiguous coordinate rows one block at a time: an axis-0
+    reduction runs a 3-wide inner loop, and a whole transposed copy would
+    cost as much memory as the points."""
+    lo, hi = zip(*((rows.min(axis=1), rows.max(axis=1)) for rows in (
+        np.ascontiguousarray(block.T) for block in _blocks(points))))
+    return np.min(lo, axis=0), np.max(hi, axis=0)
+
+
+def ball_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted index arrays. Membership of a ball is
+    per centre, so ``ball_union(g.ball(p), g.ball(q))`` equals
+    ``g.ball(p, q)``."""
+    both = np.concatenate([a, b])
+    both.sort(kind="stable")  # a linear merge of the two sorted runs
+    keep = np.empty(len(both), dtype=bool)
+    keep[:1] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    return both[keep]
+
+
+def coordinate_rows(points) -> tuple[np.ndarray, np.ndarray]:
+    """A (3, n) float64 copy of the (n, 3) ``points``, one contiguous row
+    per coordinate, and their mean, bit for bit
+    ``points.astype(np.float64).mean(axis=0)``.
+
+    That mean adds the points one after another, so each row's sum is
+    taken with a sequential ``cumsum``; a row's own ``sum`` adds pairwise
+    and rounds differently.
+    """
+    rows = np.array(points.T, dtype=np.float64, order="C")
+    return rows, np.cumsum(rows, axis=1)[:, -1] / rows.shape[1]

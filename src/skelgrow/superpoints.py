@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import CloudFormatError
 from .cloud import PointCloud
-from .spatial import GridIndex
+from .spatial import GridIndex, coordinate_rows
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
         members = index.ball(pts[idx])
         uncovered[rank[members]] = False
         out.append(Superpoint(
-            position=pts[members].astype(np.float64).mean(axis=0),
+            position=coordinate_rows(np.take(pts, members, axis=0))[1],
             member_indices=members,
             seed_index=idx,
         ))

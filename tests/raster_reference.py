@@ -9,10 +9,11 @@ import numpy as np
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
 
 
-def reference_grid(cloud, graph, edge: int, r_super: float, index):
-    """The (32, 16) max-normalized raster of one edge, or None when the
-    edge is degenerate (fewer than 3 points, coincident endpoints).
-    ``index`` is a GridIndex over the cloud with radius r_super."""
+def reference_frame(cloud, graph, edge: int, index):
+    """(u, v, midpoint, edge vector) of one edge: the coordinates of its
+    points along and across it, or None when the edge is degenerate
+    (fewer than 3 points, coincident endpoints). ``index`` is a GridIndex
+    over the cloud with radius r_super."""
     i, j = (int(v) for v in graph.edges[edge])
     pa, pb = graph.positions[i], graph.positions[j]
     idx = index.ball(pa, pb)
@@ -38,8 +39,16 @@ def reference_grid(cloud, graph, edge: int, r_super: float, index):
         z_axis = -z_axis
     y_axis = np.cross(z_axis, x_axis)
     rel = local - mid
-    u = rel @ x_axis
-    v = rel @ y_axis
+    return rel @ x_axis, rel @ y_axis, mid, evec
+
+
+def reference_grid(cloud, graph, edge: int, r_super: float, index):
+    """The (32, 16) max-normalized raster of one edge, or None when the
+    edge is degenerate; ``index`` as in :func:`reference_frame`."""
+    frame = reference_frame(cloud, graph, edge, index)
+    if frame is None:
+        return None
+    u, v, _, _ = frame
     iu = np.clip(((u + 2 * r_super) / (4 * r_super) * GRID_ALONG).astype(int),
                  0, GRID_ALONG - 1)
     iv = np.clip(((v + r_super) / (2 * r_super) * GRID_LATERAL).astype(int),

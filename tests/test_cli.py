@@ -616,6 +616,28 @@ def test_cli_import_leaves_out_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_synth_and_evaluation():
+    """``import skelgrow.cli`` loads neither the generator nor the metrics,
+    which skeletonizing never reads; the package still exports both."""
+    src = str(Path(skelgrow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    lazy = ("skelgrow.synth", "skelgrow.evaluation")
+    code = ("import sys, skelgrow.cli; "
+            f"print(sorted(m for m in sys.modules if m in {lazy!r})); "
+            "from skelgrow import (SynthSpec, generate, evaluate, "
+            "edit_distance, EvalReport); "
+            "print(SynthSpec.__module__, generate.__module__, "
+            "evaluate.__module__, edit_distance.__module__, "
+            "EvalReport.__module__)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    loaded, modules = done.stdout.strip().splitlines()
+    assert loaded == "[]"
+    assert modules.split() == ["skelgrow.synth"] * 2 + [
+        "skelgrow.evaluation"] * 3
+
+
 def test_eval_empty_reference(synth_dir, tmp_path):
     empty = _write_json(tmp_path / "empty.json", {
         "base": 0, "nodes": [{"id": 0, "pos": [0, 0, 0]}], "edges": []})

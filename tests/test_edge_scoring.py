@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from raster_reference import reference_grid, reference_heuristic
+from raster_reference import (reference_frame, reference_grid,
+                              reference_heuristic)
 from skelgrow import edge_scoring
 from skelgrow.cli import _bench_spec
 from skelgrow.cloud import PointCloud
@@ -278,8 +279,9 @@ def test_project_edge_same_with_and_without_a_tree():
 
 @pytest.fixture(scope="module", params=[
     _bench_spec(100, 0), _bench_spec(400, 0),
-    SynthSpec(n_side_branches=2, points_per_meter=8000, seed=0)],
-    ids=["bench-100", "bench-400", "dense-8000"])
+    SynthSpec(n_side_branches=2, points_per_meter=8000, seed=0),
+    SynthSpec(n_side_branches=2, points_per_meter=16000, seed=1)],
+    ids=["bench-100", "bench-400", "dense-8000", "dense-16000"])
 def tree(request):
     """(cloud, graph, index) of a `skelgrow bench` tree or a dense one."""
     cloud, _ = generate(request.param)
@@ -327,6 +329,26 @@ def test_block_rasters_equal_per_edge_reference(tree):
             assert np.array_equal(
                 grid, project_edge(cloud, graph, k, CFG.r_super, index).grid)
         seen += edges
+    assert seen == list(range(graph.num_edges))
+
+
+def test_edge_points_and_frames_equal_per_edge_reference(tree):
+    """Each edge's points, the union of its two node balls, are the
+    two-centre ball, and its frame is the reference's, bit for bit."""
+    cloud, graph, index = tree
+    seen = []
+    for k, idx in edge_scoring._edge_points(graph, index):
+        pa, pb = graph.positions[graph.edges[k]]
+        assert np.array_equal(idx, index.ball(pa, pb))
+        expected = reference_frame(cloud, graph, k, index)
+        if expected is None:
+            with pytest.raises(DegenerateGeometryError):
+                edge_scoring._edge_frame(cloud.points, graph, k, idx)
+        else:
+            for got, want in zip(edge_scoring._edge_frame(
+                    cloud.points, graph, k, idx), expected):
+                assert np.array_equal(got, want)
+        seen.append(k)
     assert seen == list(range(graph.num_edges))
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from skelgrow.spatial import GridIndex
+from skelgrow import spatial
+from skelgrow.spatial import (GridIndex, ball_union, coordinate_bounds,
+                              coordinate_rows)
 from skelgrow.superpoints import build_superpoints, edge_lengths
 from skelgrow.synth import SynthSpec, generate
 
@@ -118,3 +120,61 @@ def test_single_point_and_bad_radius():
     for r in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             GridIndex([[0.0, 0.0, 0.0]], r)
+
+
+# -- node balls, coordinate rows and block-wise bounds -----------------------
+
+def test_ball_union_equals_two_centre_ball():
+    rng = np.random.default_rng(4)
+    points = rng.uniform(0, 1, size=(5000, 3)).astype(np.float32)
+    r = 0.15
+    index = GridIndex(points, r)
+    a = np.array([0.3, 0.5, 0.5])
+    cases = {
+        "overlapping": (a, a + [0.5 * r, 0.3 * r, 0.0]),
+        "disjoint": (a, a + [0.4, 0.0, 0.0]),
+        "identical": (a, a.copy()),
+        # Outside the cloud's box, so they take the nearest grid cells.
+        "out of grid": (np.array([-0.03, 0.5, 0.5]),
+                        np.array([0.5, 1.03, 0.5])),
+        "one empty": (a, np.array([5.0, 5.0, 5.0])),
+        "both empty": (np.array([-5.0, 0.0, 0.0]), np.array([5.0, 5.0, 5.0])),
+    }
+    sizes = {}
+    for name, (p, q) in cases.items():
+        union = ball_union(index.ball(p), index.ball(q))
+        assert np.array_equal(union, index.ball(p, q)), name
+        sizes[name] = len(index.ball(p)), len(index.ball(q)), len(union)
+    assert 0 < sizes["overlapping"][2] < sum(sizes["overlapping"][:2])
+    assert 0 < sizes["disjoint"][2] == sum(sizes["disjoint"][:2])
+    assert sizes["identical"][0] == sizes["identical"][2] > 0
+    assert sizes["out of grid"][:2] > (0, 0)
+    assert sizes["one empty"][1] == 0 < sizes["one empty"][0]
+    assert sizes["both empty"] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_coordinate_rows_mean_equals_numpy_mean(dtype):
+    rng = np.random.default_rng(8)
+    cloud = (rng.normal(size=(80_000, 3)) * [3.0, 0.5, 40.0] + 17.0).astype(
+        dtype)
+    for n in (1, 2, 7, 8, 9, 4097, 70_000):
+        m = np.sort(rng.choice(len(cloud), n, replace=False))
+        rows, mean = coordinate_rows(np.take(cloud, m, axis=0))
+        assert np.array_equal(mean, cloud[m].astype(np.float64).mean(axis=0))
+        assert rows.dtype == np.float64 and rows.flags["C_CONTIGUOUS"]
+        assert np.array_equal(rows, cloud[m].astype(np.float64).T)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_coordinate_bounds_equal_axis_zero_min_max(dtype, monkeypatch):
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(2 * spatial.BLOCK_ROWS + 5, 3)).astype(dtype)
+    points[-1] = [9.0, -9.0, 0.5]  # extremes in the last, short block
+    for block_rows in (spatial.BLOCK_ROWS, 7):
+        monkeypatch.setattr(spatial, "BLOCK_ROWS", block_rows)
+        for n in (1, 7, 8, len(points)):
+            lo, hi = coordinate_bounds(points[-n:])
+            assert lo.dtype == hi.dtype == dtype
+            assert np.array_equal(lo, points[-n:].min(axis=0))
+            assert np.array_equal(hi, points[-n:].max(axis=0))

@@ -12,6 +12,7 @@ from skelgrow.superpoints import (SuperpointGraph, UnionFind,
                                   build_dense_edges, build_graph,
                                   build_superpoints, graph_from_dict,
                                   graph_to_dict)
+from skelgrow.synth import SynthSpec, generate
 
 
 def test_single_sphere_cluster():
@@ -23,6 +24,15 @@ def test_single_sphere_cluster():
                                pts.astype(np.float64).mean(axis=0),
                                atol=1e-12)
     assert sorted(sps[0].member_indices) == [0, 1, 2, 3, 4]
+
+
+def test_superpoint_positions_equal_numpy_means():
+    cloud, _ = generate(SynthSpec(n_side_branches=2, points_per_meter=8000,
+                                  seed=0))
+    sps = build_superpoints(cloud, 0.10, seed=0)
+    for sp in sps:
+        assert np.array_equal(sp.position, cloud.points[
+            sp.member_indices].astype(np.float64).mean(axis=0))
 
 
 def test_two_isolated_points():
