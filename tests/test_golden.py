@@ -1,5 +1,6 @@
-"""Golden outputs: the sha256 of ``skeleton.json`` from ``skelgrow
-skeletonize`` on fixed synthetic trees, and of one ``skelgrow eval`` report.
+"""Golden outputs: the sha256 of ``skeleton.json`` and ``skeleton.ply`` from
+``skelgrow skeletonize`` on fixed synthetic trees, of one ``skelgrow synth``
+``cloud.ply`` and of one ``skelgrow eval`` report.
 
 A refactor must leave these bytes unchanged. A change that alters output on
 purpose updates the digests here and shows in CHANGES.md that corpus
@@ -21,20 +22,24 @@ GOLDEN = [
     # Criterion 9's tree: oracle (override) scores.
     ({"n_leaders": 2, "leader_height": 1.0, "seed": 1}, {"K": 50, "seed": 1},
      "override",
-     "f24180a5595fe024259315543f40c9364749150807a7e6f9545a59ded989e69c"),
+     "f24180a5595fe024259315543f40c9364749150807a7e6f9545a59ded989e69c",
+     "572a1eaeedfea895573229a2a7c5aa6547b08850eb3ebe1feb228eaf22e8fb48"),
     # Heuristic scores on a tree with side branches (105 superpoints).
     ({"n_leaders": 4, "n_side_branches": 2, "seed": 0}, {"K": 20},
      "heuristic",
-     "c6fec764885653edc912c51da0b24294cacea22408b9a5bd41844219e0d189c4"),
+     "c6fec764885653edc912c51da0b24294cacea22408b9a5bd41844219e0d189c4",
+     "474dce418742c37c29661378fb56c0172d86a11b8cd6a19af985d0da13b5ea52"),
     # The oracle-corpus tree clean-0 at K=200: its iterations hit the
     # k_max_rep cap in resampling.
     ({"n_leaders": 7, "leader_spacing": 0.35, "leader_height": 2.0,
       "seed": 0}, {"K": 200},
      "override",
-     "8ce6aab11536281fece0b04055a236722fbf6c3ae92d6ba242169bb4b05cfeec"),
+     "8ce6aab11536281fece0b04055a236722fbf6c3ae92d6ba242169bb4b05cfeec",
+     "e0475417e2870ac947168668abfd2769f9b4b669e0936b671d63c0e997f4124a"),
     # A deep skeleton: 32 tips and 316 edges, heuristic scores.
     ({"n_leaders": 32, "seed": 0}, {"K": 100}, "heuristic",
-     "ef65ec4912c832b0baf7db097be007e209dabc7aede7c60d3f887dc5dd871292"),
+     "ef65ec4912c832b0baf7db097be007e209dabc7aede7c60d3f887dc5dd871292",
+     "035cb56a284e438a010322814d8a2db11d9cd6990219a779ac52d5c31ad734bf"),
 ]
 
 
@@ -42,9 +47,9 @@ GOLDEN = [
                 ids=["oracle-2-leaders", "heuristic-side-branches",
                      "oracle-corpus-clean-0", "heuristic-wide-tree"])
 def golden_run(request, tmp_path_factory):
-    """(spec, skeletonize output directory, expected digest) of one
-    golden tree."""
-    spec, config, scorer, digest = request.param
+    """(spec, skeletonize output directory, expected ``skeleton.json`` and
+    ``skeleton.ply`` digests) of one golden tree."""
+    spec, config, scorer, digest, ply_digest = request.param
     tmp_path = tmp_path_factory.mktemp("golden")
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -57,11 +62,11 @@ def golden_run(request, tmp_path_factory):
     assert main(["skeletonize", "--cloud", str(synth / "cloud.ply"),
                  "--config", str(tmp_path / "cfg.json"), "--scorer", scorer,
                  "--out", str(out)]) == EXIT_OK
-    return spec, out, digest
+    return spec, out, digest, ply_digest
 
 
 def test_skeleton_json_digest(golden_run):
-    spec, out, digest = golden_run
+    spec, out, digest, _ = golden_run
     data = (out / "skeleton.json").read_bytes()
     if spec.get("n_side_branches"):
         labels = [e["label"] for e in json.loads(data)["edges"]]
@@ -69,11 +74,32 @@ def test_skeleton_json_digest(golden_run):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_skeleton_ply_digest(golden_run):
+    """The label-coloured cloud: grey points, then the skeleton's nodes and
+    edges."""
+    _, out, _, ply_digest = golden_run
+    data = (out / "skeleton.ply").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ply_digest
+
+
+# ``cloud.ply`` of the first golden tree, as ``skelgrow synth`` writes it.
+SYNTH_CLOUD_DIGEST = (
+    "b602a99ecd072a8bd89cbf23ead8ca9b06db01af4f4a63e3b054daa22c6e4570")
+
+
+def test_synth_cloud_ply_digest(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(GOLDEN[0][0]))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "synth")]) == EXIT_OK
+    data = (tmp_path / "synth" / "cloud.ply").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SYNTH_CLOUD_DIGEST
+
+
 def test_search_ends_within_node_and_tip_bound(golden_run):
     """Every iteration adds an edge or abandons a tip in each unfinished
     candidate, so the search ends within n_superpoints - 1 + len(tips)
     iterations, far below run_search's guard of 10 x n_superpoints."""
-    _, out, _ = golden_run
+    _, out, _, _ = golden_run
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert 0 < manifest["iterations"] <= (
         manifest["n_superpoints"] - 1 + len(manifest["tips"]))
