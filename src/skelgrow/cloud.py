@@ -24,6 +24,10 @@ _PLY_TYPES = {
     "float": "f4", "float32": "f4",
     "double": "f8", "float64": "f8",
 }
+# The PLY name of each type code: its first name above.
+_PLY_NAMES = {code: name for name, code in reversed(_PLY_TYPES.items())}
+_XYZ = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
+_RGB = [("red", "u1"), ("green", "u1"), ("blue", "u1")]
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,9 @@ def _read_ply(path: Path):
 
 def export_cloud(cloud: PointCloud, path: str | Path) -> None:
     """Write a plain x,y,z binary little-endian PLY."""
-    _write_ply(path, cloud.points, colors=None, skel_verts=None,
-               skel_colors=None, skel_edges=None)
+    vertices = np.empty(len(cloud), dtype=_XYZ)
+    _set_fields(vertices, _XYZ, cloud.points)
+    _write_ply(path, vertex=vertices)
 
 
 def random_downsample(cloud: PointCloud, n: int, seed: int) -> PointCloud:
@@ -201,58 +206,44 @@ def export_colored(cloud: PointCloud, skeleton, positions,
     ``positions`` maps skeleton node id -> 3D position. Skeleton edges are
     emitted as an "edge" element referencing the appended vertices.
     """
-    grey = np.full((len(cloud), 3), 128, dtype=np.uint8)
+    n = len(cloud)
     node_ids = sorted(skeleton.nodes)
-    node_row = {nid: len(cloud) + k for k, nid in enumerate(node_ids)}
-    skel_verts = np.asarray(
-        [positions[nid] for nid in node_ids], dtype=np.float32).reshape(-1, 3)
-    vert_colors = np.full((len(node_ids), 3), 255, dtype=np.uint8)
     row_of = {nid: k for k, nid in enumerate(node_ids)}
-    edge_rows = []
+    skel_colors = np.full((len(node_ids), 3), 255, dtype=np.uint8)
+    edges = []
     for (parent, child), label in sorted(skeleton.edge_labels.items()):
-        edge_rows.append((node_row[parent], node_row[child]))
-        vert_colors[row_of[child]] = LABEL_COLORS[label]
-    _write_ply(path, cloud.points, grey, skel_verts, vert_colors,
-               np.asarray(edge_rows, dtype=np.int64).reshape(-1, 2))
+        edges.append((n + row_of[parent], n + row_of[child]))
+        skel_colors[row_of[child]] = LABEL_COLORS[label]
+    vertices = np.empty(n + len(node_ids), dtype=_XYZ + _RGB)
+    _set_fields(vertices[:n], _XYZ, cloud.points)
+    _set_fields(vertices[n:], _XYZ, np.asarray(
+        [positions[nid] for nid in node_ids], dtype=np.float32))
+    for name, _ in _RGB:
+        vertices[name][:n] = 128
+    _set_fields(vertices[n:], _RGB, skel_colors)
+    _write_ply(path, vertex=vertices, edge=np.array(
+        edges, dtype=[("vertex1", "<i4"), ("vertex2", "<i4")]))
 
 
-def _write_ply(path, points, colors, skel_verts, skel_colors, skel_edges):
-    n_skel = 0 if skel_verts is None else skel_verts.shape[0]
-    n_vert = points.shape[0] + n_skel
-    n_edge = 0 if skel_edges is None else skel_edges.shape[0]
-    with_color = colors is not None
-    header = ["ply",
-              "format binary_little_endian 1.0",
-              f"element vertex {n_vert}",
-              "property float x", "property float y", "property float z"]
-    if with_color:
-        header += ["property uchar red", "property uchar green",
-                   "property uchar blue"]
-    if n_edge or n_skel:
-        header += [f"element edge {n_edge}",
-                   "property int vertex1", "property int vertex2"]
+def _set_fields(records, fields, columns):
+    """Write column k of ``columns`` into the k-th of ``fields``."""
+    for k, (name, _) in enumerate(fields):
+        records[name] = columns[:, k]
+
+
+def _write_ply(path, **elements):
+    """Binary little-endian PLY of the structured arrays ``elements``, one
+    element each, in order; their fields name the properties."""
+    header = ["ply", "format binary_little_endian 1.0"]
+    for name, records in elements.items():
+        header.append(f"element {name} {len(records)}")
+        header += [f"property {_PLY_NAMES[records.dtype[field].str[1:]]} "
+                   f"{field}" for field in records.dtype.names]
     header.append("end_header")
-
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-    if with_color:
-        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-    vdt = np.dtype(fields)
-    varr = np.zeros(n_vert, dtype=vdt)
-    all_pts = points if n_skel == 0 else np.vstack([points, skel_verts])
-    varr["x"], varr["y"], varr["z"] = all_pts[:, 0], all_pts[:, 1], all_pts[:, 2]
-    if with_color:
-        all_cols = colors if n_skel == 0 else np.vstack([colors, skel_colors])
-        varr["red"], varr["green"], varr["blue"] = (
-            all_cols[:, 0], all_cols[:, 1], all_cols[:, 2])
-    edt = np.dtype([("vertex1", "<i4"), ("vertex2", "<i4")])
-    earr = np.zeros(n_edge, dtype=edt)
-    if n_edge:
-        earr["vertex1"], earr["vertex2"] = skel_edges[:, 0], skel_edges[:, 1]
-
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(varr.tobytes())
-        fh.write(earr.tobytes())
+        for records in elements.values():
+            records.tofile(fh)
 
 
 def read_ply_with_edges(path: str | Path):

@@ -3,8 +3,9 @@ one batch.
 
 In iteration ``it`` of the search, candidate ``ci`` with ``n`` >= 2 open
 tips takes ``numpy.random.default_rng((seed, it, ci)).integers(n)``.
-:func:`candidate_draws` computes a whole iteration's draws bit for bit
-without building a generator per candidate.
+:func:`candidate_draws` computes a whole iteration's draws bit for bit,
+building a generator only for the rare draw whose first word enters
+Lemire's rejection test.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
 _PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
 _PCG_MULT_LO = np.uint64(_PCG_MULT & _M64)
 
@@ -50,18 +50,6 @@ def _uint32_words(x: int) -> list[int]:
         words.append(x & _M32)
         x >>= 32
     return words
-
-
-def _pcg64_uint32s(state: int, inc: int):
-    """The uint32 stream ``Generator.integers`` reads from PCG64 in
-    ``state``: each XSL-RR 64-bit output's low half, then its high half."""
-    while True:
-        state = (state * _PCG_MULT + inc) & _M128
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        x = (x >> rot | x << 64 - rot) & _M64
-        yield x & _M32
-        yield x >> 32
 
 
 def _mul_hi64(a, b):
@@ -98,8 +86,8 @@ def candidate_draws(seed: int, iteration: int, cis: list[int],
     array arithmetic over every ``ci`` at once, and PCG64's seeding and
     first step as arithmetic on uint64 word pairs, 128-bit products built
     from 32-bit limbs. The first uint32 of each stream feeds ``integers``'
-    bounded Lemire draw; the rare draw that enters its rejection test
-    replays its stream with Python ints.
+    bounded Lemire draw. A draw that enters its rejection test, with
+    chance n / 2**32, is left to numpy's own generator.
     """
     if not cis:
         return []
@@ -147,15 +135,8 @@ def candidate_draws(seed: int, iteration: int, cis: list[int],
     ns = np.array(ns, dtype=np.uint64)
     m = word * ns
     draws = (m >> 32).tolist()
-    # Lemire's rejection test, rarely entered (chance n / 2**32 per draw):
-    # replay those draws' streams with Python ints.
+    # Lemire's rejection test, rarely entered: numpy makes those draws.
     for k in np.flatnonzero((m & _M32) < ns).tolist():
-        n = int(ns[k])
-        words = _pcg64_uint32s(int(seeded[0][k]) << 64 | int(seeded[1][k]),
-                               int(inc[0][k]) << 64 | int(inc[1][k]))
-        m = next(words) * n
-        threshold = (0x100000000 - n) % n
-        while m & _M32 < threshold:
-            m = next(words) * n
-        draws[k] = m >> 32
+        draws[k] = int(np.random.default_rng(
+            (seed, iteration, cis[k])).integers(int(ns[k])))
     return draws

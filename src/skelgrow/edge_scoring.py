@@ -68,8 +68,7 @@ def _edge_points(graph: SuperpointGraph, index: GridIndex):
     of every edge, in order.
 
     Each node's ball is queried once, at its first edge, and dropped after
-    its last; an edge takes the union of its two nodes' balls, the indices
-    ``index.ball(pa, pb)`` gives.
+    its last; an edge takes the :func:`ball_union` of its two nodes' balls.
     """
     edges = graph.edges.tolist()
     last = {}

@@ -1,4 +1,4 @@
-"""Scalar scoring formulas: angles, edge score, penalties, reward.
+"""Scalar scoring formulas: angles, edge score, penalties, edge cost.
 
 Edge vectors are plain 3-sequences (parent -> child). All math runs on
 Python floats; these functions sit in the inner loop of the search.
@@ -92,15 +92,3 @@ def edge_cost(e_s, e_p, length: float, conf: float,
         cost += bend_penalty(e_s, e_p, cfg)
     return cost
 
-
-def reward(e, length: float, conf: float, label: Label,
-           pred_vec, pred_label: Label | None, cfg: SearchConfig) -> float:
-    """Edge score minus turn and growth penalties.
-
-    ``pred_vec``/``pred_label`` are None for the first edge of a path.
-    """
-    total = edge_score(length, conf, cfg.alpha_conf)
-    if pred_vec is not None:
-        total -= turn_penalty(e, pred_vec, label, pred_label, cfg)
-    total -= grow_penalty(e, label, cfg)
-    return total

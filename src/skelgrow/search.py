@@ -28,7 +28,7 @@ from .errors import SearchStalledError, NoTipsError
 from .geometry import bend_penalty, edge_cost, edge_score, grow_penalty
 from .labels import Label, STRUCTURAL_LABELS
 from .seeds import SeedSet
-from .skeleton import LabeledSkeleton, label_rule_violation
+from .skeleton import label_rule_violation, skeleton_from_edges
 from .superpoints import SuperpointGraph
 
 DirEdge = tuple[int, int]  # directed (tail, head): traversal tail -> head
@@ -74,7 +74,9 @@ class SearchContext:
 
     def reward(self, state: DirEdge, label: Label,
                pred_tail: int | None, pred_label: Label | None) -> float:
-        """:func:`geometry.reward` of the edge, from the cached tables."""
+        """The edge's score minus its growth penalty and, after a
+        predecessor with the same label, the turn penalty; from the cached
+        tables."""
         r = self.escore[state]
         if pred_tail is not None and pred_label is label:
             r -= self.turn_pen_none(pred_tail, state[0], state[1])
@@ -222,16 +224,6 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
                      cand.abandoned, key)
 
 
-def skeleton_from_records(records: dict) -> LabeledSkeleton:
-    """The skeleton of a candidate's records, attached edge by edge in
-    growth order, so that every attach rule checks it."""
-    (base, _), *grown = records.items()
-    skel = LabeledSkeleton(base)
-    for node, (parent, label, _, _) in grown:
-        skel = skel.attach((parent, node), label)
-    return skel
-
-
 def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
                    ) -> list[tuple[DirEdge, Label, float, float]]:
     """All (directed edge, label, grown score, potential) proposals that
@@ -337,7 +329,10 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
-    every tip; returns (best skeleton, manifest dict)."""
+    every tip; returns (best skeleton, manifest dict). Only the winner
+    becomes a :class:`LabeledSkeleton`, built from its records by the
+    loader's :func:`skeleton_from_edges`, which checks the topology and
+    every attach rule."""
     if not seeds.tips:
         raise NoTipsError("no tip candidates; nothing to grow toward")
     ctx = SearchContext(graph, conf, cfg)
@@ -476,4 +471,6 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "abandoned_tips": [t for t in tips if best.abandoned >> t & 1],
         "prior_seconds": prior_time,
     }
-    return skeleton_from_records(best.records), info
+    edges = [(parent, node, label) for node, (parent, label, _, _)
+             in best.records.items() if parent is not None]
+    return skeleton_from_edges(seeds.base, edges), info

@@ -70,21 +70,16 @@ class GridIndex:
         d *= d
         return (d[0] + d[1]) + d[2] <= self.r * self.r
 
-    def ball(self, *centres) -> np.ndarray:
-        """Sorted indices of the points within r of any of the centres."""
-        centres = np.asarray(centres, dtype=np.float64).reshape(-1, 3)
-        start, end = (a.ravel() for a in self._runs(centres))
-        # Runs of nearby centres overlap: start each past the ends of the
-        # runs before it, so that every point is taken once.
-        by_start = np.argsort(start)
-        start, end = start[by_start], end[by_start]
-        start[1:] = np.maximum(start[1:], np.maximum.accumulate(end)[:-1])
-        runs = [slice(s, e) for s, e in zip(start.tolist(), end.tolist())
-                if s < e] or [slice(0, 0)]
+    def ball(self, centre) -> np.ndarray:
+        """Sorted indices of the points within r of ``centre``. Its nine
+        column runs are disjoint, so each point is met once."""
+        centre = np.asarray(centre, dtype=np.float64).reshape(1, 3)
+        start, end = (a[0].tolist() for a in self._runs(centre))
+        runs = ([slice(s, e) for s, e in zip(start, end) if s < e]
+                or [slice(0, 0)])
         near = np.concatenate([self._sorted[:, s] for s in runs], axis=1)
-        inside = self._inside(near[:, None], centres.T[:, :, None])
         found = np.concatenate([self._order[s] for s in runs])
-        return np.sort(found[np.logical_or.reduce(inside)])
+        return np.sort(found[self._inside(near, centre.T)])
 
     def pairs(self) -> np.ndarray:
         """Sorted (m, 2) index pairs i < j within r of each other."""
@@ -116,9 +111,9 @@ def coordinate_bounds(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ball_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union of two sorted index arrays. Membership of a ball is
-    per centre, so ``ball_union(g.ball(p), g.ball(q))`` equals
-    ``g.ball(p, q)``."""
+    """Sorted union of two sorted index arrays, such as two balls: the
+    points within r of either of two centres are
+    ``ball_union(g.ball(p), g.ball(q))``."""
     both = np.concatenate([a, b])
     both.sort(kind="stable")  # a linear merge of the two sorted runs
     keep = np.empty(len(both), dtype=bool)

@@ -7,6 +7,7 @@ grids and scores against these, bit for bit.
 import numpy as np
 
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
+from skelgrow.spatial import ball_union
 
 
 def reference_frame(cloud, graph, edge: int, index):
@@ -16,7 +17,7 @@ def reference_frame(cloud, graph, edge: int, index):
     over the cloud with radius r_super."""
     i, j = (int(v) for v in graph.edges[edge])
     pa, pb = graph.positions[i], graph.positions[j]
-    idx = index.ball(pa, pb)
+    idx = ball_union(index.ball(pa), index.ball(pb))
     if len(idx) < 3:
         return None
     local = cloud.points[idx].astype(np.float64)

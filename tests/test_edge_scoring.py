@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import make_graph
 from raster_reference import (reference_frame, reference_grid,
@@ -333,13 +334,16 @@ def test_block_rasters_equal_per_edge_reference(tree):
 
 
 def test_edge_points_and_frames_equal_per_edge_reference(tree):
-    """Each edge's points, the union of its two node balls, are the
-    two-centre ball, and its frame is the reference's, bit for bit."""
+    """Each edge's points, the union of its two node balls, are cKDTree's
+    points within r_super of either end, and its frame is the reference's,
+    bit for bit."""
     cloud, graph, index = tree
+    kd_tree = cKDTree(cloud.points)
     seen = []
     for k, idx in edge_scoring._edge_points(graph, index):
-        pa, pb = graph.positions[graph.edges[k]]
-        assert np.array_equal(idx, index.ball(pa, pb))
+        near = kd_tree.query_ball_point(graph.positions[graph.edges[k]],
+                                        CFG.r_super)
+        assert np.array_equal(idx, np.union1d(*near))
         expected = reference_frame(cloud, graph, k, index)
         if expected is None:
             with pytest.raises(DegenerateGeometryError):

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from conftest import conf_from_dict, make_graph
 from skelgrow.config import SearchConfig
 from skelgrow.errors import ConfigError, DegenerateGeometryError
 from skelgrow.geometry import (bend_penalty, edge_score, grow_angle,
-                               grow_penalty, reward, turn_angle, turn_penalty)
+                               grow_penalty, turn_angle, turn_penalty)
 from skelgrow.labels import Label
+from skelgrow.search import SearchContext
 
 CFG = SearchConfig()
 REL = 1e-9
@@ -129,14 +131,22 @@ def test_penalties_nonnegative_and_monotone():
     assert all(a <= b + 1e-12 for a, b in zip(pens, pens[1:]))
 
 
+def _two_edge_context(conf):
+    """SearchContext of the path 0 -> 1 -> 2: a unit edge along +X, then
+    the edge (0, 0, 0.2) up +Z with confidence ``conf``."""
+    graph = make_graph([(0, 0, 0), (1, 0, 0), (1, 0, 0.2)],
+                       [(0, 1), (1, 2)])
+    return SearchContext(graph, conf_from_dict(graph, {(1, 2): conf}), CFG)
+
+
 def test_reward_first_edge_perfect_vertical_leader():
-    got = reward((0, 0, 0.2), 0.2, 1.0, Label.LEADER, None, None, CFG)
+    got = _two_edge_context(1.0).reward((1, 2), Label.LEADER, None, None)
     assert got == pytest.approx(0.2, rel=REL)
 
 
 def test_reward_zero_edge_score_is_minus_penalties():
-    got = reward((0, 0, 0.2), 0.2, CFG.alpha_conf, Label.SUPPORT,
-                 (1, 0, 0), Label.SUPPORT, CFG)
+    ctx = _two_edge_context(CFG.alpha_conf)
+    got = ctx.reward((1, 2), Label.SUPPORT, 0, Label.SUPPORT)
     expected = -(turn_penalty((0, 0, 0.2), (1, 0, 0), Label.SUPPORT,
                               Label.SUPPORT, CFG)
                  + grow_penalty((0, 0, 0.2), Label.SUPPORT, CFG))
@@ -146,7 +156,8 @@ def test_reward_zero_edge_score_is_minus_penalties():
 def test_reward_composes_the_three_parts():
     e, length, conf = (0, 0, 0.2), 0.2, 0.0
     pred = (1, 0, 0)
-    got = reward(e, length, conf, Label.SUPPORT, pred, Label.SUPPORT, CFG)
+    got = _two_edge_context(conf).reward((1, 2), Label.SUPPORT, 0,
+                                         Label.SUPPORT)
     expected = (edge_score(length, conf, CFG.alpha_conf)
                 - turn_penalty(e, pred, Label.SUPPORT, Label.SUPPORT, CFG)
                 - grow_penalty(e, Label.SUPPORT, CFG))

@@ -8,16 +8,16 @@ from scipy.stats import chisquare, rankdata
 
 from conftest import conf_from_dict, make_graph, uniform_conf
 from label_rules import label_violations
+from reward_reference import reward
 from skelgrow.config import SearchConfig
 from skelgrow.errors import NoTipsError, SearchStalledError
-from skelgrow.geometry import bend_penalty, edge_cost, reward
+from skelgrow.geometry import bend_penalty, edge_cost
 from skelgrow.labels import Label, STRUCTURAL_LABELS
-from skelgrow import draws, search
+from skelgrow import search
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              candidate_draws, eligible_pairs, grow_candidate,
-                             make_root_candidate, rank, resample, run_search,
-                             skeleton_from_records)
-from skelgrow.skeleton import LabeledSkeleton
+                             make_root_candidate, rank, resample, run_search)
+from skelgrow.skeleton import LabeledSkeleton, skeleton_from_edges
 from skelgrow.seeds import SeedSet, find_tips, resolve_base
 from skelgrow.superpoints import build_graph
 from skelgrow.synth import SynthSpec, generate
@@ -274,22 +274,23 @@ def test_candidate_draws_match_numpy_at_batch_sizes(size):
 
 def test_candidate_draws_replay_only_draws_entering_rejection(monkeypatch):
     """In a batch that mixes bounds 2-64 with bounds near 3 * 2**30, only
-    draws whose first uint32 enters Lemire's rejection test replay their
-    stream with Python ints, and every draw still equals numpy's."""
-    replayed = []
-    real = draws._pcg64_uint32s
-
-    def counting(state, inc):
-        replayed.append(state)
-        return real(state, inc)
-
-    monkeypatch.setattr(draws, "_pcg64_uint32s", counting)
+    draws whose first uint32 enters Lemire's rejection test build numpy's
+    generator, and every draw still equals numpy's."""
     cis = list(range(400))
     ns = [3 * 2**30 + ci if ci % 2 else 2 + ci % 63 for ci in cis]
-    assert candidate_draws(5, 17, cis, ns) == _numpy_draws(5, 17, cis, ns)
+    expected = _numpy_draws(5, 17, cis, ns)
+    built = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        built.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    assert candidate_draws(5, 17, cis, ns) == expected
     # A draw with bound n enters the test with chance n / 2**32: about
     # 3 in 4 of the large bounds, next to none of the small ones.
-    assert 100 < len(replayed) < 200
+    assert 100 < len(built) < 200
 
 
 # -- path priors -----------------------------------------------------------
@@ -529,7 +530,9 @@ def test_eligible_labels_match_check_all():
         for _step in range(80):
             prior = priors[int(rng.integers(len(priors)))]
             pairs = eligible_pairs(cand, prior, ctx)
-            skel = skeleton_from_records(cand.records)
+            skel = skeleton_from_edges(base, [
+                (parent, node, label) for node, (parent, label, _, _)
+                in cand.records.items() if parent is not None])
             for state in sorted(cand.frontier):
                 if not _path_avoids_skeleton(prior, state, skel):
                     assert all(s != state for s, _, _, _ in pairs)
@@ -661,8 +664,9 @@ def _three_leader_tree():
 
 
 def test_run_search_builds_one_generator_per_iteration(monkeypatch):
-    """The tip draws build no generator: each iteration constructs only
-    the resampling one, at (seed, iteration, 1 << 30)."""
+    """The tip draws of this run build no generator (none enters Lemire's
+    rejection test): each iteration constructs only the resampling one, at
+    (seed, iteration, 1 << 30)."""
     graph, conf, _, seeds = _two_leader_tree()
     made = []
     real = np.random.default_rng

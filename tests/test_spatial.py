@@ -32,7 +32,8 @@ def assert_same_as_tree(points, r, centres, edges=()):
     for c in centres:
         assert np.array_equal(index.ball(c), _tree_ball(tree, r, c)), c
     for a, b in edges:
-        assert np.array_equal(index.ball(a, b), _tree_ball(tree, r, a, b))
+        assert np.array_equal(ball_union(index.ball(a), index.ball(b)),
+                              _tree_ball(tree, r, a, b))
     assert np.array_equal(index.pairs(), _tree_pairs(tree, r))
 
 
@@ -128,7 +129,7 @@ def test_ball_union_equals_two_centre_ball():
     rng = np.random.default_rng(4)
     points = rng.uniform(0, 1, size=(5000, 3)).astype(np.float32)
     r = 0.15
-    index = GridIndex(points, r)
+    index, tree = GridIndex(points, r), cKDTree(points)
     a = np.array([0.3, 0.5, 0.5])
     cases = {
         "overlapping": (a, a + [0.5 * r, 0.3 * r, 0.0]),
@@ -143,7 +144,7 @@ def test_ball_union_equals_two_centre_ball():
     sizes = {}
     for name, (p, q) in cases.items():
         union = ball_union(index.ball(p), index.ball(q))
-        assert np.array_equal(union, index.ball(p, q)), name
+        assert np.array_equal(union, _tree_ball(tree, r, p, q)), name
         sizes[name] = len(index.ball(p)), len(index.ball(q)), len(union)
     assert 0 < sizes["overlapping"][2] < sum(sizes["overlapping"][:2])
     assert 0 < sizes["disjoint"][2] == sum(sizes["disjoint"][:2])
