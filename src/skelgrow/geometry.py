@@ -91,4 +91,3 @@ def edge_cost(e_s, e_p, length: float, conf: float,
     if e_p is not None:
         cost += bend_penalty(e_s, e_p, cfg)
     return cost
-
