@@ -19,12 +19,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .cloud import (crop_cloud, export_cloud, export_colored, load_cloud,
                     random_downsample)
 from .config import PipelineConfig, SearchConfig, load_config
-from .edge_scoring import ConfidenceMap, score_all_edges
+from .edge_scoring import ConfidenceMap, check_scores, score_all_edges
 from .errors import (AttachmentError, CloudFormatError, ConfigError,
                      CorrectionError, EvalError, ModelFormatError,
                      NoTipsError, OverrideError, SearchStalledError,
@@ -34,8 +32,7 @@ from .search import run_search
 from .side_branches import find_side_branches
 from .skeleton import load_skeleton, save_skeleton, skeleton_to_dict
 from .spatial import GridIndex
-from .superpoints import (UnionFind, build_graph, graph_from_dict,
-                          graph_to_dict)
+from .superpoints import build_graph, graph_from_dict, graph_to_dict
 
 log = logging.getLogger("skelgrow")
 
@@ -173,16 +170,15 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
         # A model is keyed by its file's bytes, so editing it rescores.
         model = [Path(scorer[1]).read_bytes()] if scorer[0] == "model" else []
         score_cache = out / f"cache_scores_{_digest(key, scorer, *model)}.json"
+        # A cached vector passes the checks an override table does.
         conf = _read_cache(score_cache, lambda doc: ConfidenceMap(
-            values=np.asarray(doc["values"]), provenance=doc["provenance"]),
-            caches, "scores")
+            values=check_scores(doc["values"], graph.num_edges,
+                                "score cache")), caches, "scores")
         if conf is not None:
             log.info("reusing cached edge scores %s", score_cache.name)
         else:
             conf = score_all_edges(cloud, graph, scorer, cfg.search, index())
-            _write_cache(score_cache,
-                         {"values": [float(v) for v in conf.values],
-                          "provenance": conf.provenance})
+            _write_cache(score_cache, {"values": conf.values.tolist()})
     timings["scoring_seconds"] = time.perf_counter() - t0
     return cloud, graph, conf
 
@@ -193,36 +189,9 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
     graph; returns (skeleton, search manifest)."""
     base = resolve_base(graph, base_spec)
     tips = [t for t in find_tips(graph, conf, cfg) if t != base]
-    # Components of the whole dense graph: the search cannot leave the
-    # base's one, so tips outside it are lost.
-    roots = UnionFind(range(graph.num_nodes), graph.edges.tolist()).roots()
-    n_components = len(set(roots.values()))
-    base_size = sum(r == roots[base] for r in roots.values())
-    outside = sum(roots[t] != roots[base] for t in tips)
-    if outside:
-        log.warning(
-            "%d of %d tips lie outside the base's component of the dense "
-            "graph (%d of %d superpoints, %d components); the skeleton "
-            "cannot reach them", outside, len(tips), base_size,
-            graph.num_nodes, n_components)
-    seeds = SeedSet(tips=tuple(tips), base=base)
     t0 = time.perf_counter()
-    skeleton, info = run_search(graph, conf, seeds, cfg)
+    skeleton, info = run_search(graph, conf, SeedSet(tuple(tips), base), cfg)
     timings["search_seconds"] = time.perf_counter() - t0
-    info["graph"] = {"components": n_components,
-                     "base_component_size": base_size,
-                     "tips_outside_base_component": outside}
-    reached = set(info["reached_tips"])
-    info["tip_outcomes"] = {
-        t: "reached" if t in reached
-        else "outside_base_component" if roots[t] != roots[base]
-        else "abandoned_reachable" for t in info["tips"]}
-    lost = [t for t, outcome in info["tip_outcomes"].items()
-            if outcome == "abandoned_reachable"]
-    if lost:
-        log.warning(
-            "the skeleton abandons tips %s although the base's component "
-            "of the dense graph holds them", lost)
     t0 = time.perf_counter()
     skeleton = find_side_branches(skeleton, graph, conf, cfg)
     timings["side_branch_seconds"] = time.perf_counter() - t0

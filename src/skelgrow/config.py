@@ -14,8 +14,8 @@ from .errors import ConfigError
 
 def check_field_types(obj, error=ConfigError) -> None:
     """Raise ``error`` unless every field of the dataclass ``obj`` holds a
-    finite value of its annotated type: a bool for ``bool``, an int (not a
-    bool) for ``int``, an int or float for ``float``.
+    finite value of its annotated type: an int (not a bool) for ``int``,
+    an int or float for ``float``.
 
     A file can hold any JSON value, and range checks assume finite numbers.
     The annotations are strings, so the calling module must use
@@ -23,13 +23,9 @@ def check_field_types(obj, error=ConfigError) -> None:
     """
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
-        if f.type == "bool":
-            ok = isinstance(v, bool)
-        else:
-            kinds = int if f.type == "int" else (int, float)
-            ok = (not isinstance(v, bool) and isinstance(v, kinds)
-                  and abs(v) <= sys.float_info.max)
-        if not ok:
+        kinds = int if f.type == "int" else (int, float)
+        if (isinstance(v, bool) or not isinstance(v, kinds)
+                or not abs(v) <= sys.float_info.max):
             raise error(f"{f.name} must be a finite {f.type}, got {v!r}")
 
 

@@ -50,7 +50,6 @@ class ConfidenceMap:
     """Per-edge score in [0, 1] aligned with the graph's edge ids."""
 
     values: np.ndarray
-    provenance: str  # heuristic | model | override
 
     def __getitem__(self, edge_id: int) -> float:
         return float(self.values[edge_id])
@@ -332,19 +331,31 @@ def edge_key(i: int, j: int) -> str:
     return f"{a}-{b}"
 
 
-def load_override(path: str | Path) -> dict[str, float]:
+def load_override(path: str | Path) -> dict:
+    """An override file's ``scores`` table; score_all_edges checks it."""
     with open(path) as fh:
         doc = json.load(fh)
     scores = doc.get("scores") if isinstance(doc, dict) else None
     if not isinstance(scores, dict):
         raise OverrideError("override file must contain a 'scores' object")
-    bad = sorted(k for k, v in scores.items()
-                 if type(v) not in (int, float))
+    return scores
+
+
+def check_scores(values: list, num_edges: int, what: str) -> np.ndarray:
+    """``values`` as a float array, once they are one number in [0, 1] per
+    graph edge; raises OverrideError, naming the scores ``what``,
+    otherwise. Bools and NaN are rejected."""
+    if len(values) != num_edges:
+        raise OverrideError(
+            f"{what} has {len(values)} scores for {num_edges} graph edges")
+    # Written so that a NaN, which fails every comparison, is rejected.
+    bad = [k for k, v in enumerate(values) if isinstance(v, bool)
+           or not isinstance(v, (int, float)) or not 0 <= v <= 1]
     if bad:
         raise OverrideError(
-            f"override scores must be numbers; {len(bad)} are not: "
-            f"{bad[:20]}")
-    return {k: float(v) for k, v in scores.items()}
+            f"{what} scores must lie in [0, 1]; {len(bad)} are not numbers "
+            f"in that range (edges {bad[:20]})")
+    return np.array(values, dtype=np.float64)
 
 
 def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
@@ -361,34 +372,23 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
     Degenerate edges score 0; an override must cover every edge.
     """
     kind = scorer[0]
-    m = graph.num_edges
-    values = np.zeros(m, dtype=np.float64)
     if kind == "override":
         table = scorer[1]
         if not isinstance(table, dict):
             table = load_override(table)
-        missing = []
-        keys = set()
-        for k, (i, j) in enumerate(graph.edges):
-            key = edge_key(int(i), int(j))
-            keys.add(key)
-            if key in table:
-                values[k] = table[key]
-            else:
-                missing.append(key)
+        keys = [edge_key(i, j) for i, j in graph.edges.tolist()]
+        missing = [key for key in keys if key not in table]
         if missing:
             raise OverrideError(
                 f"override file missing {len(missing)} edges: "
                 f"{missing[:20]}. {_OVERRIDE_HINT}")
-        extra = sorted(table.keys() - keys)
+        extra = sorted(table.keys() - set(keys))
         if extra:
             raise OverrideError(
                 f"override file has {len(extra)} keys for edges the graph "
                 f"lacks: {extra[:20]}. {_OVERRIDE_HINT}")
-        # Written so that a NaN, which fails every comparison, is rejected.
-        if not np.all((values >= 0) & (values <= 1)):
-            raise OverrideError("override scores must lie in [0, 1]")
-        return ConfidenceMap(values=values, provenance="override")
+        return ConfidenceMap(values=check_scores(
+            [table[key] for key in keys], graph.num_edges, "override"))
 
     if kind == "model":
         model = scorer[1]
@@ -408,7 +408,8 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
     if cloud is None:
         raise ValueError(f"{kind} scorer needs the point cloud")
     index = index or GridIndex(cloud.points, cfg.r_super)
+    values = np.zeros(graph.num_edges, dtype=np.float64)
     for edges, grids, frames in _raster_blocks(cloud, graph, cfg.r_super,
                                                index):
         values[edges] = score_block(grids, frames)
-    return ConfidenceMap(values=values, provenance=kind)
+    return ConfidenceMap(values=values)

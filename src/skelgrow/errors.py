@@ -22,7 +22,8 @@ class DegenerateGeometryError(SkelgrowError):
 
 
 class OverrideError(SkelgrowError):
-    """Score-override file does not cover every dense edge."""
+    """Edge scores (an override table or a score cache) that are not one
+    number in [0, 1] per dense edge."""
 
 
 class ModelFormatError(SkelgrowError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import logging
 import time
 
 import numpy as np
@@ -29,7 +30,9 @@ from .geometry import bend_penalty, edge_cost, edge_score, grow_penalty
 from .labels import Label, STRUCTURAL_LABELS
 from .seeds import SeedSet
 from .skeleton import label_rule_violation, skeleton_from_edges
-from .superpoints import SuperpointGraph
+from .superpoints import SuperpointGraph, UnionFind
+
+log = logging.getLogger("skelgrow")
 
 DirEdge = tuple[int, int]  # directed (tail, head): traversal tail -> head
 
@@ -239,9 +242,9 @@ def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
     path_mask, reward = prior.path_mask, ctx.reward
     proposals = []
     for state in cand.frontier:
-        # The path to the tip must avoid the skeleton. An unreachable state
-        # has no path: its default, the skeleton's own mask, fails too.
-        if path_mask.get(state, nodes) & nodes:
+        # The path to the tip must avoid the skeleton. The prior of a tip
+        # in the base's component holds every state of that component.
+        if path_mask[state] & nodes:
             continue
         pred_tail, pred_label, _, labels = records[state[0]]
         esum = prior.esum[state]
@@ -332,16 +335,29 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     every tip; returns (best skeleton, manifest dict). Only the winner
     becomes a :class:`LabeledSkeleton`, built from its records by the
     loader's :func:`skeleton_from_edges`, which checks the topology and
-    every attach rule."""
+    every attach rule. Only tips in the base's component of the dense
+    graph get a :class:`PathPrior` and scans; a candidate that draws one
+    outside it carries on with it abandoned, as after an empty scan."""
     if not seeds.tips:
         raise NoTipsError("no tip candidates; nothing to grow toward")
     ctx = SearchContext(graph, conf, cfg)
     tips = tuple(sorted(seeds.tips))
+    base = seeds.base
+    roots = UnionFind(range(graph.num_nodes), graph.edges.tolist()).roots()
+    n_components = len(set(roots.values()))
+    base_size = sum(r == roots[base] for r in roots.values())
+    outside = [t for t in tips if roots[t] != roots[base]]
+    if outside:
+        log.warning(
+            "%d of %d tips lie outside the base's component of the dense "
+            "graph (%d of %d superpoints, %d components); the skeleton "
+            "cannot reach them", len(outside), len(tips), base_size,
+            graph.num_nodes, n_components)
     t0 = time.perf_counter()
-    priors = {t: PathPrior(ctx, t) for t in tips}
+    priors = {t: PathPrior(ctx, t) for t in tips if t not in outside}
     prior_time = time.perf_counter() - t0
 
-    root = make_root_candidate(seeds.base, ctx)
+    root = make_root_candidate(base, ctx)
     population: list[Candidate] = [root] * cfg.K
     # The population's distinct candidates in order of first appearance.
     # Members with one key are one object, so per-candidate work (best
@@ -403,9 +419,11 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
         for (key, tip), members in sorted(groups.items()):
             cand = population[members[0]]
-            proposals = eligible_pairs(cand, priors[tip], ctx)
-            counts["scans"] += 1
-            counts["proposals"] += len(proposals)
+            proposals = []  # for a tip outside the base's component
+            if tip in priors:
+                proposals = eligible_pairs(cand, priors[tip], ctx)
+                counts["scans"] += 1
+                counts["proposals"] += len(proposals)
             if not proposals:
                 # Carried with the tip abandoned.
                 entry = pool.get(key)
@@ -459,9 +477,22 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
 
+    tip_outcomes = {
+        t: "reached" if best.nodes >> t & 1
+        else "outside_base_component" if t in outside
+        else "abandoned_reachable" for t in tips}
+    lost = [t for t in tips if tip_outcomes[t] == "abandoned_reachable"]
+    if lost:
+        log.warning(
+            "the skeleton abandons tips %s although the base's component "
+            "of the dense graph holds them", lost)
     info = {
         "tips": list(tips),
-        "base": seeds.base,
+        "base": base,
+        "graph": {"components": n_components,
+                  "base_component_size": base_size,
+                  "tips_outside_base_component": len(outside)},
+        "tip_outcomes": tip_outcomes,
         "iterations": iteration,
         "tip_draws": tip_draws,
         "search_counts": counts,
@@ -473,4 +504,4 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     }
     edges = [(parent, node, label) for node, (parent, label, _, _)
              in best.records.items() if parent is not None]
-    return skeleton_from_edges(seeds.base, edges), info
+    return skeleton_from_edges(base, edges), info

@@ -33,7 +33,6 @@ class SynthSpec:
     noise_sigma: float = 0.004
     gap_probability: float = 0.0
     gap_length: float = 0.15
-    allow_junction_gaps: bool = False
     n_side_branches: int = 0          # per leader
     side_branch_length: float = 0.25
     seed: int = 0
@@ -155,7 +154,7 @@ class SynthTruth:
         for k, (i, j) in enumerate(graph.edges):
             if (int(i), int(j)) in true_edges:
                 values[k] = 1.0
-        return ConfidenceMap(values=values, provenance="override")
+        return ConfidenceMap(values=values)
 
     def oracle_override_table(self, graph: SuperpointGraph) -> dict[str, float]:
         conf = self.oracle_confidences(graph)
@@ -297,12 +296,9 @@ def _sample_branch(branch: Branch, spec: SynthSpec, rng) -> np.ndarray:
     n = max(4, int(round(branch.length * spec.points_per_meter)))
     ts = rng.uniform(0.0, branch.length, n)
     if spec.gap_probability > 0 and rng.random() < spec.gap_probability:
-        if spec.allow_junction_gaps:
-            g0 = rng.uniform(0.0, max(branch.length - spec.gap_length, 0.0))
-        else:
-            margin = 0.15 * branch.length
-            hi = max(branch.length - margin - spec.gap_length, margin)
-            g0 = rng.uniform(margin, hi)
+        margin = 0.15 * branch.length
+        hi = max(branch.length - margin - spec.gap_length, margin)
+        g0 = rng.uniform(margin, hi)
         keep = (ts < g0) | (ts > g0 + spec.gap_length)
         if keep.any():
             ts = ts[keep]

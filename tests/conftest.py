@@ -15,8 +15,7 @@ def make_graph(positions, edges):
 
 
 def uniform_conf(graph, value=1.0):
-    return ConfidenceMap(
-        values=np.full(graph.num_edges, float(value)), provenance="override")
+    return ConfidenceMap(values=np.full(graph.num_edges, float(value)))
 
 
 def conf_from_dict(graph, table, default=0.0):
@@ -24,7 +23,7 @@ def conf_from_dict(graph, table, default=0.0):
     values = np.full(graph.num_edges, float(default))
     for (i, j), c in table.items():
         values[graph.edge_id(i, j)] = c
-    return ConfidenceMap(values=values, provenance="override")
+    return ConfidenceMap(values=values)
 
 
 @pytest.fixture

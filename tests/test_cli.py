@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import skelgrow
-from skelgrow import cli
+from skelgrow import cli, search
 from conftest import make_graph, uniform_conf
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _grow_skeleton, _parse_scorer,
@@ -23,7 +23,8 @@ from skelgrow.cloud import load_cloud
 from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
 from skelgrow.errors import ConfigError
-from skelgrow.search import SearchContext
+from skelgrow.search import SearchContext, run_search
+from skelgrow.seeds import SeedSet
 from skelgrow.spatial import GridIndex
 
 _SMALL_SPEC = {"n_leaders": 2, "leader_height": 1.0, "seed": 1}
@@ -81,9 +82,9 @@ def test_synth_unknown_spec_key(tmp_path):
     {"n_leaders": 2.5}, {"leader_spacing": math.nan},
     {"gap_probability": 3}, {"points_per_meter": 0}, {"gap_length": 0},
     {"noise_sigma": -0.01}, {"n_side_branches": -1}, {"seed": -1},
-    {"seed": True}, {"allow_junction_gaps": 1}, [{"n_leaders": 2}]],
+    {"seed": True}, {"allow_junction_gaps": True}, [{"n_leaders": 2}]],
     ids=["float-int", "nan", "gap-probability", "density", "gap-length",
-         "noise", "side-branches", "seed", "bool-seed", "int-bool",
+         "noise", "side-branches", "seed", "bool-seed", "junction-gaps-key",
          "list-root"])
 def test_synth_spec_it_cannot_honour_rejected(tmp_path, doc, capsys):
     """Each bad spec exits 3 with nothing written."""
@@ -174,6 +175,28 @@ def test_truncated_cache_is_rebuilt(synth_dir, tmp_path, kind):
     assert _cache_outcomes(out) == {kind: "rebuilt", other: "hit"}
     assert cache.read_bytes() == data  # rewritten in full
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("values", [
+    lambda n: [0.5] * 10, lambda n: [5.0] * n, lambda n: [10**400] * n],
+    ids=["ten-values", "all-five", "huge-int"])
+def test_score_cache_out_of_range_is_rebuilt(synth_dir, tmp_path, values):
+    """A score cache of the wrong length, or with every score at 5.0 or at
+    an int too large for a float, is checked like an override table and
+    rebuilt, not used."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+            "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    cold = (out / "skeleton.json").read_bytes()
+    (cache,) = out.glob("cache_scores_*.json")
+    doc = json.loads(cache.read_text())
+    doc["values"] = values(len(doc["values"]))
+    cache.write_text(json.dumps(doc))
+    assert main(argv) == EXIT_OK
+    assert _cache_outcomes(out) == {"graph": "hit", "scores": "rebuilt"}
+    assert (out / "skeleton.json").read_bytes() == cold
 
 
 def _zero_weight_model(path, bias):
@@ -472,27 +495,40 @@ def test_tips_outside_base_component_warned(caplog):
 
 def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
     """A tip in the base's component that the best skeleton misses is
-    told apart from one cut off by a gap, and a warning names it."""
+    told apart from one cut off by a gap, and a warning names it. Every
+    scan toward tip 4 comes back empty, so each lineage abandons it and
+    the search reaches tip 9 beside the chain instead."""
     positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
     positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
+    positions += [(0.15, 0.0, 0.3)]
     graph = make_graph(positions, [(k, k + 1) for k in range(4)]
-                       + [(k, k + 1) for k in range(5, 8)])
-    cli_run_search = cli.run_search
+                       + [(k, k + 1) for k in range(5, 8)] + [(2, 9)])
+    real_prior, real_eligible = search.PathPrior, search.eligible_pairs
+    tip_of = {}
 
-    def losing_tip_4(*args):
-        skeleton, info = cli_run_search(*args)
-        info["reached_tips"] = []
-        return skeleton, info
+    def prior(ctx, tip):
+        built = real_prior(ctx, tip)
+        tip_of[built] = tip
+        return built
 
-    monkeypatch.setattr(cli, "run_search", losing_tip_4)
+    def eligible(cand, prior, ctx):
+        return [] if tip_of[prior] == 4 else real_eligible(cand, prior, ctx)
+
+    monkeypatch.setattr(search, "PathPrior", prior)
+    monkeypatch.setattr(search, "eligible_pairs", eligible)
     with caplog.at_level(logging.WARNING, logger="skelgrow"):
-        _, info = _grow_skeleton(graph, uniform_conf(graph), "lowest-z",
-                                 SearchConfig(K=5), {})
+        skeleton, info = run_search(graph, uniform_conf(graph),
+                                    SeedSet(tips=(4, 8, 9), base=0),
+                                    SearchConfig(K=5))
+    assert sorted(skeleton.edges()) == [(0, 1), (1, 2), (2, 9)]
     assert info["tip_outcomes"] == {4: "abandoned_reachable",
-                                    8: "outside_base_component"}
+                                    8: "outside_base_component",
+                                    9: "reached"}
     warnings = [r.getMessage() for r in caplog.records
                 if r.levelno == logging.WARNING]
     assert len(warnings) == 2
+    assert warnings[0].startswith("1 of 3 tips lie outside the base's "
+                                  "component")
     assert warnings[1] == ("the skeleton abandons tips [4] although the "
                            "base's component of the dense graph holds them")
 

@@ -201,7 +201,6 @@ def test_override_full_coverage():
                        [(0, 1), (1, 2)])
     table = {"0-1": 1.0, "1-2": 1.0}
     conf = score_all_edges(None, graph, ("override", table), CFG)
-    assert conf.provenance == "override"
     np.testing.assert_array_equal(conf.values, [1.0, 1.0])
 
 

@@ -9,7 +9,9 @@ from scipy.stats import chisquare, rankdata
 from conftest import conf_from_dict, make_graph, uniform_conf
 from label_rules import label_violations
 from reward_reference import reward
+from skelgrow.cloud import random_downsample
 from skelgrow.config import SearchConfig
+from skelgrow.edge_scoring import score_all_edges
 from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import bend_penalty, edge_cost
 from skelgrow.labels import Label, STRUCTURAL_LABELS
@@ -19,7 +21,7 @@ from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              make_root_candidate, rank, resample, run_search)
 from skelgrow.skeleton import LabeledSkeleton, skeleton_from_edges
 from skelgrow.seeds import SeedSet, find_tips, resolve_base
-from skelgrow.superpoints import build_graph
+from skelgrow.superpoints import UnionFind, build_graph
 from skelgrow.synth import SynthSpec, generate
 from skelgrow.evaluation import edit_distance
 
@@ -316,6 +318,32 @@ def test_prior_isolated_tip_unreachable():
     prior = PathPrior(ctx, tip=2)
     assert (0, 1) not in prior.cost
     assert (1, 0) not in prior.cost
+
+
+def test_priors_cover_exactly_the_base_component():
+    """On the README's default tree (``synth --seed 0``, heuristic scores),
+    the prior of each tip in the base's component holds every directed
+    edge of that component, and the prior of each tip outside it holds
+    none, so ``eligible_pairs`` needs no default on its path-mask lookup."""
+    cloud = random_downsample(generate(SynthSpec(seed=0))[0], 50000, 0)
+    graph = build_graph(cloud, CFG.r_super, 0)
+    conf = score_all_edges(cloud, graph, ("heuristic",), CFG)
+    base = resolve_base(graph, "lowest-z")
+    tips = [t for t in find_tips(graph, conf, CFG) if t != base]
+    roots = UnionFind(range(graph.num_nodes), graph.edges.tolist()).roots()
+    component = {(u, v) for i, j in graph.edges.tolist()
+                 for u, v in ((i, j), (j, i)) if roots[u] == roots[base]}
+    ctx = SearchContext(graph, conf, CFG)
+    outside = []
+    for tip in tips:
+        states = PathPrior(ctx, tip).path_mask.keys()
+        if roots[tip] == roots[base]:
+            assert states == component
+        else:
+            assert states.isdisjoint(component)
+            outside.append(tip)
+    assert len(tips) == 9 and outside == [86, 109, 126]
+    assert len({n for n in roots if roots[n] == roots[base]}) == 140
 
 
 def _brute_force_costs(ctx, tip):
@@ -623,6 +651,44 @@ def test_run_search_best_score_monotone(chain_graph):
                          SearchConfig(K=10, seed=0))
     hist = info["best_score_history"]
     assert all(a <= b + 1e-12 for a, b in zip(hist, hist[1:]))
+
+
+def test_run_search_skips_tip_outside_base_component(monkeypatch):
+    """Two vertical chains with no edge between them: tip 8 on the second
+    chain gets no prior and no scan, and candidates that draw it carry on
+    with it abandoned. The skeleton, draws and counts are those of the
+    search that still scanned toward tip 8, less its 4 empty scans."""
+    positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
+    positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
+    graph = make_graph(positions, [(k, k + 1) for k in range(4)]
+                       + [(k, k + 1) for k in range(5, 8)])
+    real_prior, real_eligible = search.PathPrior, search.eligible_pairs
+    prior_tips, scanned = [], []
+
+    def prior(ctx, tip):
+        prior_tips.append(tip)
+        return real_prior(ctx, tip)
+
+    def eligible(cand, prior, ctx):
+        scanned.append(prior)
+        return real_eligible(cand, prior, ctx)
+
+    monkeypatch.setattr(search, "PathPrior", prior)
+    monkeypatch.setattr(search, "eligible_pairs", eligible)
+    skel, info = run_search(graph, uniform_conf(graph),
+                            SeedSet(tips=(4, 8), base=0), SearchConfig(K=5))
+    assert prior_tips == [4]
+    assert len(scanned) == info["search_counts"]["scans"]
+    assert info["tip_outcomes"] == {4: "reached",
+                                    8: "outside_base_component"}
+    assert info["graph"] == {"components": 2, "base_component_size": 5,
+                             "tips_outside_base_component": 1}
+    assert [(e, skel.edge_labels[e]) for e in sorted(skel.edges())] == [
+        ((0, 1), Label.TRUNK), ((1, 2), Label.TRUNK),
+        ((2, 3), Label.LEADER), ((3, 4), Label.LEADER)]
+    assert (info["iterations"], info["tip_draws"]) == (5, 13)
+    assert info["search_counts"] == {"scans": 10, "proposals": 19,
+                                     "grows": 11, "resample_draws": 25}
 
 
 def _two_leader_tree():
