@@ -30,7 +30,7 @@ from .errors import (AttachmentError, CloudFormatError, ConfigError,
 from .seeds import SeedSet, find_tips, resolve_base
 from .search import run_search
 from .side_branches import find_side_branches
-from .skeleton import load_skeleton, save_skeleton, skeleton_to_dict
+from .skeleton import load_skeleton, save_skeleton
 from .spatial import GridIndex
 from .superpoints import build_graph, graph_from_dict, graph_to_dict
 

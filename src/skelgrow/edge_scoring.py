@@ -9,7 +9,8 @@ of its two superpoints' balls, each queried once for all of that node's
 edges. Its frame and projection are computed on their own, from one
 gather of its points into coordinate rows. A block's bucketing,
 histogram, normalisation and heuristic score then run as one set of array
-operations. The result equals the one-edge computation bit for bit.
+operations. The result equals the one-edge computation in
+``tests/raster_reference.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ from .superpoints import SuperpointGraph
 #: Raster shape: 32 buckets along the edge, 16 lateral.
 GRID_ALONG = 32
 GRID_LATERAL = 16
-
-
-@dataclass(frozen=True)
-class EdgeRaster:
-    """32x16 intensity grid (max-normalized) plus the descriptor fields."""
-
-    grid: np.ndarray          # (32, 16), values in [0, 1]
-    midpoint: np.ndarray      # (3,)
-    growth_angle: float       # radians
-
-    def descriptor(self) -> np.ndarray:
-        return np.concatenate([self.midpoint, [self.growth_angle]])
 
 
 @dataclass(frozen=True)
@@ -90,8 +79,8 @@ def _edge_frame(points: np.ndarray, graph: SuperpointGraph, edge: int,
                 idx: np.ndarray):
     """(u, v, midpoint, edge vector) of one edge: the x and y coordinates,
     in the edge's frame, of the points ``idx`` near its endpoints (see
-    :func:`project_edge`). Raises DegenerateGeometryError for fewer than
-    3 points or coincident endpoints.
+    ``reference_frame`` in ``tests/raster_reference.py``). Raises
+    DegenerateGeometryError for fewer than 3 points or coincident endpoints.
 
     The points are gathered once into contiguous coordinate rows, which
     give the mean (:func:`coordinate_rows`), the centred copy and the
@@ -160,26 +149,6 @@ def _rasterise(us: list, vs: list, r_super: float) -> np.ndarray:
     return grids
 
 
-def project_edge(cloud: PointCloud, graph: SuperpointGraph, edge: int,
-                 r_super: float, index: GridIndex | None = None) -> EdgeRaster:
-    """Rasterize the two-sphere neighborhood of a candidate edge.
-
-    Frame: origin at the edge midpoint, x along the edge, z along the
-    least-significant singular vector orthogonalized against the edge
-    (sign fixed toward world +Y). The z component is dropped and (x, y)
-    histogrammed over [-2r, 2r] x [-r, r]; out-of-range points land in
-    the boundary buckets. ``index`` is a GridIndex over the cloud with
-    radius r_super, if given. The raster is a one-edge block of the
-    rasteriser :func:`score_all_edges` runs.
-    """
-    index = index or GridIndex(cloud.points, r_super)
-    idx = ball_union(*(index.ball(graph.positions[node])
-                       for node in graph.edges[edge]))
-    u, v, mid, evec = _edge_frame(cloud.points, graph, edge, idx)
-    return EdgeRaster(grid=_rasterise([u], [v], r_super)[0], midpoint=mid,
-                      growth_angle=grow_angle(evec))
-
-
 def _raster_blocks(cloud: PointCloud, graph: SuperpointGraph,
                    r_super: float, index: GridIndex):
     """(edge ids, (n, 32, 16) grids, [(midpoint, edge vector)] * n) of
@@ -206,7 +175,12 @@ def _raster_blocks(cloud: PointCloud, graph: SuperpointGraph,
 
 
 def _heuristic_scores(grids: np.ndarray) -> list[float]:
-    """:func:`heuristic_confidence` of each of the (n, 32, 16) grids.
+    """The heuristic confidence of each of the (n, 32, 16) grids:
+    coverage * compactness over the along-edge columns.
+
+    coverage = fraction of nonempty columns; compactness = 1 minus the
+    mean lateral intensity-weighted standard deviation over nonempty
+    columns, scaled by half the lateral bucket count.
 
     Column masses, means and deviations run over the whole block. Each
     grid's mean deviation over its non-empty columns is taken grid by
@@ -232,16 +206,6 @@ def _heuristic_scores(grids: np.ndarray) -> list[float]:
         compactness = min(max(compactness, 0.0), 1.0)
         scores.append(min(max(coverage * compactness, 0.0), 1.0))
     return scores
-
-
-def heuristic_confidence(raster: EdgeRaster) -> float:
-    """coverage * compactness over the along-edge columns.
-
-    coverage = fraction of nonempty columns; compactness = 1 minus the
-    mean lateral intensity-weighted standard deviation over nonempty
-    columns, scaled by half the lateral bucket count.
-    """
-    return _heuristic_scores(raster.grid[None])[0]
 
 
 @dataclass(frozen=True)
@@ -314,11 +278,6 @@ class DenseModel:
             return 0.0
 
 
-def model_confidence(raster: EdgeRaster, model: DenseModel) -> float:
-    x = np.concatenate([raster.grid.reshape(-1), raster.descriptor()])
-    return model.forward(x)
-
-
 #: Why an override table can miss or exceed the graph's edges.
 _OVERRIDE_HINT = (
     "An override table is keyed to the superpoint graph of one cloud, "
@@ -361,9 +320,9 @@ def check_scores(values: list, num_edges: int, what: str) -> np.ndarray:
 def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
                     scorer, cfg: SearchConfig,
                     index: GridIndex | None = None) -> ConfidenceMap:
-    """Score every dense edge; ``index`` as in project_edge. Rasters are
-    made and scored in blocks of edges (see BLOCK_POINTS); every score
-    equals that of the edge's own :func:`project_edge` raster.
+    """Score every dense edge, in blocks of edges (see BLOCK_POINTS), each
+    as ``tests/raster_reference.py`` does alone; ``index`` is a GridIndex
+    over the cloud with radius r_super, if given.
 
     ``scorer`` is one of:
       - ("heuristic",)
@@ -396,8 +355,8 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
             model = DenseModel.load(model)
 
         def score_block(grids, frames):
-            return [model_confidence(EdgeRaster(grid, mid, grow_angle(evec)),
-                                     model)
+            return [model.forward(np.concatenate(
+                        [grid.reshape(-1), mid, [grow_angle(evec)]]))
                     for grid, (mid, evec) in zip(grids, frames)]
     elif kind == "heuristic":
         def score_block(grids, frames):

@@ -6,8 +6,7 @@ term of the entered edge plus its bend penalty. A population of
 candidate skeletons grows one edge-label pair per iteration, with
 rank-product weighted resampling.
 
-Each iteration does its per-member work once per distinct candidate where
-it can (best score, open tips), draws all of its tip choices in one batch
+Each iteration draws all of its tip choices in one batch
 (:func:`draws.candidate_draws`) and all of its resampling uniforms in one
 ``rng.random`` call, with the same numbers the per-member calls gave.
 """
@@ -160,15 +159,15 @@ class Candidate:
     of the edge into it, labels of its child edges, labels a new child edge
     may take); parent and label are None at the base."""
 
-    __slots__ = ("records", "score", "nodes", "frontier", "abandoned", "key")
+    __slots__ = ("records", "score", "nodes", "frontier", "open", "key")
 
     def __init__(self, records: dict, score: float, nodes: int,
-                 frontier: frozenset, abandoned: int, key: int):
+                 frontier: frozenset, open: tuple, key: int):
         self.records = records
         self.score = score
         self.nodes = nodes  # bitmask of the skeleton's nodes: bit n for n
         self.frontier = frontier  # directed edges (in-skeleton -> outside)
-        self.abandoned = abandoned  # bitmask of tips with no pair left
+        self.open = open  # ascending tips neither reached nor abandoned
         # Edge count << 64 | order-independent 64-bit content hash: one
         # int that sorts as the (count, hash) pair does.
         self.key = key
@@ -188,11 +187,12 @@ def _child_key(key: int, state: DirEdge, label: Label) -> int:
     return (key ^ x) + (1 << 64)
 
 
-def make_root_candidate(base: int, ctx: SearchContext) -> Candidate:
+def make_root_candidate(base: int, ctx: SearchContext,
+                        tips: tuple) -> Candidate:
     # The skeleton's first edge is always Trunk.
     records = {base: (None, None, (), (Label.TRUNK,))}
     frontier = frozenset((base, w) for w, _ in ctx.adj[base])
-    return Candidate(records, 0.0, 1 << base, frontier, 0, 0)
+    return Candidate(records, 0.0, 1 << base, frontier, tips, 0)
 
 
 # Memoised: the arguments range over a few short label tuples, so the
@@ -224,7 +224,7 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
         if not nodes >> w & 1:
             frontier.add((v, w))
     return Candidate(records, new_score, nodes, frozenset(frontier),
-                     cand.abandoned, key)
+                     tuple(t for t in cand.open if t != v), key)
 
 
 def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
@@ -357,12 +357,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     priors = {t: PathPrior(ctx, t) for t in tips if t not in outside}
     prior_time = time.perf_counter() - t0
 
-    root = make_root_candidate(base, ctx)
+    root = make_root_candidate(base, ctx, tips)
     population: list[Candidate] = [root] * cfg.K
-    # The population's distinct candidates in order of first appearance.
-    # Members with one key are one object, so per-candidate work (best
-    # score, open tips) is done once per distinct candidate.
-    distinct = [root]
     best = root
     # Never binds: the search ends in num_nodes - 1 + len(tips) iterations.
     max_iter = 10 * max(graph.num_nodes, 1)
@@ -373,7 +369,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                            0)
 
     while iteration < max_iter:
-        for cand in distinct:
+        for cand in population:
             if cand.score > best.score:
                 best = cand
         history.append(best.score)
@@ -382,11 +378,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         # reached nor abandoned). Candidate ci with n >= 2 open tips takes
         # ``default_rng((seed, iteration, ci)).integers(n)``; all of an
         # iteration's draws are computed in one batch.
-        open_tips = {}
-        for cand in distinct:
-            done = cand.nodes | cand.abandoned
-            open_tips[cand.key] = [t for t in tips if not done >> t & 1]
-        member_tips = [open_tips[cand.key] for cand in population]
+        member_tips = [cand.open for cand in population]
         drawing = [ci for ci, ts in enumerate(member_tips) if len(ts) > 1]
         draws = iter(candidate_draws(cfg.seed, iteration, drawing,
                                      [len(member_tips[ci]) for ci in drawing]))
@@ -431,7 +423,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                     if entry is None:
                         entry = pool[key] = [score_ranks[ci], Candidate(
                             cand.records, cand.score, cand.nodes,
-                            cand.frontier, cand.abandoned | 1 << tip, key),
+                            cand.frontier,
+                            tuple(t for t in cand.open if t != tip), key),
                             None]
                     else:
                         entry[0] += score_ranks[ci]
@@ -466,10 +459,9 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                     counts["grows"] += 1
                 realized[idx] = cand
             population.append(cand)
-        distinct = list(realized.values())
         iteration += 1
 
-    for cand in distinct:
+    for cand in population:
         if cand.score > best.score:
             best = cand
 
@@ -499,7 +491,6 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "best_score_history": history,
         "best_score": best.score,
         "reached_tips": [t for t in tips if best.nodes >> t & 1],
-        "abandoned_tips": [t for t in tips if best.abandoned >> t & 1],
         "prior_seconds": prior_time,
     }
     edges = [(parent, node, label) for node, (parent, label, _, _)

@@ -179,7 +179,20 @@ def graph_to_dict(graph: SuperpointGraph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> SuperpointGraph:
-    for k, n in enumerate(doc["nodes"]):
-        if n["id"] != k:
-            raise CloudFormatError("graph JSON node ids must be 0..n-1")
-    return SuperpointGraph([n["pos"] for n in doc["nodes"]], doc["edges"])
+    """The graph of a :func:`graph_to_dict` document; raises
+    CloudFormatError unless node ids run 0..n-1, positions are finite and
+    edges are int pairs 0 <= i < j < n in strictly increasing order."""
+    n = len(doc["nodes"])
+    if [node["id"] for node in doc["nodes"]] != list(range(n)):
+        raise CloudFormatError("graph JSON node ids must be 0..n-1")
+    edges = [tuple(e) for e in doc["edges"]]
+    # Ordered pairs in ascending rows also rule out duplicates.
+    if not all(len(e) == 2 and type(e[0]) is type(e[1]) is int
+               and 0 <= e[0] < e[1] < n for e in edges) or any(
+                   a >= b for a, b in zip(edges, edges[1:])):
+        raise CloudFormatError("graph JSON edges must be int pairs i < j of "
+                               "node ids in strictly increasing order")
+    graph = SuperpointGraph([node["pos"] for node in doc["nodes"]], edges)
+    if graph.num_nodes != n or not np.isfinite(graph.positions).all():
+        raise CloudFormatError("graph JSON positions must be finite 3-vectors")
+    return graph

@@ -199,6 +199,35 @@ def test_score_cache_out_of_range_is_rebuilt(synth_dir, tmp_path, values):
     assert (out / "skeleton.json").read_bytes() == cold
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc["edges"].append([7, 7]),
+    lambda doc: doc["edges"].append([3, 0]),
+    lambda doc: doc["edges"].append(doc["edges"][-1]),
+    lambda doc: doc["edges"].insert(0, [-1, 0]),
+    lambda doc: doc["edges"][-1].__setitem__(1, doc["edges"][-1][1] + 0.0),
+    lambda doc: doc["nodes"][3]["pos"].__setitem__(0, math.nan)],
+    ids=["self-loop", "reversed", "duplicate", "negative-id", "float-id",
+         "nan-position"])
+def test_graph_cache_failing_its_checks_is_rebuilt(synth_dir, tmp_path,
+                                                   tamper):
+    """A graph cache with a self-loop, a reversed or repeated edge, a node
+    id that is negative or a float, or a NaN position is rebuilt, not
+    used."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+            "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    cold = (out / "skeleton.json").read_bytes()
+    (cache,) = out.glob("cache_graph_*.json")
+    doc = json.loads(cache.read_text())
+    tamper(doc)
+    cache.write_text(json.dumps(doc))
+    assert main(argv) == EXIT_OK
+    assert _cache_outcomes(out)["graph"] == "rebuilt"
+    assert (out / "skeleton.json").read_bytes() == cold
+
+
 def _zero_weight_model(path, bias):
     """A one-layer model that gives every edge sigmoid(bias)."""
     n_in = GRID_ALONG * GRID_LATERAL + 4
@@ -497,7 +526,10 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
     """A tip in the base's component that the best skeleton misses is
     told apart from one cut off by a gap, and a warning names it. Every
     scan toward tip 4 comes back empty, so each lineage abandons it and
-    the search reaches tip 9 beside the chain instead."""
+    the search reaches tip 9 beside the chain instead. The best candidate,
+    the earliest with the top score, still had tip 4 open when it got
+    there; ``tip_outcomes`` alone states each tip's fate, with no list of
+    abandoned tips in the manifest to disagree with it."""
     positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
     positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
     positions += [(0.15, 0.0, 0.3)]
@@ -524,6 +556,7 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
     assert info["tip_outcomes"] == {4: "abandoned_reachable",
                                     8: "outside_base_component",
                                     9: "reached"}
+    assert "abandoned_tips" not in info
     warnings = [r.getMessage() for r in caplog.records
                 if r.levelno == logging.WARNING]
     assert len(warnings) == 2

@@ -15,8 +15,7 @@ from skelgrow.cli import _bench_spec
 from skelgrow.cloud import PointCloud
 from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import (GRID_ALONG, GRID_LATERAL, DenseModel,
-                                   EdgeRaster, edge_key, heuristic_confidence,
-                                   model_confidence, project_edge,
+                                   _heuristic_scores, edge_key,
                                    score_all_edges)
 from skelgrow.errors import (DegenerateGeometryError, ModelFormatError,
                              OverrideError)
@@ -35,19 +34,30 @@ def _edge_fixture(points):
     return cloud, graph
 
 
+def _edge_grid(cloud, graph, edge=0):
+    """Edge ``edge``'s grid as the block rasteriser that score_all_edges
+    runs makes it, or None when the edge is degenerate."""
+    index = GridIndex(cloud.points, CFG.r_super)
+    for edges, grids, _ in edge_scoring._raster_blocks(
+            cloud, graph, CFG.r_super, index):
+        if edge in edges:
+            return grids[edges.index(edge)]
+    return None
+
+
 def test_project_edge_collinear_points_central_rows():
     xs = np.linspace(-0.05, 0.20, 60)
     pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
     cloud, graph = _edge_fixture(pts)
-    raster = project_edge(cloud, graph, 0, CFG.r_super)
-    assert raster.grid.shape == (GRID_ALONG, GRID_LATERAL)
-    assert raster.grid.max() == pytest.approx(1.0)
-    lateral_mass = raster.grid.sum(axis=0)
+    grid = _edge_grid(cloud, graph)
+    assert grid.shape == (GRID_ALONG, GRID_LATERAL)
+    assert grid.max() == pytest.approx(1.0)
+    lateral_mass = grid.sum(axis=0)
     occupied = np.nonzero(lateral_mass)[0]
     center = GRID_LATERAL // 2
     assert set(occupied) <= {center - 1, center}
     # Columns along the edge are uniformly hit over the sampled span.
-    col_mass = raster.grid.sum(axis=1)
+    col_mass = grid.sum(axis=1)
     assert (col_mass[col_mass > 0] > 0).all()
 
 
@@ -59,7 +69,7 @@ def test_project_edge_rigid_invariance_up_to_lateral_flip():
         rng.normal(scale=0.005, size=300),
     ])
     cloud, graph = _edge_fixture(pts)
-    base = project_edge(cloud, graph, 0, CFG.r_super)
+    base = _edge_grid(cloud, graph)
 
     # Random rigid motion applied to cloud and node positions together.
     theta = 0.83
@@ -74,9 +84,9 @@ def test_project_edge_rigid_invariance_up_to_lateral_flip():
     moved_cloud = PointCloud((pts @ rot.T + shift).astype(np.float32))
     moved_graph = make_graph(
         (np.asarray([(0, 0, 0), (0.15, 0, 0)]) @ rot.T + shift), [(0, 1)])
-    moved = project_edge(moved_cloud, moved_graph, 0, CFG.r_super)
-    same = np.allclose(moved.grid, base.grid)
-    flipped = np.allclose(moved.grid, base.grid[:, ::-1])
+    moved = _edge_grid(moved_cloud, moved_graph)
+    same = np.allclose(moved, base)
+    flipped = np.allclose(moved, base[:, ::-1])
     assert same or flipped
 
 
@@ -91,8 +101,7 @@ def test_project_edge_gap_fixture_has_zero_band():
         np.stack([xs, np.full_like(xs, -off), np.zeros_like(xs)], axis=1),
     ])
     cloud, graph = _edge_fixture(pts)
-    raster = project_edge(cloud, graph, 0, CFG.r_super)
-    lateral_mass = raster.grid.sum(axis=0)
+    lateral_mass = _edge_grid(cloud, graph).sum(axis=0)
     occupied = np.nonzero(lateral_mass)[0]
     assert len(occupied) >= 2
     gap = [k for k in range(occupied.min(), occupied.max() + 1)
@@ -102,25 +111,26 @@ def test_project_edge_gap_fixture_has_zero_band():
 
 def test_project_edge_too_few_points():
     cloud, graph = _edge_fixture([[0.0, 0.0, 0.0], [0.15, 0.0, 0.0]])
+    index = GridIndex(cloud.points, CFG.r_super)
+    ((edge, idx),) = edge_scoring._edge_points(graph, index)
     with pytest.raises(DegenerateGeometryError):
-        project_edge(cloud, graph, 0, CFG.r_super)
+        edge_scoring._edge_frame(cloud.points, graph, edge, idx)
+    assert _edge_grid(cloud, graph) is None
+    assert score_all_edges(cloud, graph, ("heuristic",), CFG, index)[0] == 0.0
 
 
-def _raster(grid):
-    return EdgeRaster(grid=np.asarray(grid, dtype=np.float64),
-                      midpoint=np.zeros(3), growth_angle=0.0)
+def _heuristic(grid):
+    return _heuristic_scores(np.asarray(grid, dtype=np.float64)[None])[0]
 
 
 def test_heuristic_all_zero_grid():
-    assert heuristic_confidence(
-        _raster(np.zeros((GRID_ALONG, GRID_LATERAL)))) == 0.0
+    assert _heuristic(np.zeros((GRID_ALONG, GRID_LATERAL))) == 0.0
 
 
 def test_heuristic_central_rows_high_score():
     grid = np.zeros((GRID_ALONG, GRID_LATERAL))
     grid[:, GRID_LATERAL // 2 - 1:GRID_LATERAL // 2 + 1] = 1.0
-    score = heuristic_confidence(_raster(grid))
-    assert score >= 0.9
+    assert _heuristic(grid) >= 0.9
 
 
 def test_heuristic_half_columns_half_score():
@@ -128,35 +138,44 @@ def test_heuristic_half_columns_half_score():
     full[:, GRID_LATERAL // 2] = 1.0
     half = full.copy()
     half[GRID_ALONG // 2:] = 0.0
-    compactness = heuristic_confidence(_raster(full))  # coverage is 1 here
-    assert heuristic_confidence(_raster(half)) == pytest.approx(
-        0.5 * compactness, rel=1e-9)
+    compactness = _heuristic(full)  # coverage is 1 here
+    assert _heuristic(half) == pytest.approx(0.5 * compactness, rel=1e-9)
+
+
+def _bias_only_model(bias):
+    """A one-layer model with zero weights: logit ``bias`` for any input."""
+    n_in = GRID_ALONG * GRID_LATERAL + 4
+    return DenseModel.from_dict({"layers": [
+        {"rows": 1, "cols": n_in, "weights": [0.0] * n_in, "bias": [bias]}]})
+
+
+def _line_edge_fixture():
+    """An edge along a sampled line: non-degenerate, with a full grid."""
+    xs = np.linspace(-0.05, 0.20, 60)
+    return _edge_fixture(np.stack(
+        [xs, 0.01 * np.sin(40 * xs), np.zeros_like(xs)], axis=1))
 
 
 def test_model_zero_weights_gives_half():
-    n_in = GRID_ALONG * GRID_LATERAL + 4
-    model = DenseModel.from_dict({"layers": [
-        {"rows": 1, "cols": n_in, "weights": [0.0] * n_in, "bias": [0.0]}]})
-    grid = np.zeros((GRID_ALONG, GRID_LATERAL))
-    assert model_confidence(_raster(grid), model) == pytest.approx(0.5)
+    cloud, graph = _line_edge_fixture()
+    conf = score_all_edges(cloud, graph, ("model", _bias_only_model(0.0)),
+                           CFG)
+    assert conf[0] == pytest.approx(0.5)
 
 
 def test_model_large_bias_saturates():
-    n_in = GRID_ALONG * GRID_LATERAL + 4
-    model = DenseModel.from_dict({"layers": [
-        {"rows": 1, "cols": n_in, "weights": [0.0] * n_in, "bias": [10.0]}]})
-    got = model_confidence(_raster(np.zeros((GRID_ALONG, GRID_LATERAL))),
-                           model)
-    assert got == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), rel=1e-12)
+    cloud, graph = _line_edge_fixture()
+    conf = score_all_edges(cloud, graph, ("model", _bias_only_model(10.0)),
+                           CFG)
+    assert conf[0] == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), rel=1e-12)
 
 
 def test_model_very_negative_logit_gives_zero():
-    n_in = GRID_ALONG * GRID_LATERAL + 4
-    model = DenseModel.from_dict({"layers": [
-        {"rows": 1, "cols": n_in, "weights": [0.0] * n_in,
-         "bias": [-1000.0]}]})
-    grid = np.zeros((GRID_ALONG, GRID_LATERAL))
-    assert model_confidence(_raster(grid), model) == 0.0
+    model = _bias_only_model(-1000.0)
+    assert model.forward(np.zeros(GRID_ALONG * GRID_LATERAL + 4)) == 0.0
+    cloud, graph = _line_edge_fixture()
+    assert _edge_grid(cloud, graph) is not None  # not a degenerate 0
+    assert score_all_edges(cloud, graph, ("model", model), CFG)[0] == 0.0
 
 
 def test_model_two_layers_match_manual_forward():
@@ -172,15 +191,20 @@ def test_model_two_layers_match_manual_forward():
         {"rows": 1, "cols": 6, "weights": w2.reshape(-1).tolist(),
          "bias": b2.tolist()},
     ]})
-    grid = rng.uniform(size=(GRID_ALONG, GRID_LATERAL))
-    raster = EdgeRaster(grid=grid, midpoint=np.array([0.1, 0.2, 0.3]),
-                        growth_angle=0.7)
-    x = np.concatenate([grid.reshape(-1), [0.1, 0.2, 0.3, 0.7]])
+    # A tilted edge: its midpoint and growth angle are not zero.
+    pts = np.column_stack([np.linspace(0.1, 0.25, 200),
+                           rng.normal(scale=0.01, size=200),
+                           np.linspace(0.2, 0.4, 200)])
+    cloud = PointCloud(pts.astype(np.float32))
+    graph = make_graph([(0.1, 0.0, 0.2), (0.25, 0.0, 0.4)], [(0, 1)])
+    mid = np.array([0.175, 0.0, 0.3])
+    angle = grow_angle(np.array([0.15, 0.0, 0.2]))
+    x = np.concatenate([_edge_grid(cloud, graph).reshape(-1), mid, [angle]])
     hidden = np.maximum(w1 @ x + b1, 0.0)
     logit = float((w2 @ hidden + b2)[0])
     expected = 1.0 / (1.0 + math.exp(-logit))
-    assert model_confidence(raster, model) == pytest.approx(expected,
-                                                            rel=1e-12)
+    conf = score_all_edges(cloud, graph, ("model", model), CFG)
+    assert conf[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_model_dimension_mismatch():
@@ -265,16 +289,6 @@ def test_heuristic_scores_synthetic_tree_edges_high():
     assert conf.values.min() >= 0.0 and conf.values.max() <= 1.0
 
 
-def test_project_edge_same_with_and_without_a_tree():
-    spec = SynthSpec(n_leaders=2, leader_height=1.0, seed=3)
-    cloud, _ = generate(spec)
-    graph = build_graph(cloud, CFG.r_super, 3)
-    conf = score_all_edges(cloud, graph, ("heuristic",), CFG)
-    for k in range(0, graph.num_edges, 7):
-        raster = project_edge(cloud, graph, k, CFG.r_super)
-        assert heuristic_confidence(raster) == conf[k]
-
-
 # -- block rasteriser against the per-edge reference ------------------------
 
 @pytest.fixture(scope="module", params=[
@@ -313,8 +327,8 @@ def _reference_scores(cloud, graph, index, model=None):
             scores[k] = reference_heuristic(grid)
         else:
             pa, pb = graph.positions[graph.edges[k]]
-            scores[k] = model_confidence(EdgeRaster(
-                grid, 0.5 * (pa + pb), grow_angle(pb - pa)), model)
+            scores[k] = model.forward(np.concatenate(
+                [grid.reshape(-1), 0.5 * (pa + pb), [grow_angle(pb - pa)]]))
     return scores
 
 
@@ -326,8 +340,6 @@ def test_block_rasters_equal_per_edge_reference(tree):
         for k, grid in zip(edges, grids):
             assert np.array_equal(
                 grid, reference_grid(cloud, graph, k, CFG.r_super, index))
-            assert np.array_equal(
-                grid, project_edge(cloud, graph, k, CFG.r_super, index).grid)
         seen += edges
     assert seen == list(range(graph.num_edges))
 
@@ -406,6 +418,7 @@ def test_degenerate_edges_score_zero_among_others():
         assert conf[graph.edge_id(3, 4)] == 0.0
         assert np.array_equal(conf.values, _reference_scores(
             cloud, graph, index, scorer[1] if len(scorer) > 1 else None))
-    for edge in ((1, 2), (3, 4)):
-        with pytest.raises(DegenerateGeometryError):
-            project_edge(cloud, graph, graph.edge_id(*edge), CFG.r_super)
+    for k, idx in edge_scoring._edge_points(graph, index):
+        if k != graph.edge_id(0, 1):
+            with pytest.raises(DegenerateGeometryError):
+                edge_scoring._edge_frame(cloud.points, graph, k, idx)

@@ -435,7 +435,7 @@ def test_prior_dropped_penalty_rule():
     assert prior.turn_pen[(1, 2)] == pytest.approx((0.0, 0.0, big))
     assert prior.turn_pen[(2, 3)] == (0.0, 0.0, 0.0)
     # Each proposal's potential subtracts its label's entry.
-    root = make_root_candidate(4, ctx)
+    root = make_root_candidate(4, ctx, ())
     cand = grow_candidate(root, (4, 0), Label.TRUNK, 0.5,
                           _child_key(root.key, (4, 0), Label.TRUNK), ctx)
     pairs = eligible_pairs(cand, prior, ctx)
@@ -459,7 +459,7 @@ def _t_fixture():
 def test_eligible_empty_skeleton_trunk_only():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    root = make_root_candidate(0, ctx)
+    root = make_root_candidate(0, ctx, ())
     pairs = eligible_pairs(root, prior, ctx)
     new_score = ctx.reward((0, 1), Label.TRUNK, None, None)
     assert pairs == [((0, 1), Label.TRUNK, new_score,
@@ -470,7 +470,7 @@ def test_eligible_empty_skeleton_trunk_only():
 def test_eligible_after_leader_only_leader():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    root = make_root_candidate(0, ctx)
+    root = make_root_candidate(0, ctx, ())
     cand = root
     for state, lab in (((0, 1), Label.TRUNK), ((1, 2), Label.LEADER)):
         cand = grow_candidate(cand, state, lab,
@@ -487,11 +487,13 @@ def test_eligible_after_leader_only_leader():
 def test_eligible_tip_already_reached_empty():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    cand = make_root_candidate(0, ctx)
+    cand = make_root_candidate(0, ctx, (3,))
     for k in range(3):
+        assert cand.open == (3,)
         state = (k, k + 1)
         cand = grow_candidate(cand, state, Label.TRUNK, 0.0,
                               _child_key(cand.key, state, Label.TRUNK), ctx)
+    assert cand.open == ()  # reaching the tip closes it
     assert eligible_pairs(cand, prior, ctx) == []
 
 
@@ -554,7 +556,7 @@ def test_eligible_labels_match_check_all():
     rng = np.random.default_rng(11)
     checked = 0
     for _lineage in range(30):
-        cand = make_root_candidate(base, ctx)
+        cand = make_root_candidate(base, ctx, ())
         for _step in range(80):
             prior = priors[int(rng.integers(len(priors)))]
             pairs = eligible_pairs(cand, prior, ctx)
@@ -591,7 +593,7 @@ def test_eligible_labels_match_check_all():
 def test_potential_no_penalties_is_score_plus_esum():
     graph, conf, ctx = _t_fixture()
     prior = PathPrior(ctx, tip=3)
-    cand = make_root_candidate(0, ctx)
+    cand = make_root_candidate(0, ctx, ())
     [(state, lab, new_score, pot)] = eligible_pairs(cand, prior, ctx)
     assert pot == pytest.approx(new_score + prior.esum[(0, 1)], rel=1e-9)
     # Straight chain: no turn penalties, so every label's potential is its
