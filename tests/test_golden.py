@@ -2,6 +2,10 @@
 ``skelgrow skeletonize`` on fixed synthetic trees, of one ``skelgrow synth``
 ``cloud.ply`` and of one ``skelgrow eval`` report.
 
+Each golden run also pins the search's trajectory from ``run_manifest.json``:
+its iterations, tip draws, work counts and the sha256 of its best-score
+history, so that a changed search cannot hide behind an unchanged skeleton.
+
 A refactor must leave these bytes unchanged. A change that alters output on
 purpose updates the digests here and shows in CHANGES.md that corpus
 quality (criteria 6 and 7) did not get worse.
@@ -23,23 +27,35 @@ GOLDEN = [
     ({"n_leaders": 2, "leader_height": 1.0, "seed": 1}, {"K": 50, "seed": 1},
      "override",
      "f24180a5595fe024259315543f40c9364749150807a7e6f9545a59ded989e69c",
-     "572a1eaeedfea895573229a2a7c5aa6547b08850eb3ebe1feb228eaf22e8fb48"),
+     "572a1eaeedfea895573229a2a7c5aa6547b08850eb3ebe1feb228eaf22e8fb48",
+     (23, 876, {"scans": 620, "proposals": 1079, "grows": 484,
+               "resample_draws": 988},
+      "4f6d6a26ca5f7d561f0f5de996dcca9e1fe2b0db2ac9a6192a4b9bd8c726e62b")),
     # Heuristic scores on a tree with side branches (105 superpoints).
     ({"n_leaders": 4, "n_side_branches": 2, "seed": 0}, {"K": 20},
      "heuristic",
      "c6fec764885653edc912c51da0b24294cacea22408b9a5bd41844219e0d189c4",
-     "474dce418742c37c29661378fb56c0172d86a11b8cd6a19af985d0da13b5ea52"),
+     "474dce418742c37c29661378fb56c0172d86a11b8cd6a19af985d0da13b5ea52",
+     (41, 715, {"scans": 522, "proposals": 1167, "grows": 448,
+               "resample_draws": 802},
+      "c1faa7330b5673c8176b6bc3ed93840dcb4f551a68ba58edb8dc375b01978c94")),
     # The oracle-corpus tree clean-0 at K=200: its iterations hit the
     # k_max_rep cap in resampling.
     ({"n_leaders": 7, "leader_spacing": 0.35, "leader_height": 2.0,
       "seed": 0}, {"K": 200},
      "override",
      "8ce6aab11536281fece0b04055a236722fbf6c3ae92d6ba242169bb4b05cfeec",
-     "e0475417e2870ac947168668abfd2769f9b4b669e0936b671d63c0e997f4124a"),
+     "e0475417e2870ac947168668abfd2769f9b4b669e0936b671d63c0e997f4124a",
+     (127, 24952, {"scans": 21257, "proposals": 30708, "grows": 13575,
+               "resample_draws": 23911},
+      "08a6d276ee84ba24f8eb307edb39af1922d22e51bd74e2e6df8db24ed6b87f53")),
     # A deep skeleton: 32 tips and 316 edges, heuristic scores.
     ({"n_leaders": 32, "seed": 0}, {"K": 100}, "heuristic",
      "ef65ec4912c832b0baf7db097be007e209dabc7aede7c60d3f887dc5dd871292",
-     "035cb56a284e438a010322814d8a2db11d9cd6990219a779ac52d5c31ad734bf"),
+     "035cb56a284e438a010322814d8a2db11d9cd6990219a779ac52d5c31ad734bf",
+     (330, 32812, {"scans": 25297, "proposals": 35047, "grows": 16937,
+               "resample_draws": 32524},
+      "34d17e0a65df17a33fa82fdc69a0fe5194c69ccee392f772a536815e4898f5d5")),
 ]
 
 
@@ -48,8 +64,8 @@ GOLDEN = [
                      "oracle-corpus-clean-0", "heuristic-wide-tree"])
 def golden_run(request, tmp_path_factory):
     """(spec, skeletonize output directory, expected ``skeleton.json`` and
-    ``skeleton.ply`` digests) of one golden tree."""
-    spec, config, scorer, digest, ply_digest = request.param
+    ``skeleton.ply`` digests, expected trajectory) of one golden tree."""
+    spec, config, scorer, digest, ply_digest, trajectory = request.param
     tmp_path = tmp_path_factory.mktemp("golden")
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -62,11 +78,11 @@ def golden_run(request, tmp_path_factory):
     assert main(["skeletonize", "--cloud", str(synth / "cloud.ply"),
                  "--config", str(tmp_path / "cfg.json"), "--scorer", scorer,
                  "--out", str(out)]) == EXIT_OK
-    return spec, out, digest, ply_digest
+    return spec, out, digest, ply_digest, trajectory
 
 
 def test_skeleton_json_digest(golden_run):
-    spec, out, digest, _ = golden_run
+    spec, out, digest, _, _ = golden_run
     data = (out / "skeleton.json").read_bytes()
     if spec.get("n_side_branches"):
         labels = [e["label"] for e in json.loads(data)["edges"]]
@@ -77,7 +93,7 @@ def test_skeleton_json_digest(golden_run):
 def test_skeleton_ply_digest(golden_run):
     """The label-coloured cloud: grey points, then the skeleton's nodes and
     edges."""
-    _, out, _, ply_digest = golden_run
+    _, out, _, ply_digest, _ = golden_run
     data = (out / "skeleton.ply").read_bytes()
     assert hashlib.sha256(data).hexdigest() == ply_digest
 
@@ -99,10 +115,21 @@ def test_search_ends_within_node_and_tip_bound(golden_run):
     """Every iteration adds an edge or abandons a tip in each unfinished
     candidate, so the search ends within n_superpoints - 1 + len(tips)
     iterations, far below run_search's guard of 10 x n_superpoints."""
-    _, out, _, _ = golden_run
+    _, out, _, _, _ = golden_run
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert 0 < manifest["iterations"] <= (
         manifest["n_superpoints"] - 1 + len(manifest["tips"]))
+
+
+def test_search_trajectory(golden_run):
+    """(iterations, tip draws, search counts, sha256 of the JSON list of
+    best scores per iteration), as the manifest records them."""
+    _, out, _, _, trajectory = golden_run
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    history = json.dumps(manifest["best_score_history"]).encode()
+    assert (manifest["iterations"], manifest["tip_draws"],
+            manifest["search_counts"],
+            hashlib.sha256(history).hexdigest()) == trajectory
 
 
 # Heuristic skeleton of the side-branch tree against its reference skeleton,
