@@ -1,11 +1,16 @@
 """The search's tip draws: numpy's per-candidate generators, replayed in
-one batch.
+blocks of iterations.
 
 In iteration ``it`` of the search, candidate ``ci`` with ``n`` >= 2 open
-tips takes ``numpy.random.default_rng((seed, it, ci)).integers(n)``.
-:func:`candidate_draws` computes a whole iteration's draws bit for bit,
-building a generator only for the rare draw whose first word enters
-Lemire's rejection test.
+tips takes ``numpy.random.default_rng((seed, it, ci)).integers(n)``. That
+draw reads the first uint32 word of the generator's stream, which depends
+on ``(seed, it, ci)`` alone. :func:`first_words` computes those words bit
+for bit for a block of iterations times a set of ``ci`` in one vectorised
+pass, and :func:`bounded_draws` turns a row of them into draws, building a
+generator only for the rare draw whose word enters Lemire's rejection
+test. :class:`TipDraws` serves the search one block of iterations times
+every ``ci < K`` at a time; :func:`candidate_draws` is the one-iteration
+case.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import pairwise
 import numpy as np
 
 # numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit
-# LCG multiplier: ``candidate_draws`` replays both algorithms.
+# LCG multiplier: ``first_words`` replays both algorithms.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -25,6 +30,8 @@ _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
 _PCG_MULT_LO = np.uint64(_PCG_MULT & _M64)
+#: Words per :class:`TipDraws` block: iterations times candidates.
+BLOCK_WORDS = 1 << 13
 
 
 def _hash_constants(c: int, mult: int):
@@ -76,21 +83,18 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo):
     return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
 
 
-def candidate_draws(seed: int, iteration: int, cis: list[int],
-                    ns: list[int]) -> list[int]:
-    """``[int(np.random.default_rng((seed, iteration, ci)).integers(n))
-    for ci, n in zip(cis, ns)]``, bit for bit, without building a generator
-    per draw. Each ``ci`` is below 2**32 and each ``n`` below 2**32.
+def first_words(seed: int, iterations, cis) -> np.ndarray:
+    """The first uint32 word of ``np.random.default_rng((seed, it, ci))``'s
+    stream, for each iteration ``it`` in ``iterations`` (rows) and each
+    ``ci`` in ``cis`` (columns), as a uint64 array. Each ``it`` and ``ci``
+    is below 2**32, so each is one entropy word.
 
     SeedSequence's entropy mixing and ``generate_state`` run as uint32
-    array arithmetic over every ``ci`` at once, and PCG64's seeding and
-    first step as arithmetic on uint64 word pairs, 128-bit products built
-    from 32-bit limbs. The first uint32 of each stream feeds ``integers``'
-    bounded Lemire draw. A draw that enters its rejection test, with
-    chance n / 2**32, is left to numpy's own generator.
+    array arithmetic, broadcast from the seed's words, a column of
+    iterations and a row of ``ci``; PCG64's seeding and first step run as
+    arithmetic on uint64 word pairs, 128-bit products built from 32-bit
+    limbs.
     """
-    if not cis:
-        return []
     hashes = pairwise(_hash_constants(_INIT_A, _MULT_A))
 
     def hashmix(value):
@@ -102,11 +106,11 @@ def candidate_draws(seed: int, iteration: int, cis: list[int],
         value = x * _MIX_L - y * _MIX_R
         return value ^ value >> 16
 
-    # Only the last entropy word, ci's, differs between the draws.
-    entropy = [np.array([w], dtype=np.uint32)
-               for w in _uint32_words(seed) + _uint32_words(iteration)]
-    entropy.append(np.array(cis, dtype=np.uint32))
-    zero = np.zeros(1, dtype=np.uint32)
+    entropy = [np.full((1, 1), w, dtype=np.uint32)
+               for w in _uint32_words(seed)]
+    entropy.append(np.array(iterations, dtype=np.uint32).reshape(-1, 1))
+    entropy.append(np.array(cis, dtype=np.uint32).reshape(1, -1))
+    zero = np.zeros((1, 1), dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero)
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -131,12 +135,66 @@ def candidate_draws(seed: int, iteration: int, cis: list[int],
     # shift in range and rotates by 0 when rot is 0.
     rot = hi >> 58
     x = lo ^ hi
-    word = (x >> rot | x << (-rot & 63)) & _M32
+    return (x >> rot | x << (-rot & 63)) & _M32
+
+
+def bounded_draws(words: np.ndarray, seed: int, iteration: int,
+                  cis: list[int], ns: list[int]) -> list[int]:
+    """``integers(n)`` of each generator ``default_rng((seed, iteration,
+    ci))``, given the first words of their streams (``words``, aligned
+    with ``cis``); each ``n`` is below 2**32.
+
+    The first word feeds ``integers``' bounded Lemire draw. A draw that
+    enters its rejection test, with chance n / 2**32, is left to numpy's
+    own generator.
+    """
     ns = np.array(ns, dtype=np.uint64)
-    m = word * ns
+    m = words * ns
     draws = (m >> 32).tolist()
     # Lemire's rejection test, rarely entered: numpy makes those draws.
     for k in np.flatnonzero((m & _M32) < ns).tolist():
         draws[k] = int(np.random.default_rng(
             (seed, iteration, cis[k])).integers(int(ns[k])))
     return draws
+
+
+def candidate_draws(seed: int, iteration: int, cis: list[int],
+                    ns: list[int]) -> list[int]:
+    """``[int(np.random.default_rng((seed, iteration, ci)).integers(n))
+    for ci, n in zip(cis, ns)]``, bit for bit, without building a generator
+    per draw: the one-iteration case of :func:`first_words`. Each
+    ``iteration`` and ``ci`` is below 2**32, and each ``n`` too."""
+    if not cis:
+        return []
+    return bounded_draws(first_words(seed, [iteration], cis)[0], seed,
+                         iteration, cis, ns)
+
+
+class TipDraws:
+    """The tip draws of a search with population ``K``: called with an
+    iteration and its drawing candidates ``cis`` (each below ``K``) and
+    their open-tip counts ``ns``, it returns what :func:`candidate_draws`
+    does.
+
+    The first words of a block of iterations times every ``ci < K``, about
+    BLOCK_WORDS of them, come from one :func:`first_words` pass, made when
+    an iteration outside the current block is asked for.
+    """
+
+    def __init__(self, seed: int, K: int):
+        self.seed, self.K = seed, K
+        self.rows = max(1, BLOCK_WORDS // K)
+        self.start, self.words = 0, None
+
+    def __call__(self, iteration: int, cis: list[int],
+                 ns: list[int]) -> list[int]:
+        if not cis:
+            return []
+        row = iteration - self.start
+        if self.words is None or not 0 <= row < self.rows:
+            self.start, row = iteration, 0
+            self.words = first_words(
+                self.seed, range(iteration, iteration + self.rows),
+                range(self.K))
+        return bounded_draws(self.words[row, cis], self.seed, iteration,
+                             cis, ns)

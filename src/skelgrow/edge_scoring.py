@@ -55,19 +55,23 @@ def _edge_points(graph: SuperpointGraph, index: GridIndex):
     """(edge id, sorted indices of the points near the edge's endpoints)
     of every edge, in order.
 
-    Each node's ball is queried once, at its first edge, and dropped after
-    its last; an edge takes the :func:`ball_union` of its two nodes' balls.
+    Each node's ball is queried once and dropped after its last edge; an
+    edge takes the :func:`ball_union` of its two nodes' balls. The balls
+    come from one :meth:`GridIndex.balls` query over the nodes in the order
+    of their first edge, whose chunks are computed as the edges need them.
     """
     edges = graph.edges.tolist()
-    last = {}
+    last = {}  # in the order of each node's first edge
     for k, ends in enumerate(edges):
         for node in ends:
             last[node] = k
+    queried = zip(last, index.balls(graph.positions[list(last)]))
     balls = {}
     for k, ends in enumerate(edges):
         for node in ends:
-            if node not in balls:
-                balls[node] = index.ball(graph.positions[node])
+            while node not in balls:
+                got, ball = next(queried)
+                balls[got] = ball
         idx = ball_union(*(balls[node] for node in ends))
         for node in ends:
             if last[node] == k:
@@ -102,7 +106,9 @@ def _edge_frame(points: np.ndarray, graph: SuperpointGraph, edge: int,
 
     rows, mean = coordinate_rows(np.take(points, idx, axis=0))
     # Offsets from the midpoint, written into a C-ordered (n, 3) array:
-    # the projections below round differently on any other layout.
+    # the projections below round differently on any other layout. The
+    # SVD takes the rows centred in place, transposed: a C-ordered copy
+    # gives it the same bits but costs more to write than it saves.
     rel = np.empty((len(idx), 3))
     np.subtract(rows, mid[:, None], out=rel.T)
     rows -= mean[:, None]

@@ -6,9 +6,13 @@ term of the entered edge plus its bend penalty. A population of
 candidate skeletons grows one edge-label pair per iteration, with
 rank-product weighted resampling.
 
-Each iteration draws all of its tip choices in one batch
-(:func:`draws.candidate_draws`) and all of its resampling uniforms in one
-``rng.random`` call, with the same numbers the per-member calls gave.
+A candidate holds its growth steps as a lineage, a linked list shared
+with its ancestors, and the record of each frontier edge's tail node, so a
+growth costs what it changes; only the winner's edges are walked out of
+its lineage. The tip draws come from :class:`draws.TipDraws`, which
+computes the generators' first words for a block of iterations at a time,
+and each iteration reads its resampling uniforms in one ``rng.random``
+call, with the same numbers the per-member calls gave.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import time
 import numpy as np
 
 from .config import SearchConfig
-from .draws import candidate_draws
+from .draws import TipDraws
 from .edge_scoring import ConfidenceMap
 from .errors import SearchStalledError, NoTipsError
 from .geometry import bend_penalty, edge_cost, edge_score, grow_penalty
@@ -154,45 +158,66 @@ class PathPrior:
 
 
 class Candidate:
-    """One population member: a growth record per node plus cached growth
-    state. ``records`` maps each node, in growth order, to (parent, label
-    of the edge into it, labels of its child edges, labels a new child edge
-    may take); parent and label are None at the base."""
+    """One population member: its lineage plus cached growth state.
 
-    __slots__ = ("records", "score", "nodes", "frontier", "open", "key")
+    ``lineage`` is None at the root and ``(parent's lineage, tail, head,
+    label)`` after each growth, so candidates share their ancestors' steps
+    (:func:`lineage_edges` walks them out). ``frontier`` maps each directed
+    edge from a skeleton node to a node outside the skeleton to its tail
+    node's record: (parent, label of the edge into it, labels of its child
+    edges, labels a new child edge may take); parent and label are None at
+    the base. Frontier dicts and lineages are never changed once built."""
 
-    def __init__(self, records: dict, score: float, nodes: int,
-                 frontier: frozenset, open: tuple, key: int):
-        self.records = records
+    __slots__ = ("lineage", "score", "nodes", "frontier", "open", "key")
+
+    def __init__(self, lineage: tuple | None, score: float, nodes: int,
+                 frontier: dict, open: tuple, key: int):
+        self.lineage = lineage
         self.score = score
         self.nodes = nodes  # bitmask of the skeleton's nodes: bit n for n
-        self.frontier = frontier  # directed edges (in-skeleton -> outside)
+        self.frontier = frontier
         self.open = open  # ascending tips neither reached nor abandoned
         # Edge count << 64 | order-independent 64-bit content hash: one
         # int that sorts as the (count, hash) pair does.
         self.key = key
 
 
-def _child_key(key: int, state: DirEdge, label: Label) -> int:
-    """Content key of the candidate keyed ``key`` grown by (state, label)."""
-    # Stable 64-bit mix (independent of PYTHONHASHSEED) so candidate
-    # content keys, and therefore run output, are identical across runs.
+# Memoised: a search hashes each proposed (state, label) step many times.
+@functools.lru_cache(maxsize=1 << 14)
+def _step_hash(state: DirEdge, label: Label) -> int:
+    """Stable 64-bit mix of one growth step (independent of
+    PYTHONHASHSEED), so candidate content keys, and therefore run output,
+    are identical across runs."""
     x = (state[0] * 0x9E3779B97F4A7C15
          + state[1] * 0xC2B2AE3D27D4EB4F
          + label.order * 0x165667B19E3779F9) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 29
     x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 32
-    # x only touches the hash bits; the count sits above them.
-    return (key ^ x) + (1 << 64)
+    return x ^ x >> 32
+
+
+def _child_key(key: int, state: DirEdge, label: Label) -> int:
+    """Content key of the candidate keyed ``key`` grown by (state, label)."""
+    # The step hash only touches the hash bits; the count sits above them.
+    return (key ^ _step_hash(state, label)) + (1 << 64)
 
 
 def make_root_candidate(base: int, ctx: SearchContext,
                         tips: tuple) -> Candidate:
     # The skeleton's first edge is always Trunk.
-    records = {base: (None, None, (), (Label.TRUNK,))}
-    frontier = frozenset((base, w) for w, _ in ctx.adj[base])
-    return Candidate(records, 0.0, 1 << base, frontier, tips, 0)
+    record = (None, None, (), (Label.TRUNK,))
+    frontier = {(base, w): record for w, _ in ctx.adj[base]}
+    return Candidate(None, 0.0, 1 << base, frontier, tips, 0)
+
+
+def lineage_edges(lineage: tuple | None) -> list[tuple[int, int, Label]]:
+    """The (tail, head, label) growth steps of a lineage, oldest first."""
+    edges = []
+    while lineage is not None:
+        lineage, tail, head, label = lineage
+        edges.append((tail, head, label))
+    edges.reverse()
+    return edges
 
 
 # Memoised: the arguments range over a few short label tuples, so the
@@ -209,22 +234,29 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
                    new_score: float, key: int,
                    ctx: SearchContext) -> Candidate:
     """``cand`` grown by an :func:`eligible_pairs` pair (state, label),
-    keyed ``key`` (its child key)."""
+    keyed ``key`` (its child key). The tail's frontier edges take its
+    updated record, the head's its new one."""
     u, v = state
-    records = dict(cand.records)
-    parent, parent_label, children, _ = records[u]
+    frontier = dict(cand.frontier)
+    parent, parent_label, children, _ = frontier[state]
     children += (label,)
-    records[u] = (parent, parent_label, children,
-                  _allowed_labels(parent_label, children))
-    records[v] = (u, label, (), _allowed_labels(label, ()))
+    tail = (parent, parent_label, children,
+            _allowed_labels(parent_label, children))
+    head = (u, label, (), _allowed_labels(label, ()))
     nodes = cand.nodes | 1 << v
-    frontier = set(cand.frontier)
-    for w, _eid in ctx.adj[v]:
-        frontier.discard((w, v))
+    for w, _eid in ctx.adj[u]:
         if not nodes >> w & 1:
-            frontier.add((v, w))
-    return Candidate(records, new_score, nodes, frozenset(frontier),
-                     tuple(t for t in cand.open if t != v), key)
+            frontier[(u, w)] = tail
+    for w, _eid in ctx.adj[v]:
+        if nodes >> w & 1:
+            del frontier[(w, v)]
+        else:
+            frontier[(v, w)] = head
+    open_tips = cand.open
+    if v in open_tips:
+        open_tips = tuple(t for t in open_tips if t != v)
+    return Candidate((cand.lineage, u, v, label), new_score, nodes, frontier,
+                     open_tips, key)
 
 
 def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
@@ -236,17 +268,16 @@ def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
     order out of the output. The potential adds the prior path's edge
     scores and subtracts its turn penalties after the label-dependent drop.
     """
-    records = cand.records
     nodes = cand.nodes
     score = cand.score
     path_mask, reward = prior.path_mask, ctx.reward
     proposals = []
-    for state in cand.frontier:
+    for state, record in cand.frontier.items():
         # The path to the tip must avoid the skeleton. The prior of a tip
         # in the base's component holds every state of that component.
         if path_mask[state] & nodes:
             continue
-        pred_tail, pred_label, _, labels = records[state[0]]
+        pred_tail, pred_label, _, labels = record
         esum = prior.esum[state]
         turn_pen = prior.turn_pen[state]
         for lab in labels:
@@ -333,7 +364,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
     every tip; returns (best skeleton, manifest dict). Only the winner
-    becomes a :class:`LabeledSkeleton`, built from its records by the
+    becomes a :class:`LabeledSkeleton`, built from its lineage by the
     loader's :func:`skeleton_from_edges`, which checks the topology and
     every attach rule. Only tips in the base's component of the dense
     graph get a :class:`PathPrior` and scans; a candidate that draws one
@@ -365,38 +396,46 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     history = []
     iteration = 0
     tip_draws = 0
-    counts = dict.fromkeys(("scans", "proposals", "grows", "resample_draws"),
-                           0)
+    draw_tips = TipDraws(cfg.seed, cfg.K)
+    scans = n_proposals = grows = resample_draws = 0
 
     while iteration < max_iter:
-        for cand in population:
-            if cand.score > best.score:
-                best = cand
+        scores = [cand.score for cand in population]
+        top = max(scores)
+        if top > best.score:  # the first candidate with the top score
+            best = population[scores.index(top)]
         history.append(best.score)
 
         # Each unfinished candidate draws one of its open tips (neither
         # reached nor abandoned). Candidate ci with n >= 2 open tips takes
-        # ``default_rng((seed, iteration, ci)).integers(n)``; all of an
-        # iteration's draws are computed in one batch.
+        # ``default_rng((seed, iteration, ci)).integers(n)``, as
+        # ``draw_tips`` computes it.
         member_tips = [cand.open for cand in population]
         drawing = [ci for ci, ts in enumerate(member_tips) if len(ts) > 1]
-        draws = iter(candidate_draws(cfg.seed, iteration, drawing,
-                                     [len(member_tips[ci]) for ci in drawing]))
+        draws = iter(draw_tips(iteration, drawing,
+                               [len(member_tips[ci]) for ci in drawing]))
         tip_draws += len(drawing)
         # Identical (skeleton, tip) pairs are grouped so eligibility and
         # potential are computed once per group.
         groups: dict[tuple, list[int]] = {}
         finished: list[int] = []
         for ci, ts in enumerate(member_tips):
-            if not ts:
+            if len(ts) > 1:
+                group = (population[ci].key, ts[next(draws)])
+            elif ts:
+                group = (population[ci].key, ts[0])
+            else:
                 finished.append(ci)
                 continue
-            t = ts[next(draws)] if len(ts) > 1 else ts[0]
-            groups.setdefault((population[ci].key, t), []).append(ci)
+            members = groups.get(group)
+            if members is None:
+                groups[group] = [ci]
+            else:
+                members.append(ci)
         if not groups:
             break
 
-        score_ranks = rank([c.score for c in population])
+        score_ranks = rank(scores)
 
         # child key -> [weight, candidate, proposal or None if carried];
         # a key met again only adds its weight.
@@ -411,18 +450,19 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
         for (key, tip), members in sorted(groups.items()):
             cand = population[members[0]]
+            prior = priors.get(tip)
             proposals = []  # for a tip outside the base's component
-            if tip in priors:
-                proposals = eligible_pairs(cand, priors[tip], ctx)
-                counts["scans"] += 1
-                counts["proposals"] += len(proposals)
+            if prior is not None:
+                proposals = eligible_pairs(cand, prior, ctx)
+                scans += 1
+                n_proposals += len(proposals)
             if not proposals:
                 # Carried with the tip abandoned.
                 entry = pool.get(key)
                 for ci in members:
                     if entry is None:
                         entry = pool[key] = [score_ranks[ci], Candidate(
-                            cand.records, cand.score, cand.nodes,
+                            cand.lineage, cand.score, cand.nodes,
                             cand.frontier,
                             tuple(t for t in cand.open if t != tip), key),
                             None]
@@ -430,7 +470,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                         entry[0] += score_ranks[ci]
                 continue
             pot_ranks = rank([p[3] for p in proposals])
-            group_score_rank = sum(score_ranks[ci] for ci in members)
+            group_score_rank = sum([score_ranks[ci] for ci in members])
             for proposal, pot_rank in zip(proposals, pot_ranks):
                 child = _child_key(key, proposal[0], proposal[1])
                 entry = pool.get(child)
@@ -446,7 +486,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         chosen = resample([e[0] for e in entries], cfg.K, cfg.k_max_rep,
                           rng_rs)
         # Every pool weight is positive: see resample.
-        counts["resample_draws"] += min(cfg.K, len(entries) * cfg.k_max_rep)
+        resample_draws += min(cfg.K, len(entries) * cfg.k_max_rep)
         realized: dict[int, Candidate] = {}
         population = []
         for idx in chosen:
@@ -456,7 +496,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 if proposal is not None:
                     cand = grow_candidate(cand, *proposal[:3], keys[idx],
                                           ctx)
-                    counts["grows"] += 1
+                    grows += 1
                 realized[idx] = cand
             population.append(cand)
         iteration += 1
@@ -465,7 +505,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         if cand.score > best.score:
             best = cand
 
-    if len(best.records) == 1:
+    if best.lineage is None:
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
 
@@ -487,12 +527,11 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "tip_outcomes": tip_outcomes,
         "iterations": iteration,
         "tip_draws": tip_draws,
-        "search_counts": counts,
+        "search_counts": {"scans": scans, "proposals": n_proposals,
+                          "grows": grows, "resample_draws": resample_draws},
         "best_score_history": history,
         "best_score": best.score,
         "reached_tips": [t for t in tips if best.nodes >> t & 1],
         "prior_seconds": prior_time,
     }
-    edges = [(parent, node, label) for node, (parent, label, _, _)
-             in best.records.items() if parent is not None]
-    return skeleton_from_edges(base, edges), info
+    return skeleton_from_edges(base, lineage_edges(best.lineage)), info

@@ -1,4 +1,9 @@
-"""Uniform-grid neighbour index over a fixed point set, numpy only."""
+"""Uniform-grid neighbour index over a fixed point set, numpy only.
+
+:meth:`GridIndex.balls` answers many ball queries in one pass and
+:meth:`GridIndex.pairs` finds every pair within r; both walk the same
+sorted cell runs.
+"""
 
 import numpy as np
 
@@ -6,6 +11,10 @@ import numpy as np
 MAX_CELLS = 2 ** 20
 #: Rows per block where the whole cloud is walked; keeps temporaries small.
 BLOCK_ROWS = 2 ** 16
+#: Most candidate points that :meth:`GridIndex.balls` tests in one pass,
+#: unless a single centre has more; its temporaries take about 80 bytes
+#: per candidate.
+BALL_CHUNK = 2 ** 13
 #: The nine (x, y) cell columns around a cell; the three z cells of a
 #: column have consecutive keys, so each column is one run of points.
 _DX, _DY = np.indices((3, 3)).reshape(2, 9) - 1
@@ -71,15 +80,59 @@ class GridIndex:
         return (d[0] + d[1]) + d[2] <= self.r * self.r
 
     def ball(self, centre) -> np.ndarray:
-        """Sorted indices of the points within r of ``centre``. Its nine
-        column runs are disjoint, so each point is met once."""
-        centre = np.asarray(centre, dtype=np.float64).reshape(1, 3)
-        start, end = (a[0].tolist() for a in self._runs(centre))
-        runs = ([slice(s, e) for s, e in zip(start, end) if s < e]
-                or [slice(0, 0)])
-        near = np.concatenate([self._sorted[:, s] for s in runs], axis=1)
-        found = np.concatenate([self._order[s] for s in runs])
-        return np.sort(found[self._inside(near, centre.T)])
+        """Sorted indices of the points within r of ``centre``: the
+        one-centre case of :meth:`balls`."""
+        return next(self.balls(np.reshape(centre, (1, 3))))
+
+    def balls(self, centres):
+        """Yield the sorted indices of the points within r of each of the
+        (q, 3) ``centres``, in order.
+
+        The candidates, the points in the nine column runs around each
+        centre, are gathered, tested and sorted for consecutive centres
+        together, in chunks of at most BALL_CHUNK candidates (or one
+        centre), and each chunk is computed only when its first ball is
+        asked for, so memory stays bounded however dense the cloud. A
+        centre's runs are disjoint, so each point is met once per centre.
+        The arrays of one chunk are views of one buffer.
+        """
+        centres = np.asarray(centres, dtype=np.float64).reshape(-1, 3)
+        start, end = self._runs(centres)
+        lengths = end - start
+        cum = np.cumsum(lengths.sum(axis=1))
+        first = 0
+        while first < len(centres):
+            # The chunk ends before the centre whose candidates, with the
+            # chunk's earlier ones, would pass BALL_CHUNK.
+            done = cum[first - 1] if first else 0
+            last = max(first + 1, int(np.searchsorted(
+                cum, done + BALL_CHUNK, "right")))
+            yield from self._chunk_balls(centres[first:last],
+                                         start[first:last],
+                                         lengths[first:last])
+            first = last
+
+    def _chunk_balls(self, centres, start, lengths) -> list[np.ndarray]:
+        """:meth:`balls` of the (q, 3) centres with column runs
+        ``start`` and ``lengths`` (q, 9), in one pass."""
+        per_centre = lengths.sum(axis=1)
+        lengths = lengths.ravel()
+        ends = np.cumsum(lengths)
+        pos = np.arange(ends[-1]) + np.repeat(start.ravel() - ends + lengths,
+                                              lengths)
+        inside = self._inside(np.take(self._sorted, pos, axis=1),
+                              np.repeat(centres.T, per_centre, axis=1))
+        owner = np.repeat(np.arange(len(centres)), per_centre)
+        owner = np.compress(inside, owner)
+        # Sorting owner * n + index sorts each centre's indices in place.
+        offset = owner * len(self.points)
+        found = np.take(self._order, np.compress(inside, pos))
+        found += offset
+        found.sort()
+        found -= offset
+        bounds = np.cumsum(np.bincount(owner, minlength=len(centres)))
+        return [found[a:b] for a, b in zip([0, *bounds[:-1].tolist()],
+                                           bounds.tolist())]
 
     def pairs(self) -> np.ndarray:
         """Sorted (m, 2) index pairs i < j within r of each other."""

@@ -11,6 +11,10 @@ from .cloud import PointCloud
 from .spatial import GridIndex, coordinate_rows
 
 
+#: Seeds queried together by :func:`build_superpoints`.
+COVER_BATCH = 16
+
+
 @dataclass(frozen=True)
 class Superpoint:
     """Mean of the cloud points within r_super of the covering seed point."""
@@ -124,6 +128,11 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
     points draws each seed uniformly from the remaining uncovered set
     (the relative order of uncovered points stays a uniform permutation).
     ``index`` is a GridIndex over the cloud with radius r_super, if given.
+
+    The balls are queried in speculative batches: the next COVER_BATCH
+    uncovered seeds in the permutation are queried together, then taken
+    in permutation order, each skipped if an earlier ball of the batch
+    covered it. That is exactly the one-seed-at-a-time cover.
     """
     index = index or GridIndex(cloud.points, r_super)
     pts = cloud.points
@@ -135,15 +144,28 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
     out: list[Superpoint] = []
     k = 0
     while uncovered[k]:
-        idx = int(order[k])
-        members = index.ball(pts[idx])
-        uncovered[rank[members]] = False
-        out.append(Superpoint(
-            position=coordinate_rows(np.take(pts, members, axis=0))[1],
-            member_indices=members,
-            seed_index=idx,
-        ))
-        k += int(np.argmax(uncovered[k:]))  # stays put once none is left
+        batch = [k]  # ranks of the next uncovered seeds
+        while len(batch) < COVER_BATCH and batch[-1] + 1 < len(order):
+            nxt = batch[-1] + 1
+            nxt += int(np.argmax(uncovered[nxt:]))
+            if not uncovered[nxt]:
+                break
+            batch.append(nxt)
+        seeds = order[batch]
+        for r, idx, members in zip(batch, seeds.tolist(),
+                                   index.balls(pts[seeds])):
+            if not uncovered[r]:
+                continue
+            uncovered[rank[members]] = False
+            out.append(Superpoint(
+                position=coordinate_rows(np.take(pts, members, axis=0))[1],
+                member_indices=members,
+                seed_index=idx,
+            ))
+        # Every seed of the batch is covered now; k stays put once no
+        # point is left.
+        k = batch[-1]
+        k += int(np.argmax(uncovered[k:]))
     return out
 
 

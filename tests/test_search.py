@@ -16,8 +16,10 @@ from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import bend_penalty, edge_cost
 from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow import search
+from skelgrow.draws import (BLOCK_WORDS, TipDraws, candidate_draws,
+                            first_words)
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
-                             candidate_draws, eligible_pairs, grow_candidate,
+                             eligible_pairs, grow_candidate, lineage_edges,
                              make_root_candidate, rank, resample, run_search)
 from skelgrow.skeleton import LabeledSkeleton, skeleton_from_edges
 from skelgrow.seeds import SeedSet, find_tips, resolve_base
@@ -295,6 +297,50 @@ def test_candidate_draws_replay_only_draws_entering_rejection(monkeypatch):
     assert 100 < len(built) < 200
 
 
+def test_first_words_match_numpy_streams():
+    """Each (iteration, ci) cell holds the low uint32 of the first raw
+    word of numpy's generator, for seeds of one to three entropy words."""
+    for seed in (0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 5):
+        iterations, cis = [0, 1, 2, 999, 2**32 - 1], [0, 1, 5, 63, 2**31]
+        words = first_words(seed, iterations, cis)
+        assert words.shape == (5, 5)
+        for row, it in zip(words.tolist(), iterations):
+            assert row == [np.random.default_rng(
+                (seed, it, ci)).bit_generator.random_raw() & 0xFFFFFFFF
+                for ci in cis]
+
+
+@pytest.mark.parametrize("seed", [3, 2**32 + 5])
+@pytest.mark.parametrize("K", [1, 7, 200])
+def test_tip_draws_match_numpy_across_blocks(seed, K):
+    """Iteration by iteration, as the search asks, the block draws equal
+    numpy's per-candidate draws, on both sides of block boundaries, for
+    one candidate and for many, and for a seed of two entropy words."""
+    draw_tips = TipDraws(seed, K)
+    rows = draw_tips.rows
+    assert rows == max(1, BLOCK_WORDS // K)
+    rng = np.random.default_rng(K)
+    iterations = sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows - 1,
+                         2 * rows, 2 * rows + 1, 5 * rows + 3})
+    if K > 1:  # every iteration through two block boundaries
+        iterations = range(2 * rows + 2)
+    for it in iterations:
+        cis = np.flatnonzero(rng.random(K) < 0.7).tolist()
+        ns = rng.integers(2, 65, size=len(cis)).tolist()
+        assert draw_tips(it, cis, ns) == _numpy_draws(seed, it, cis, ns)
+    assert draw_tips(2 * rows + 2, [], []) == []
+
+
+def test_tip_draws_match_numpy_through_rejection():
+    """Bounds near 3 * 2**30 send about 3 in 4 block draws through
+    Lemire's rejection test; each still equals numpy's."""
+    draw_tips = TipDraws(5, 100)
+    cis = list(range(100))
+    for it in (0, draw_tips.rows - 1, draw_tips.rows):
+        ns = [3 * 2**30 + ci if ci % 2 else 2 + ci % 63 for ci in cis]
+        assert draw_tips(it, cis, ns) == _numpy_draws(5, it, cis, ns)
+
+
 # -- path priors -----------------------------------------------------------
 
 def test_prior_straight_chain_zero_cost(chain_graph):
@@ -545,7 +591,7 @@ def _path_avoids_skeleton(prior, state, skel):
 def test_eligible_labels_match_check_all():
     """Along random lineages on a synthetic tree, every frontier state that
     passes the prior's reachability and path filters gets exactly the
-    labels ``check_all`` accepts on the skeleton of the candidate's records
+    labels ``check_all`` accepts on the skeleton of the candidate's lineage
     (Trunk alone for the first edge), and no other state gets any. Each
     proposal's grown score adds the edge's reward after the parent edge to
     the candidate's score, and its potential adds the prior's path terms."""
@@ -560,9 +606,7 @@ def test_eligible_labels_match_check_all():
         for _step in range(80):
             prior = priors[int(rng.integers(len(priors)))]
             pairs = eligible_pairs(cand, prior, ctx)
-            skel = skeleton_from_edges(base, [
-                (parent, node, label) for node, (parent, label, _, _)
-                in cand.records.items() if parent is not None])
+            skel = skeleton_from_edges(base, lineage_edges(cand.lineage))
             for state in sorted(cand.frontier):
                 if not _path_avoids_skeleton(prior, state, skel):
                     assert all(s != state for s, _, _, _ in pairs)
@@ -588,6 +632,64 @@ def test_eligible_labels_match_check_all():
                 cand = grow_candidate(cand, state, lab, new_score,
                                       _child_key(cand.key, state, lab), ctx)
     assert checked > 1000
+
+
+def _lineage_records(base, lineage):
+    """Per-node (parent, label of the edge into it, child edge labels) of
+    a lineage, rebuilt from its growth steps."""
+    records = {base: (None, None, ())}
+    for tail, head, label in lineage_edges(lineage):
+        parent, parent_label, children = records[tail]
+        records[tail] = (parent, parent_label, children + (label,))
+        records[head] = (tail, label, ())
+    return records
+
+
+@pytest.mark.parametrize("fixture", ["two_leader", "three_leader", "chain"])
+def test_frontier_records_match_lineage(fixture, chain_graph):
+    """Along random growth sequences, each candidate's frontier holds
+    exactly the directed edges from its skeleton to the rest of the graph,
+    and each entry holds its tail's record as rebuilt from the lineage:
+    parent, label in, child labels in growth order, and the labels
+    ``check_all`` accepts on that skeleton (Trunk alone for the first
+    edge). Its node mask and open tips follow the lineage too."""
+    if fixture == "chain":
+        graph, base = chain_graph, 0
+    else:
+        graph, *_, seeds = (_two_leader_tree() if fixture == "two_leader"
+                            else _three_leader_tree())
+        base = seeds.base
+    ctx = SearchContext(graph, uniform_conf(graph), CFG)
+    tips = tuple(sorted({graph.num_nodes - 1, *range(3, graph.num_nodes, 7)}
+                        - {base}))
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _lineage in range(12):
+        cand = make_root_candidate(base, ctx, tips)
+        for _step in range(40):
+            records = _lineage_records(base, cand.lineage)
+            skel = skeleton_from_edges(base, lineage_edges(cand.lineage))
+            assert cand.nodes == sum(1 << n for n in records)
+            assert cand.open == tuple(t for t in tips if t not in records)
+            assert set(cand.frontier) == {
+                (u, w) for u in records for w, _ in ctx.adj[u]
+                if w not in records}
+            for (u, w), record in cand.frontier.items():
+                allowed = (Label.TRUNK,) if skel.num_edges == 0 else tuple(
+                    lab for lab in STRUCTURAL_LABELS
+                    if skel.check_all((u, w), lab) is None)
+                assert record == records[u] + (allowed,)
+                checked += 1
+            # Any frontier edge with any label its tail allows.
+            options = [(state, lab) for state, record
+                       in sorted(cand.frontier.items())
+                       for lab in record[3]]
+            if not options:
+                break
+            state, lab = options[int(rng.integers(len(options)))]
+            cand = grow_candidate(cand, state, lab, 0.0,
+                                  _child_key(cand.key, state, lab), ctx)
+    assert checked >= 48
 
 
 def test_potential_no_penalties_is_score_plus_esum():
@@ -776,20 +878,23 @@ def test_run_search_attaches_only_the_result(monkeypatch):
 @pytest.mark.parametrize("fixture", [_two_leader_tree, _three_leader_tree])
 def test_run_search_matches_per_candidate_generators(monkeypatch, seed,
                                                      fixture):
-    """A run with the batched tip draws equals the run with one numpy
-    generator per draw, skeleton and manifest alike, also for a seed of
-    two entropy words; ``tip_draws`` counts the draws made."""
+    """A run with the tip draws computed in blocks of iterations equals the
+    run with one numpy generator per draw, skeleton and manifest alike,
+    also for a seed of two entropy words; ``tip_draws`` counts the draws
+    made."""
     graph, conf, *_, seeds = fixture()
     assert len(seeds.tips) >= 2
     cfg = SearchConfig(K=40, seed=seed)
     skel, info = run_search(graph, conf, seeds, cfg)
     drawn = []
 
-    def per_candidate(seed, iteration, cis, ns):
-        drawn.extend(cis)
-        return _numpy_draws(seed, iteration, cis, ns)
+    def per_candidate(seed, K):
+        def draws(iteration, cis, ns):
+            drawn.extend(cis)
+            return _numpy_draws(seed, iteration, cis, ns)
+        return draws
 
-    monkeypatch.setattr(search, "candidate_draws", per_candidate)
+    monkeypatch.setattr(search, "TipDraws", per_candidate)
     ref_skel, ref_info = run_search(graph, conf, seeds, cfg)
     assert skel == ref_skel
     del info["prior_seconds"], ref_info["prior_seconds"]

@@ -29,8 +29,12 @@ def assert_same_as_tree(points, r, centres, edges=()):
     cloud's are; both indexes test distances in float64."""
     points = np.asarray(points)
     index, tree = GridIndex(points, r), cKDTree(points)
-    for c in centres:
+    centres = np.asarray(centres, dtype=np.float64).reshape(-1, 3)
+    balls = list(index.balls(centres))
+    assert len(balls) == len(centres)
+    for c, ball in zip(centres, balls):
         assert np.array_equal(index.ball(c), _tree_ball(tree, r, c)), c
+        assert np.array_equal(ball, _tree_ball(tree, r, c)), c
     for a, b in edges:
         assert np.array_equal(ball_union(index.ball(a), index.ball(b)),
                               _tree_ball(tree, r, a, b))
@@ -152,6 +156,31 @@ def test_ball_union_equals_two_centre_ball():
     assert sizes["out of grid"][:2] > (0, 0)
     assert sizes["one empty"][1] == 0 < sizes["one empty"][0]
     assert sizes["both empty"] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 2**13, 2**20])
+def test_balls_equal_one_centre_balls_across_chunks(chunk, monkeypatch):
+    """Many centres in chunks of at most ``chunk`` candidates (or one
+    centre with more): each ball equals ``ball`` of its centre alone, with
+    its dtype, in centre order, empty balls and repeated centres
+    included."""
+    monkeypatch.setattr(spatial, "BALL_CHUNK", chunk)
+    rng = np.random.default_rng(12)
+    points = rng.uniform(0, 1, size=(4000, 3)).astype(np.float32)
+    index = GridIndex(points, 0.12)
+    centres = np.concatenate([
+        points[:150].astype(np.float64), rng.uniform(-2, 3, size=(30, 3)),
+        [[9.0, 9.0, 9.0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]])
+    rng.shuffle(centres)
+    balls = list(index.balls(centres))
+    tree = cKDTree(points)
+    assert len(balls) == len(centres)
+    for c, ball in zip(centres, balls):
+        expected = _tree_ball(tree, 0.12, c)
+        assert ball.dtype == expected.dtype
+        assert np.array_equal(ball, expected)
+    assert any(len(b) == 0 for b in balls)
+    assert list(index.balls(np.empty((0, 3)))) == []
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,7 +7,9 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from skelgrow import superpoints
 from skelgrow.cloud import PointCloud
+from skelgrow.spatial import GridIndex
 from skelgrow.superpoints import (SuperpointGraph, UnionFind,
                                   build_dense_edges, build_graph,
                                   build_superpoints, graph_from_dict,
@@ -33,6 +35,39 @@ def test_superpoint_positions_equal_numpy_means():
     for sp in sps:
         assert np.array_equal(sp.position, cloud.points[
             sp.member_indices].astype(np.float64).mean(axis=0))
+
+
+def _sequential_cover(cloud, r, seed):
+    """(seed index, members) of each superpoint of the one-seed-at-a-time
+    cover: the next uncovered point of one permutation takes the ball."""
+    index = GridIndex(cloud.points, r)
+    order = np.random.default_rng(seed).permutation(len(cloud))
+    covered = np.zeros(len(cloud), dtype=bool)
+    out = []
+    for idx in order.tolist():
+        if not covered[idx]:
+            members = index.ball(cloud.points[idx])
+            covered[members] = True
+            out.append((idx, members))
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 10_000])
+def test_speculative_cover_equals_sequential_cover(batch, monkeypatch):
+    """Whatever the number of seeds queried together, the cover takes the
+    seeds, members and positions of the one-seed-at-a-time cover."""
+    monkeypatch.setattr(superpoints, "COVER_BATCH", batch)
+    cloud, _ = generate(SynthSpec(n_leaders=3, seed=4))
+    rng = np.random.default_rng(1)
+    noise = PointCloud(rng.uniform(-1, 1, size=(300, 3)).astype(np.float32))
+    for cl in (cloud, noise):
+        sps = build_superpoints(cl, 0.10, seed=5)
+        expected = _sequential_cover(cl, 0.10, 5)
+        assert [sp.seed_index for sp in sps] == [i for i, _ in expected]
+        for sp, (_, members) in zip(sps, expected):
+            assert np.array_equal(sp.member_indices, members)
+            assert np.array_equal(sp.position, cl.points[members].astype(
+                np.float64).mean(axis=0))
 
 
 def test_two_isolated_points():
