@@ -12,9 +12,9 @@ MAX_CELLS = 2 ** 20
 #: Rows per block where the whole cloud is walked; keeps temporaries small.
 BLOCK_ROWS = 2 ** 16
 #: Most candidate points that :meth:`GridIndex.balls` tests in one pass,
-#: unless a single centre has more; its temporaries take about 80 bytes
+#: unless a single centre has more; its temporaries take about 60 bytes
 #: per candidate.
-BALL_CHUNK = 2 ** 13
+BALL_CHUNK = 2 ** 12
 #: The nine (x, y) cell columns around a cell; the three z cells of a
 #: column have consecutive keys, so each column is one run of points.
 _DX, _DY = np.indices((3, 3)).reshape(2, 9) - 1
@@ -94,7 +94,8 @@ class GridIndex:
         centre), and each chunk is computed only when its first ball is
         asked for, so memory stays bounded however dense the cloud. A
         centre's runs are disjoint, so each point is met once per centre.
-        The arrays of one chunk are views of one buffer.
+        Each ball is an array of its own, so that keeping one keeps no
+        other alive.
         """
         centres = np.asarray(centres, dtype=np.float64).reshape(-1, 3)
         start, end = self._runs(centres)
@@ -120,10 +121,14 @@ class GridIndex:
         ends = np.cumsum(lengths)
         pos = np.arange(ends[-1]) + np.repeat(start.ravel() - ends + lengths,
                                               lengths)
-        inside = self._inside(np.take(self._sorted, pos, axis=1),
-                              np.repeat(centres.T, per_centre, axis=1))
-        owner = np.repeat(np.arange(len(centres)), per_centre)
-        owner = np.compress(inside, owner)
+        # The test of _inside, one coordinate row of offsets at a time.
+        d = np.take(self._sorted, pos, axis=1).astype(np.float64)
+        for row, coord in zip(d, centres.T):
+            row -= np.repeat(coord, per_centre)
+        d *= d
+        inside = (d[0] + d[1]) + d[2] <= self.r * self.r
+        owner = np.compress(inside, np.repeat(np.arange(len(centres)),
+                                              per_centre))
         # Sorting owner * n + index sorts each centre's indices in place.
         offset = owner * len(self.points)
         found = np.take(self._order, np.compress(inside, pos))
@@ -131,8 +136,8 @@ class GridIndex:
         found.sort()
         found -= offset
         bounds = np.cumsum(np.bincount(owner, minlength=len(centres)))
-        return [found[a:b] for a, b in zip([0, *bounds[:-1].tolist()],
-                                           bounds.tolist())]
+        return [found[a:b].copy() for a, b in zip(
+            [0, *bounds[:-1].tolist()], bounds.tolist())]
 
     def pairs(self) -> np.ndarray:
         """Sorted (m, 2) index pairs i < j within r of each other."""
