@@ -243,20 +243,19 @@ def grow_candidate(cand: Candidate, state: DirEdge, label: Label,
     tail = (parent, parent_label, children,
             _allowed_labels(parent_label, children))
     head = (u, label, (), _allowed_labels(label, ()))
-    nodes = cand.nodes | 1 << v
+    # The frontier holds (w, v) exactly for the skeleton's neighbours w
+    # of v, and (u, w) for u's neighbours w outside it.
     for w, _eid in ctx.adj[u]:
-        if not nodes >> w & 1:
+        if (u, w) in frontier:
             frontier[(u, w)] = tail
     for w, _eid in ctx.adj[v]:
-        if nodes >> w & 1:
-            del frontier[(w, v)]
-        else:
+        if frontier.pop((w, v), None) is None:
             frontier[(v, w)] = head
     open_tips = cand.open
     if v in open_tips:
         open_tips = tuple(t for t in open_tips if t != v)
-    return Candidate((cand.lineage, u, v, label), new_score, nodes, frontier,
-                     open_tips, key)
+    return Candidate((cand.lineage, u, v, label), new_score,
+                     cand.nodes | 1 << v, frontier, open_tips, key)
 
 
 def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
@@ -270,14 +269,13 @@ def eligible_pairs(cand: Candidate, prior: PathPrior, ctx: SearchContext
     """
     nodes = cand.nodes
     score = cand.score
+    frontier = cand.frontier
     path_mask, reward = prior.path_mask, ctx.reward
     proposals = []
-    for state, record in cand.frontier.items():
-        # The path to the tip must avoid the skeleton. The prior of a tip
-        # in the base's component holds every state of that component.
-        if path_mask[state] & nodes:
-            continue
-        pred_tail, pred_label, _, labels = record
+    # The path to the tip must avoid the skeleton. The prior of a tip in
+    # the base's component holds every state of that component.
+    for state in [s for s in frontier if not path_mask[s] & nodes]:
+        pred_tail, pred_label, _, labels = frontier[state]
         esum = prior.esum[state]
         turn_pen = prior.turn_pen[state]
         for lab in labels:
