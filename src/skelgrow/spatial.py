@@ -99,8 +99,7 @@ class GridIndex:
         """
         centres = np.asarray(centres, dtype=np.float64).reshape(-1, 3)
         start, end = self._runs(centres)
-        lengths = end - start
-        cum = np.cumsum(lengths.sum(axis=1))
+        cum = np.cumsum((end - start).sum(axis=1))
         first = 0
         while first < len(centres):
             # The chunk ends before the centre whose candidates, with the
@@ -109,29 +108,35 @@ class GridIndex:
             last = max(first + 1, int(np.searchsorted(
                 cum, done + BALL_CHUNK, "right")))
             yield from self._chunk_balls(centres[first:last],
-                                         start[first:last],
-                                         lengths[first:last])
+                                         start[first:last], end[first:last])
             first = last
 
-    def _chunk_balls(self, centres, start, lengths) -> list[np.ndarray]:
-        """:meth:`balls` of the (q, 3) centres with column runs
-        ``start`` and ``lengths`` (q, 9), in one pass."""
-        per_centre = lengths.sum(axis=1)
-        lengths = lengths.ravel()
-        ends = np.cumsum(lengths)
-        pos = np.arange(ends[-1]) + np.repeat(start.ravel() - ends + lengths,
-                                              lengths)
-        # The test of _inside, one coordinate row of offsets at a time.
-        d = np.take(self._sorted, pos, axis=1).astype(np.float64)
-        for row, coord in zip(d, centres.T):
-            row -= np.repeat(coord, per_centre)
+    def _chunk_balls(self, centres, start, end) -> list[np.ndarray]:
+        """:meth:`balls` of the (q, 3) centres whose column runs start and
+        end at ``start`` and ``end`` (q, 9), in one pass: the runs are
+        gathered as slices and tested as :meth:`_inside` does."""
+        runs = [slice(s, e) for s, e in zip(start.ravel().tolist(),
+                                            end.ravel().tolist()) if s < e]
+        runs = runs or [slice(0, 0)]
+        near = np.concatenate([self._sorted[:, run] for run in runs], axis=1)
+        found = np.concatenate([self._order[run] for run in runs])
+        if len(centres) == 1:
+            found = np.compress(self._inside(near, centres.T), found)
+            found.sort()
+            return [found]
+        # Several centres: each candidate's offsets from its own centre,
+        # one coordinate row at a time.
+        per_centre = (end - start).sum(axis=1)
+        d = np.empty(near.shape)
+        for row, coord, out in zip(near, centres.T, d):
+            np.subtract(row, np.repeat(coord, per_centre), out=out)
         d *= d
         inside = (d[0] + d[1]) + d[2] <= self.r * self.r
+        # Sorting owner * n + index sorts each centre's indices in place.
         owner = np.compress(inside, np.repeat(np.arange(len(centres)),
                                               per_centre))
-        # Sorting owner * n + index sorts each centre's indices in place.
         offset = owner * len(self.points)
-        found = np.take(self._order, np.compress(inside, pos))
+        found = np.compress(inside, found)
         found += offset
         found.sort()
         found -= offset

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import CloudFormatError
 from .cloud import PointCloud
-from .spatial import GridIndex, coordinate_rows
+from .spatial import BALL_CHUNK, GridIndex, coordinate_rows
 
 
 #: Seeds queried together by :func:`build_superpoints`.
@@ -129,10 +129,13 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
     (the relative order of uncovered points stays a uniform permutation).
     ``index`` is a GridIndex over the cloud with radius r_super, if given.
 
-    The balls are queried in speculative batches: the next COVER_BATCH
-    uncovered seeds in the permutation are queried together, then taken
-    in permutation order, each skipped if an earlier ball of the batch
-    covered it. That is exactly the one-seed-at-a-time cover.
+    The balls are queried in speculative batches: the next few uncovered
+    seeds in the permutation are queried together, then taken in
+    permutation order, each skipped if an earlier ball of the batch
+    covered it. That is exactly the one-seed-at-a-time cover. A batch
+    holds at most COVER_BATCH seeds, and about as many as the last ball's
+    size lets share one chunk of :meth:`GridIndex.balls`: big balls gain
+    nothing from a batch, and a skipped seed's ball is wasted work.
     """
     index = index or GridIndex(cloud.points, r_super)
     pts = cloud.points
@@ -142,10 +145,11 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
     rank[order] = np.arange(len(order))
     uncovered = np.ones(len(pts), dtype=bool)  # by rank in ``order``
     out: list[Superpoint] = []
+    batch_size = COVER_BATCH
     k = 0
     while uncovered[k]:
         batch = [k]  # ranks of the next uncovered seeds
-        while len(batch) < COVER_BATCH and batch[-1] + 1 < len(order):
+        while len(batch) < batch_size and batch[-1] + 1 < len(order):
             nxt = batch[-1] + 1
             nxt += int(np.argmax(uncovered[nxt:]))
             if not uncovered[nxt]:
@@ -162,6 +166,7 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
                 member_indices=members,
                 seed_index=idx,
             ))
+        batch_size = max(1, min(COVER_BATCH, BALL_CHUNK // len(members)))
         # Every seed of the batch is covered now; k stays put once no
         # point is left.
         k = batch[-1]

@@ -52,11 +52,16 @@ def _sequential_cover(cloud, r, seed):
     return out
 
 
-@pytest.mark.parametrize("batch", [1, 2, 16, 10_000])
-def test_speculative_cover_equals_sequential_cover(batch, monkeypatch):
-    """Whatever the number of seeds queried together, the cover takes the
-    seeds, members and positions of the one-seed-at-a-time cover."""
+@pytest.mark.parametrize("batch, chunk", [
+    (1, 2**40), (2, 2**40), (16, 2**40), (10_000, 2**40),
+    (16, superpoints.BALL_CHUNK), (16, 300)])
+def test_speculative_cover_equals_sequential_cover(batch, chunk,
+                                                   monkeypatch):
+    """Whatever the number of seeds queried together (at most ``batch``,
+    fewer for balls that fill a ``chunk``), the cover takes the seeds,
+    members and positions of the one-seed-at-a-time cover."""
     monkeypatch.setattr(superpoints, "COVER_BATCH", batch)
+    monkeypatch.setattr(superpoints, "BALL_CHUNK", chunk)
     cloud, _ = generate(SynthSpec(n_leaders=3, seed=4))
     rng = np.random.default_rng(1)
     noise = PointCloud(rng.uniform(-1, 1, size=(300, 3)).astype(np.float32))

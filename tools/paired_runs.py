@@ -11,12 +11,12 @@ Usage (from the root of a checkout):
     python3 tools/paired_runs.py --parent ../parent --change . \
         --pytest "tests/test_acceptance.py -k criterion_08" --pairs 10
 
-Each side's ``src/`` and ``tests/`` are copied under ``--work`` into
-directories whose paths have the same length, and every output path of one
-side has the length of the other side's: a process's peak RSS can move by
-megabytes with the lengths of its paths. The runs alternate, the parent
-first in even pairs and the change first in odd ones, one process at a
-time.
+Each side's ``src/``, ``tests/`` and ``pyproject.toml`` are copied under
+``--work`` into directories whose paths have the same length, and every
+output path of one side has the length of the other side's: a process's
+peak RSS can move by megabytes with the lengths of its paths. The runs
+alternate, the parent first in even pairs and the change first in odd
+ones, one process at a time.
 
 - Trees (``--workload``, the trees of ``perfbench/workloads.py``): the
   inputs are made once with the change's ``skelgrow synth``. Each pair runs
@@ -64,6 +64,8 @@ def _copy_side(checkout: Path, dest: Path) -> Path:
         if (checkout / part).is_dir():
             shutil.copytree(checkout / part, dest / part, ignore=
                             shutil.ignore_patterns("__pycache__"))
+    if (checkout / "pyproject.toml").is_file():
+        shutil.copy(checkout / "pyproject.toml", dest)
     if not (dest / "src" / "skelgrow" / "cli.py").is_file():
         raise SystemExit(f"no skelgrow sources under {checkout}")
     return dest
