@@ -31,7 +31,7 @@ _M64 = (1 << 64) - 1
 _PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
 _PCG_MULT_LO = np.uint64(_PCG_MULT & _M64)
 #: Words per :class:`TipDraws` block: iterations times candidates.
-BLOCK_WORDS = 1 << 13
+BLOCK_WORDS = 1 << 12
 
 
 def _hash_constants(c: int, mult: int):
@@ -120,13 +120,23 @@ def first_words(seed: int, iterations, cis) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    state = []
-    for src, xor, mult in _STATE_HASHES:
+    state = iter(_STATE_HASHES)
+
+    def state_half():
+        src, xor, mult = next(state)
         value = (pool[src] ^ xor) * mult
-        state.append((value ^ value >> 16).astype(np.uint64))
-    # Little-endian word pairs: PCG64's seed (s0, s1) and sequence (q0, q1).
-    s0, s1, q0, q1 = (state[2 * j] | state[2 * j + 1] << 32
-                      for j in range(4))
+        return (value ^ value >> 16).astype(np.uint64)
+
+    # Little-endian word pairs: PCG64's seed (s0, s1) and sequence (q0, q1),
+    # each built as soon as its two halves are, so that few block-sized
+    # temporaries are alive at once.
+    return _pcg64_first_word(*(state_half() | state_half() << 32
+                               for _ in range(4)))
+
+
+def _pcg64_first_word(s0, s1, q0, q1):
+    """The low uint32 of PCG64's first output, seeded with the uint64
+    word pairs (s0, s1) and sequence (q0, q1)."""
     inc = (q0 << 1 | q1 >> 63, q1 << 1 | 1)  # (q0 << 65 | q1 << 1 | 1)
     # PCG64 seeding: state 0, one step, add the seed, one more step.
     seeded = _pcg64_step(*_add128(s0, s1, *inc), *inc)
