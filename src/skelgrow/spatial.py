@@ -75,7 +75,11 @@ class GridIndex:
     def _inside(self, points, centres):
         """Whether each column of the (3, k) ``points`` lies within r of
         ``centres``, broadcast against it."""
-        d = np.subtract(points, centres, dtype=np.float64)
+        return self._within(np.subtract(points, centres, dtype=np.float64))
+
+    def _within(self, d):
+        """Whether each column of the (3, k) float64 offsets ``d`` is at
+        most r long; squares ``d`` in place."""
         d *= d
         return (d[0] + d[1]) + d[2] <= self.r * self.r
 
@@ -114,7 +118,7 @@ class GridIndex:
     def _chunk_balls(self, centres, start, end) -> list[np.ndarray]:
         """:meth:`balls` of the (q, 3) centres whose column runs start and
         end at ``start`` and ``end`` (q, 9), in one pass: the runs are
-        gathered as slices and tested as :meth:`_inside` does."""
+        gathered as slices and tested by :meth:`_within`."""
         runs = [slice(s, e) for s, e in zip(start.ravel().tolist(),
                                             end.ravel().tolist()) if s < e]
         runs = runs or [slice(0, 0)]
@@ -130,8 +134,7 @@ class GridIndex:
         d = np.empty(near.shape)
         for row, coord, out in zip(near, centres.T, d):
             np.subtract(row, np.repeat(coord, per_centre), out=out)
-        d *= d
-        inside = (d[0] + d[1]) + d[2] <= self.r * self.r
+        inside = self._within(d)
         # Sorting owner * n + index sorts each centre's indices in place.
         owner = np.compress(inside, np.repeat(np.arange(len(centres)),
                                               per_centre))

@@ -29,8 +29,8 @@ ones, one process at a time.
 - ``--pytest ARGS``: ``python -m pytest -q ARGS`` in each side's copy;
   reports its passes and failures.
 
-The driver imports no numpy: the ``ru_maxrss`` of a child can never be
-below its parent's high-water mark when it was started, so a driver that
+This script imports no numpy: the ``ru_maxrss`` of a child can never be
+below its parent's high-water mark when it was started, so a parent that
 loaded numpy would hide the children's peaks under its own. It prints a
 summary per tree (or size); ``--json PATH`` also writes every run.
 """
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     parser.add_argument("--warm", action="store_true",
                         help="also rerun each tree into its warm output")
     parser.add_argument("--work", type=Path,
-                        help="scratch directory (default: a temporary one)")
+                        help="work directory (default: a temporary one)")
     parser.add_argument("--json", type=Path, help="write every run here")
     args = parser.parse_args(argv)
     work = Path(tempfile.mkdtemp(prefix="paired-", dir=args.work))
