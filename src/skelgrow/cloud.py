@@ -56,7 +56,7 @@ def load_cloud(path: str | Path) -> PointCloud:
     path = Path(path)
     if path.suffix.lower() != ".ply":
         return _read_xyz(path)
-    points, _ = _read_ply(path)
+    points = _read_ply(path)
     if points.shape[0] == 0:
         raise CloudFormatError(f"{path}: zero vertices")
     return PointCloud(points)
@@ -83,7 +83,7 @@ def _read_xyz(path: Path) -> PointCloud:
 
 
 def _read_ply(path: Path):
-    """Return (vertex positions, edge index pairs or None)."""
+    """Return the vertex positions as an (n, 3) float32 array."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"ply"):
@@ -126,7 +126,6 @@ def _read_ply(path: Path):
 
     body = data[header_end:]
     points = np.zeros((0, 3), dtype=np.float32)
-    edges = None
     offset = 0
     text_rows = body.decode("ascii", errors="replace").splitlines() \
         if fmt == "ascii" else None
@@ -162,10 +161,7 @@ def _read_ply(path: Path):
                         f"{path}: vertex element lacks property {req}")
             points = np.stack(
                 [arr["x"], arr["y"], arr["z"]], axis=1).astype(np.float32)
-        elif name == "edge" and {"vertex1", "vertex2"} <= set(dtype.names):
-            edges = np.stack([arr["vertex1"], arr["vertex2"]],
-                             axis=1).astype(np.int64)
-    return points, edges
+    return points
 
 
 def export_cloud(cloud: PointCloud, path: str | Path) -> None:
@@ -244,8 +240,3 @@ def _write_ply(path, **elements):
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for records in elements.values():
             records.tofile(fh)
-
-
-def read_ply_with_edges(path: str | Path):
-    """Load a PLY produced by export_colored; returns (points, edges)."""
-    return _read_ply(Path(path))

@@ -6,11 +6,10 @@ tips takes ``numpy.random.default_rng((seed, it, ci)).integers(n)``. That
 draw reads the first uint32 word of the generator's stream, which depends
 on ``(seed, it, ci)`` alone. :func:`first_words` computes those words bit
 for bit for a block of iterations times a set of ``ci`` in one vectorised
-pass, and :func:`bounded_draws` turns a row of them into draws, building a
+pass. :class:`TipDraws` serves the search one block of iterations times
+every ``ci < K`` at a time and turns a row of words into draws, building a
 generator only for the rare draw whose word enters Lemire's rejection
-test. :class:`TipDraws` serves the search one block of iterations times
-every ``ci < K`` at a time; :func:`candidate_draws` is the one-iteration
-case.
+test.
 """
 
 from __future__ import annotations
@@ -148,47 +147,18 @@ def _pcg64_first_word(s0, s1, q0, q1):
     return (x >> rot | x << (-rot & 63)) & _M32
 
 
-def bounded_draws(words: np.ndarray, seed: int, iteration: int,
-                  cis: list[int], ns: list[int]) -> list[int]:
-    """``integers(n)`` of each generator ``default_rng((seed, iteration,
-    ci))``, given the first words of their streams (``words``, aligned
-    with ``cis``); each ``n`` is below 2**32.
-
-    The first word feeds ``integers``' bounded Lemire draw. A draw that
-    enters its rejection test, with chance n / 2**32, is left to numpy's
-    own generator.
-    """
-    ns = np.array(ns, dtype=np.uint64)
-    m = words * ns
-    draws = (m >> 32).tolist()
-    # Lemire's rejection test, rarely entered: numpy makes those draws.
-    for k in np.flatnonzero((m & _M32) < ns).tolist():
-        draws[k] = int(np.random.default_rng(
-            (seed, iteration, cis[k])).integers(int(ns[k])))
-    return draws
-
-
-def candidate_draws(seed: int, iteration: int, cis: list[int],
-                    ns: list[int]) -> list[int]:
-    """``[int(np.random.default_rng((seed, iteration, ci)).integers(n))
-    for ci, n in zip(cis, ns)]``, bit for bit, without building a generator
-    per draw: the one-iteration case of :func:`first_words`. Each
-    ``iteration`` and ``ci`` is below 2**32, and each ``n`` too."""
-    if not cis:
-        return []
-    return bounded_draws(first_words(seed, [iteration], cis)[0], seed,
-                         iteration, cis, ns)
-
-
 class TipDraws:
     """The tip draws of a search with population ``K``: called with an
     iteration and its drawing candidates ``cis`` (each below ``K``) and
-    their open-tip counts ``ns``, it returns what :func:`candidate_draws`
-    does.
+    their open-tip counts ``ns`` (each below 2**32), it returns
+    ``[int(np.random.default_rng((seed, iteration, ci)).integers(n)) for
+    ci, n in zip(cis, ns)]``, bit for bit.
 
     The first words of a block of iterations times every ``ci < K``, about
     BLOCK_WORDS of them, come from one :func:`first_words` pass, made when
-    an iteration outside the current block is asked for.
+    an iteration outside the current block is asked for. Each word feeds
+    ``integers``' bounded Lemire draw; a draw that enters its rejection
+    test, with chance n / 2**32, is left to numpy's own generator.
     """
 
     def __init__(self, seed: int, K: int):
@@ -206,5 +176,11 @@ class TipDraws:
             self.words = first_words(
                 self.seed, range(iteration, iteration + self.rows),
                 range(self.K))
-        return bounded_draws(self.words[row, cis], self.seed, iteration,
-                             cis, ns)
+        ns = np.array(ns, dtype=np.uint64)
+        m = self.words[row, cis] * ns
+        draws = (m >> 32).tolist()
+        # Lemire's rejection test, rarely entered: numpy makes those draws.
+        for k in np.flatnonzero((m & _M32) < ns).tolist():
+            draws[k] = int(np.random.default_rng(
+                (self.seed, iteration, cis[k])).integers(int(ns[k])))
+        return draws

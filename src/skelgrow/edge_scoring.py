@@ -99,7 +99,7 @@ def _edge_frame(points: np.ndarray, graph: SuperpointGraph, edge: int,
 
     mid = 0.5 * (pa + pb)
     evec = pb - pa
-    elen = np.linalg.norm(evec)
+    elen = math.sqrt(evec.dot(evec))
     if elen == 0:
         raise DegenerateGeometryError(f"edge {edge}: coincident endpoints")
     x_axis = evec / elen
@@ -114,7 +114,7 @@ def _edge_frame(points: np.ndarray, graph: SuperpointGraph, edge: int,
     rows -= mean[:, None]
     _, _, vt = np.linalg.svd(rows.T, full_matrices=False)
     z_axis = vt[-1] - np.dot(vt[-1], x_axis) * x_axis
-    nz = np.linalg.norm(z_axis)
+    nz = math.sqrt(z_axis.dot(z_axis))
     if nz < 1e-12:
         # Least-significant direction parallel to the edge (collinear
         # points); fall back to the least-aligned world axis.
@@ -122,7 +122,7 @@ def _edge_frame(points: np.ndarray, graph: SuperpointGraph, edge: int,
         unit = np.zeros(3)
         unit[k] = 1.0
         z_axis = unit - np.dot(unit, x_axis) * x_axis
-        nz = np.linalg.norm(z_axis)
+        nz = math.sqrt(z_axis.dot(z_axis))
     z_axis = z_axis / nz
     # SVD sign ambiguity: canonicalize toward world +Y, tie-break on +Z.
     dy = z_axis[1]

@@ -62,14 +62,6 @@ def bend_penalty(e_s, e_p, cfg: SearchConfig) -> float:
     return cfg.c_turn * (ang - cfg.theta_turn_min) ** cfg.p_turn
 
 
-def turn_penalty(e_s, e_p, label_s: Label, label_p: Label,
-                 cfg: SearchConfig) -> float:
-    """Penalty for bending between same-label adjacent edges."""
-    if label_s is not label_p:
-        return 0.0
-    return bend_penalty(e_s, e_p, cfg)
-
-
 def grow_penalty(e, label: Label, cfg: SearchConfig) -> float:
     """Penalty for supports that are not horizontal / leaders not vertical."""
     if label is Label.SUPPORT:

@@ -53,18 +53,19 @@ class SearchContext:
         self.len_noconf: dict[DirEdge, float] = {}
         # Growth penalty of each structural label, indexed by label order.
         self.grow_pen: dict[DirEdge, tuple] = {}
-        for k, (i, j) in enumerate(graph.edges):
-            i, j = int(i), int(j)
+        for k, (i, j) in enumerate(graph.edges.tolist()):
             length = float(graph.lengths[k])
             c = conf[k]
             es = edge_score(length, c, cfg.alpha_conf)
             lnc = edge_cost(None, None, length, c, cfg)
-            for u, v in ((i, j), (j, i)):
-                vec = graph.vector(u, v)
-                self.escore[(u, v)] = es
-                self.len_noconf[(u, v)] = lnc
-                self.grow_pen[(u, v)] = tuple(
-                    grow_penalty(vec, lab, cfg) for lab in STRUCTURAL_LABELS)
+            # grow_penalty reads only |x| and |z| of the edge vector, and
+            # vector(j, i) is the exact negation of vector(i, j).
+            pen = tuple(grow_penalty(graph.vector(i, j), lab, cfg)
+                        for lab in STRUCTURAL_LABELS)
+            for state in ((i, j), (j, i)):
+                self.escore[state] = es
+                self.len_noconf[state] = lnc
+                self.grow_pen[state] = pen
         self._pen_cache: dict[tuple, float] = {}
 
     def turn_pen_none(self, a: int, b: int, c: int) -> float:
@@ -510,12 +511,17 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     tip_outcomes = {
         t: "reached" if best.nodes >> t & 1
         else "outside_base_component" if t in outside
+        else "open_in_winner" if t in best.open
         else "abandoned_reachable" for t in tips}
-    lost = [t for t in tips if tip_outcomes[t] == "abandoned_reachable"]
-    if lost:
-        log.warning(
-            "the skeleton abandons tips %s although the base's component "
-            "of the dense graph holds them", lost)
+    for outcome, message in (
+            ("open_in_winner", "the skeleton leaves tips %s open: the best "
+             "candidate was found before the search grew to them, and no "
+             "candidate grown further scored higher"),
+            ("abandoned_reachable", "the skeleton abandons tips %s although "
+             "the base's component of the dense graph holds them")):
+        named = [t for t in tips if tip_outcomes[t] == outcome]
+        if named:
+            log.warning(message, named)
     info = {
         "tips": list(tips),
         "base": base,

@@ -1,4 +1,5 @@
-"""Superpoint cover of the point cloud and the dense candidate-edge set."""
+"""Superpoint cover of the point cloud, the dense candidate-edge set, and
+the :class:`SuperpointGraph` that the rest of the pipeline reads."""
 
 from __future__ import annotations
 
@@ -22,12 +23,6 @@ class Superpoint:
     position: np.ndarray  # (3,) float64
     member_indices: np.ndarray  # indices into the cloud
     seed_index: int
-
-
-def edge_lengths(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Euclidean length of each (i, j) row of ``edges``."""
-    return np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]],
-                          axis=1)
 
 
 class UnionFind:
@@ -69,27 +64,27 @@ class UnionFind:
 @dataclass
 class SuperpointGraph:
     """Superpoint positions plus undirected candidate edges (i < j); edge
-    lengths, adjacency and edge vectors are derived from these two."""
+    lengths, adjacency and edge vectors are derived from these two, once.
+    An edge's id is its row in ``edges``."""
 
     positions: np.ndarray  # (n, 3) float64
     edges: np.ndarray  # (m, 2) int64, i < j
     lengths: np.ndarray = field(init=False)  # (m,) float64
     _points: list = field(init=False, repr=False)
-    _edge_index: dict = field(init=False, repr=False)
     _adjacency: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.positions = np.asarray(
             self.positions, dtype=np.float64).reshape(-1, 3)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.lengths = edge_lengths(self.positions, self.edges)
+        self.lengths = np.linalg.norm(
+            self.positions[self.edges[:, 0]]
+            - self.positions[self.edges[:, 1]], axis=1)
         self._points = self.positions.tolist()
-        self._edge_index = {
-            (int(i), int(j)): k for k, (i, j) in enumerate(self.edges)}
         adjacency = [[] for _ in self._points]
-        for k, (i, j) in enumerate(self.edges):
-            adjacency[int(i)].append((int(j), k))
-            adjacency[int(j)].append((int(i), k))
+        for k, (i, j) in enumerate(self.edges.tolist()):
+            adjacency[i].append((j, k))
+            adjacency[j].append((i, k))
         self._adjacency = [tuple(a) for a in adjacency]
 
     @property
@@ -100,21 +95,13 @@ class SuperpointGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_id(self, i: int, j: int) -> int:
-        """Edge id for an unordered node pair."""
-        key = (i, j) if i < j else (j, i)
-        return self._edge_index[key]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        return key in self._edge_index
-
     def neighbors(self, i: int) -> tuple:
         """Tuple of (neighbor node id, edge id)."""
         return self._adjacency[i]
 
     def vector(self, u: int, v: int) -> tuple:
-        """Vector from node u to node v as three Python floats."""
+        """Vector from node u to node v as three Python floats; the
+        vector from v to u is its exact negation."""
         (ux, uy, uz), (vx, vy, vz) = self._points[u], self._points[v]
         return (vx - ux, vy - uy, vz - uz)
 
@@ -175,25 +162,20 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
 
 
 def build_dense_edges(nodes: list[Superpoint],
-                      r_super: float) -> tuple[np.ndarray, np.ndarray]:
-    """All node pairs within 2*r_super (inclusive), each once with i < j.
-
-    Returns (edges, lengths).
-    """
+                      r_super: float) -> np.ndarray:
+    """All node pairs within 2*r_super (inclusive), each once with i < j,
+    as an (m, 2) int64 array; :class:`SuperpointGraph` derives their
+    lengths."""
     if len(nodes) < 2:
         raise ValueError("need at least 2 superpoints for dense edges")
     positions = np.asarray([sp.position for sp in nodes], dtype=np.float64)
-    edges = GridIndex(positions, 2.0 * r_super).pairs()
-    return edges, edge_lengths(positions, edges)
+    return GridIndex(positions, 2.0 * r_super).pairs()
 
 
 def build_graph(cloud: PointCloud, r_super: float, seed: int,
                 index: GridIndex | None = None) -> SuperpointGraph:
     nodes = build_superpoints(cloud, r_super, seed, index)
-    if len(nodes) >= 2:
-        edges, _ = build_dense_edges(nodes, r_super)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    edges = build_dense_edges(nodes, r_super) if len(nodes) >= 2 else ()
     return SuperpointGraph([sp.position for sp in nodes], edges)
 
 

@@ -210,7 +210,7 @@ class SynthTruth:
             for _, n in rows:
                 if n == parent or skel.has_node(n):
                     continue
-                if not graph.has_edge(parent, n):
+                if all(w != n for w, _ in graph.neighbors(parent)):
                     return
                 skel = skel.attach((parent, n), label)
                 parent = n

@@ -14,6 +14,11 @@ def make_graph(positions, edges):
         positions, sorted((min(i, j), max(i, j)) for i, j in edges))
 
 
+def edge_id(graph, i, j):
+    """Id of the edge between nodes i and j, read from ``neighbors``."""
+    return next(k for w, k in graph.neighbors(i) if w == j)
+
+
 def uniform_conf(graph, value=1.0):
     return ConfidenceMap(values=np.full(graph.num_edges, float(value)))
 
@@ -22,7 +27,7 @@ def conf_from_dict(graph, table, default=0.0):
     """Confidences from {(i, j): score} with unordered pair keys."""
     values = np.full(graph.num_edges, float(default))
     for (i, j), c in table.items():
-        values[graph.edge_id(i, j)] = c
+        values[edge_id(graph, i, j)] = c
     return ConfidenceMap(values=values)
 
 

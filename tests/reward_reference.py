@@ -4,7 +4,14 @@
 check those against this.
 """
 
-from skelgrow.geometry import edge_score, grow_penalty, turn_penalty
+from skelgrow.geometry import bend_penalty, edge_score, grow_penalty
+
+
+def turn_penalty(e_s, e_p, label_s, label_p, cfg) -> float:
+    """Penalty for bending between same-label adjacent edges."""
+    if label_s is not label_p:
+        return 0.0
+    return bend_penalty(e_s, e_p, cfg)
 
 
 def reward(e, length, conf, label, pred_vec, pred_label, cfg) -> float:

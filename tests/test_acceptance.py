@@ -16,6 +16,8 @@ import pytest
 
 from conftest import conf_from_dict, make_graph
 from label_rules import label_violations
+from prior_reference import brute_force_costs
+from reward_reference import turn_penalty
 from skelgrow.cli import EXIT_OK, main
 from skelgrow.cloud import PointCloud
 from skelgrow.config import SearchConfig
@@ -23,15 +25,14 @@ from skelgrow.errors import AttachmentError, CorrectionError, NoTipsError, \
     SearchStalledError
 from skelgrow.evaluation import (apply_corrections, compute_segment_stats,
                                  edit_distance, per_label_ratio)
-from skelgrow.geometry import edge_cost, edge_score, grow_penalty, \
-    turn_penalty
+from skelgrow.geometry import edge_cost, edge_score, grow_penalty
 from skelgrow.labels import Label
 from skelgrow.search import PathPrior, SearchContext, rank, run_search
 from skelgrow.seeds import SeedSet, find_tips
 from skelgrow.side_branches import find_side_branches
 from skelgrow.skeleton import LabeledSkeleton
-from skelgrow.superpoints import build_dense_edges, build_graph, \
-    build_superpoints
+from skelgrow.superpoints import SuperpointGraph, build_dense_edges, \
+    build_graph, build_superpoints
 from skelgrow.synth import SynthSpec, generate
 
 CFG = SearchConfig()
@@ -124,31 +125,6 @@ def test_criterion_02_rank_statistic(criterion):
         np.testing.assert_allclose(rank([2, 2]), [0.75, 0.75])
 
 
-def _brute_force_costs(ctx, tip):
-    states = sorted(ctx.len_noconf)
-    out_states = {}
-    for (u, v) in states:
-        out_states.setdefault(u, []).append((u, v))
-    full = {}
-    for start in states:
-        minimum = math.inf
-        stack = [(start, frozenset({start}), 0.0)]
-        while stack:
-            state, used, cost = stack.pop()
-            if state[1] == tip:
-                minimum = min(minimum, cost + ctx.len_noconf[state])
-                continue
-            for nxt in out_states.get(state[1], ()):
-                if nxt in used:
-                    continue
-                step = (ctx.len_noconf[state]
-                        + ctx.turn_pen_none(state[0], state[1], nxt[1]))
-                stack.append((nxt, used | {nxt}, cost + step))
-        if math.isfinite(minimum):
-            full[start] = minimum
-    return full
-
-
 def test_criterion_03_path_priors(criterion):
     with criterion(3, "path priors equal the exhaustive minimum"):
         t0 = time.monotonic()
@@ -167,7 +143,7 @@ def test_criterion_03_path_priors(criterion):
             ctx = SearchContext(graph, conf, CFG)
             tip = int(rng.integers(n))
             prior = PathPrior(ctx, tip)
-            expected = _brute_force_costs(ctx, tip)
+            expected = brute_force_costs(ctx, tip)
             assert set(prior.cost) == set(expected)
             for state, cost in expected.items():
                 assert prior.cost[state] == pytest.approx(cost, abs=1e-9)
@@ -194,8 +170,9 @@ def test_criterion_04_superpoint_cover(criterion):
                 assert np.linalg.norm(members - seed_pt,
                                       axis=1).max() <= r + 1e-9
             assert covered.all()
-            edges, lengths = build_dense_edges(sps, r)
+            edges = build_dense_edges(sps, r)
             pos = np.asarray([sp.position for sp in sps])
+            lengths = SuperpointGraph(pos, edges).lengths
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.linalg.norm(diff, axis=2)
             expected = sorted(

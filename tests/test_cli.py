@@ -15,7 +15,7 @@ import pytest
 
 import skelgrow
 from skelgrow import cli, search
-from conftest import make_graph, uniform_conf
+from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _grow_skeleton, _parse_scorer,
                           cmd_bench, main)
@@ -523,13 +523,13 @@ def test_tips_outside_base_component_warned(caplog):
 
 
 def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
-    """A tip in the base's component that the best skeleton misses is
+    """A tip in the base's component that the best skeleton abandoned is
     told apart from one cut off by a gap, and a warning names it. Every
-    scan toward tip 4 comes back empty, so each lineage abandons it and
-    the search reaches tip 9 beside the chain instead. The best candidate,
-    the earliest with the top score, still had tip 4 open when it got
-    there; ``tip_outcomes`` alone states each tip's fate, with no list of
-    abandoned tips in the manifest to disagree with it."""
+    scan toward tip 4 comes back empty, and scans toward tip 9 beside the
+    chain do too while tip 4 is open, so each lineage abandons tip 4
+    before it grows to tip 9; ``tip_outcomes`` alone states each tip's
+    fate, with no list of abandoned tips in the manifest to disagree with
+    it."""
     positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
     positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
     positions += [(0.15, 0.0, 0.3)]
@@ -544,7 +544,9 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
         return built
 
     def eligible(cand, prior, ctx):
-        return [] if tip_of[prior] == 4 else real_eligible(cand, prior, ctx)
+        if tip_of[prior] == 4 or 4 in cand.open:
+            return []
+        return real_eligible(cand, prior, ctx)
 
     monkeypatch.setattr(search, "PathPrior", prior)
     monkeypatch.setattr(search, "eligible_pairs", eligible)
@@ -564,6 +566,27 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
                                   "component")
     assert warnings[1] == ("the skeleton abandons tips [4] although the "
                            "base's component of the dense graph holds them")
+
+
+def test_tip_open_in_winner_warned(chain_graph, caplog):
+    """Growing from tip 2 on to tip 4 costs score (confidence 0 above node
+    2), so the best skeleton is the snapshot that reached tip 2 and still
+    held tip 4 open. The search did grow every lineage on to tip 4 (four
+    iterations, no tip abandoned), at a lower score, so tip 4 is
+    ``open_in_winner``, not abandoned, and the warning says so."""
+    conf = conf_from_dict(chain_graph, {(0, 1): 1.0, (1, 2): 1.0})
+    with caplog.at_level(logging.WARNING, logger="skelgrow"):
+        skeleton, info = run_search(chain_graph, conf,
+                                    SeedSet(tips=(2, 4), base=0),
+                                    SearchConfig(K=5))
+    assert sorted(skeleton.edges()) == [(0, 1), (1, 2)]
+    assert info["tip_outcomes"] == {2: "reached", 4: "open_in_winner"}
+    assert info["iterations"] == 4
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == ["the skeleton leaves tips [4] open: the best "
+                        "candidate was found before the search grew to "
+                        "them, and no candidate grown further scored higher"]
 
 
 def test_default_tree_tip_outcomes(tmp_path):

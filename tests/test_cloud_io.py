@@ -1,12 +1,13 @@
 """Point-cloud loading, downsampling, and colored export."""
 
+import re
+
 import numpy as np
 import pytest
 
 from skelgrow.cli import EXIT_IO, main
 from skelgrow.cloud import (PointCloud, crop_cloud, export_cloud,
-                            export_colored, load_cloud, random_downsample,
-                            read_ply_with_edges)
+                            export_colored, load_cloud, random_downsample)
 from skelgrow.errors import CloudFormatError
 from skelgrow.labels import Label
 from skelgrow.skeleton import LabeledSkeleton
@@ -123,13 +124,24 @@ def test_crop_cloud():
         crop_cloud(cloud, (5, 5, 5), (6, 6, 6))
 
 
+def _edges(path):
+    """The (m, 2) vertex pairs of the ``edge`` element that export_colored
+    writes after the vertices: binary little-endian, two int properties."""
+    header, _, body = path.read_bytes().partition(b"end_header\n")
+    match = re.search(rb"\nelement edge (\d+)\nproperty int vertex1\n"
+                      rb"property int vertex2\n$", header)
+    assert match, header
+    count = int(match.group(1))
+    return np.frombuffer(body[len(body) - 8 * count:],
+                         dtype="<i4").reshape(count, 2)
+
+
 def test_export_colored_empty_skeleton(tmp_path):
     cloud = PointCloud(np.zeros((5, 3), dtype=np.float32))
     path = tmp_path / "out.ply"
     export_colored(cloud, LabeledSkeleton(0), {0: (0.0, 0.0, 0.0)}, path)
-    points, edges = read_ply_with_edges(path)
-    assert points.shape[0] == 5 + 1  # cloud plus the lone base vertex
-    assert edges is None or len(edges) == 0
+    assert len(load_cloud(path)) == 5 + 1  # cloud plus the lone base vertex
+    assert len(_edges(path)) == 0
 
 
 def test_export_colored_one_edge_counts(tmp_path):
@@ -138,9 +150,8 @@ def test_export_colored_one_edge_counts(tmp_path):
     positions = {0: (0.0, 0.0, 0.0), 1: (0.0, 0.0, 1.0)}
     path = tmp_path / "out.ply"
     export_colored(cloud, skel, positions, path)
-    points, edges = read_ply_with_edges(path)
-    assert points.shape[0] == 5 + 2
-    assert edges.shape == (1, 2)
+    assert len(load_cloud(path)) == 5 + 2
+    assert _edges(path).tolist() == [[5, 6]]
 
 
 def test_export_colored_edge_count_matches_skeleton(tmp_path):
@@ -152,8 +163,7 @@ def test_export_colored_edge_count_matches_skeleton(tmp_path):
         positions[k + 1] = (0.0, 0.0, 0.1 * (k + 1))
     path = tmp_path / "out.ply"
     export_colored(cloud, skel, positions, path)
-    _, edges = read_ply_with_edges(path)
-    assert len(edges) == skel.num_edges
+    assert len(_edges(path)) == skel.num_edges
 
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import make_graph
+from conftest import edge_id, make_graph
 from raster_reference import (reference_frame, reference_grid,
                               reference_heuristic)
 from skelgrow import edge_scoring
@@ -272,8 +272,8 @@ def test_heuristic_penalizes_gap_jumping_cross_edge():
     graph = make_graph(positions, chain_edges + [cross])
     conf = score_all_edges(cloud, graph, ("heuristic",), CFG)
     assert conf.values.min() >= 0.0 and conf.values.max() <= 1.0
-    cross_score = conf[graph.edge_id(*cross)]
-    chain_scores = [conf[graph.edge_id(i, j)] for i, j in chain_edges]
+    cross_score = conf[edge_id(graph, *cross)]
+    chain_scores = [conf[edge_id(graph, i, j)] for i, j in chain_edges]
     assert cross_score < 0.5 * min(chain_scores)
 
 
@@ -413,12 +413,12 @@ def test_degenerate_edges_score_zero_among_others():
     index = GridIndex(cloud.points, CFG.r_super)
     for scorer in (("heuristic",), ("model", _random_model())):
         conf = score_all_edges(cloud, graph, scorer, CFG, index)
-        assert conf[graph.edge_id(0, 1)] > 0
-        assert conf[graph.edge_id(1, 2)] == 0.0
-        assert conf[graph.edge_id(3, 4)] == 0.0
+        assert conf[edge_id(graph, 0, 1)] > 0
+        assert conf[edge_id(graph, 1, 2)] == 0.0
+        assert conf[edge_id(graph, 3, 4)] == 0.0
         assert np.array_equal(conf.values, _reference_scores(
             cloud, graph, index, scorer[1] if len(scorer) > 1 else None))
     for k, idx in edge_scoring._edge_points(graph, index):
-        if k != graph.edge_id(0, 1):
+        if k != edge_id(graph, 0, 1):
             with pytest.raises(DegenerateGeometryError):
                 edge_scoring._edge_frame(cloud.points, graph, k, idx)

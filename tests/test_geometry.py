@@ -5,10 +5,11 @@ import math
 import pytest
 
 from conftest import conf_from_dict, make_graph
+from reward_reference import turn_penalty
 from skelgrow.config import SearchConfig
 from skelgrow.errors import ConfigError, DegenerateGeometryError
 from skelgrow.geometry import (bend_penalty, edge_score, grow_angle,
-                               grow_penalty, turn_angle, turn_penalty)
+                               grow_penalty, turn_angle)
 from skelgrow.labels import Label
 from skelgrow.search import SearchContext
 

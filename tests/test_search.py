@@ -8,6 +8,7 @@ from scipy.stats import chisquare, rankdata
 
 from conftest import conf_from_dict, make_graph, uniform_conf
 from label_rules import label_violations
+from prior_reference import brute_force_costs
 from reward_reference import reward
 from skelgrow.cloud import random_downsample
 from skelgrow.config import SearchConfig
@@ -16,8 +17,7 @@ from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import bend_penalty, edge_cost
 from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow import search
-from skelgrow.draws import (BLOCK_WORDS, TipDraws, candidate_draws,
-                            first_words)
+from skelgrow.draws import BLOCK_WORDS, TipDraws, first_words
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              eligible_pairs, grow_candidate, lineage_edges,
                              make_root_candidate, rank, resample, run_search)
@@ -226,7 +226,7 @@ def test_resample_respects_cap_until_fill():
 # -- tip draws -------------------------------------------------------------
 
 def _numpy_draws(seed, iteration, cis, ns):
-    """The per-candidate generators that ``candidate_draws`` replays."""
+    """The per-candidate generators that ``TipDraws`` replays."""
     return [int(np.random.default_rng((seed, iteration, ci)).integers(n))
             for ci, n in zip(cis, ns)]
 
@@ -241,9 +241,9 @@ def test_candidate_draws_match_numpy():
         for iteration in [0, 1, 5000] + rng.integers(2, 5000, 3).tolist():
             cis = np.flatnonzero(rng.random(601) < 0.5).tolist()
             ns = rng.integers(2, 65, size=len(cis)).tolist()
-            assert candidate_draws(seed, iteration, cis, ns) == \
+            assert TipDraws(seed, 601)(iteration, cis, ns) == \
                 _numpy_draws(seed, iteration, cis, ns)
-    assert candidate_draws(3, 4, [], []) == []
+    assert TipDraws(3, 601)(4, [], []) == []
 
 
 def test_candidate_draws_match_numpy_through_rejection():
@@ -254,7 +254,7 @@ def test_candidate_draws_match_numpy_through_rejection():
     rejected = 0
     for seed, iteration in ((0, 0), (5, 17), (2**40 + 3, 4999)):
         cis = list(range(601))
-        assert candidate_draws(seed, iteration, cis, [n] * len(cis)) == \
+        assert TipDraws(seed, 601)(iteration, cis, [n] * len(cis)) == \
             _numpy_draws(seed, iteration, cis, [n] * len(cis))
         for ci in cis:
             gen = np.random.default_rng((seed, iteration, ci)).bit_generator
@@ -272,7 +272,7 @@ def test_candidate_draws_match_numpy_at_batch_sizes(size):
         cis = np.sort(rng.choice(600, size, replace=False)).tolist()
         ns = np.where(rng.random(size) < 0.5, rng.integers(2, 65, size),
                       rng.integers(2, 2**32, size)).tolist()
-        assert candidate_draws(seed, iteration, cis, ns) == \
+        assert TipDraws(seed, 601)(iteration, cis, ns) == \
             _numpy_draws(seed, iteration, cis, ns)
 
 
@@ -291,7 +291,7 @@ def test_candidate_draws_replay_only_draws_entering_rejection(monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    assert candidate_draws(5, 17, cis, ns) == expected
+    assert TipDraws(5, 601)(17, cis, ns) == expected
     # A draw with bound n enters the test with chance n / 2**32: about
     # 3 in 4 of the large bounds, next to none of the small ones.
     assert 100 < len(built) < 200
@@ -392,35 +392,6 @@ def test_priors_cover_exactly_the_base_component():
     assert len({n for n in roots if roots[n] == roots[base]}) == 140
 
 
-def _brute_force_costs(ctx, tip):
-    """Exhaustive minimum costs to the tip over every directed edge
-    sequence without repeated directed edges (trails).  The cost of a
-    sequence is the sum of each edge's confidence-weighted length plus the
-    turn penalty at every interior node."""
-    states = sorted(ctx.len_noconf)
-    out_states = {}
-    for (u, v) in states:
-        out_states.setdefault(u, []).append((u, v))
-    full = {}
-    for start in states:
-        minimum = math.inf
-        stack = [(start, frozenset({start}), 0.0)]
-        while stack:
-            state, used, cost = stack.pop()
-            if state[1] == tip:
-                minimum = min(minimum, cost + ctx.len_noconf[state])
-                continue
-            for nxt in out_states.get(state[1], ()):
-                if nxt in used:
-                    continue
-                step = (ctx.len_noconf[state]
-                        + ctx.turn_pen_none(state[0], state[1], nxt[1]))
-                stack.append((nxt, used | {nxt}, cost + step))
-        if math.isfinite(minimum):
-            full[start] = minimum
-    return full
-
-
 def _sparse_instance(rng):
     """Random geometric graph kept sparse enough for trail enumeration."""
     while True:
@@ -442,7 +413,7 @@ def test_prior_matches_brute_force_small_instances():
         ctx = SearchContext(graph, conf, CFG)
         tip = int(rng.integers(len(positions)))
         prior = PathPrior(ctx, tip)
-        expected = _brute_force_costs(ctx, tip)
+        expected = brute_force_costs(ctx, tip)
         assert set(prior.cost) == set(expected)
         for state, cost in expected.items():
             assert prior.cost[state] == pytest.approx(cost, abs=1e-9)

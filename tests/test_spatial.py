@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from skelgrow import spatial
 from skelgrow.spatial import (GridIndex, ball_union, coordinate_bounds,
                               coordinate_rows)
-from skelgrow.superpoints import build_superpoints, edge_lengths
+from skelgrow.superpoints import SuperpointGraph, build_superpoints
 from skelgrow.synth import SynthSpec, generate
 
 
@@ -65,7 +65,7 @@ def test_superpoint_seeds_and_edge_ends_of_a_synth_tree():
     assert_same_as_tree(points, r, points[[sp.seed_index for sp in nodes]],
                         positions[edges])
     assert_same_as_tree(positions, 2 * r, positions)
-    assert np.all(edge_lengths(positions, edges) <= 2 * r)
+    assert np.all(SuperpointGraph(positions, edges).lengths <= 2 * r)
 
 
 @pytest.mark.parametrize("r", [0.125, 0.25])

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from conftest import edge_id
 from skelgrow import superpoints
 from skelgrow.cloud import PointCloud
 from skelgrow.spatial import GridIndex
@@ -110,8 +111,9 @@ def test_dense_edge_boundary_inclusive():
     pts = [[0, 0, 0], [0.25, 0, 0]]
     sps = build_superpoints(
         PointCloud(np.asarray(pts, dtype=np.float32)), 0.01, seed=0)
-    edges, lengths = build_dense_edges(sps, 0.125)
+    edges = build_dense_edges(sps, 0.125)
     assert edges.tolist() == [[0, 1]]
+    lengths = SuperpointGraph([sp.position for sp in sps], edges).lengths
     assert lengths[0] == pytest.approx(0.25)
 
 
@@ -119,7 +121,7 @@ def test_dense_edge_boundary_exclusive():
     pts = [[0, 0, 0], [0.2501, 0, 0]]
     sps = build_superpoints(
         PointCloud(np.asarray(pts, dtype=np.float32)), 0.01, seed=0)
-    edges, _ = build_dense_edges(sps, 0.125)
+    edges = build_dense_edges(sps, 0.125)
     assert len(edges) == 0
 
 
@@ -129,8 +131,9 @@ def test_dense_edges_match_brute_force():
     # Spread the points so each becomes its own superpoint.
     sps = build_superpoints(PointCloud(pts), 1e-6, seed=0)
     assert len(sps) == 20
-    edges, lengths = build_dense_edges(sps, 0.10)
+    edges = build_dense_edges(sps, 0.10)
     pos = np.asarray([sp.position for sp in sps])
+    lengths = SuperpointGraph(pos, edges).lengths
     expected = sorted(
         (i, j)
         for i in range(20) for j in range(i + 1, 20)
@@ -141,16 +144,17 @@ def test_dense_edges_match_brute_force():
 
 
 def test_graph_neighbors_and_edge_id():
+    """Each edge's id is its row in ``edges``; ``neighbors`` lists it at
+    both ends and nowhere else."""
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.uniform(0, 0.5, size=(300, 3)).astype(np.float32))
     graph = build_graph(cloud, 0.10, seed=0)
-    for i, j in graph.edges[:20]:
-        i, j = int(i), int(j)
-        k = graph.edge_id(i, j)
-        assert graph.edge_id(j, i) == k
-        assert graph.has_edge(i, j)
+    for k, (i, j) in enumerate(graph.edges.tolist()):
         assert (j, k) in graph.neighbors(i)
         assert (i, k) in graph.neighbors(j)
+        assert edge_id(graph, i, j) == edge_id(graph, j, i) == k
+    assert sum(map(len, map(graph.neighbors, range(graph.num_nodes)))) \
+        == 2 * graph.num_edges
 
 
 def test_graph_json_round_trip():
@@ -165,17 +169,6 @@ def test_graph_json_round_trip():
     np.testing.assert_array_equal(again.lengths, graph.lengths)
     # Writing the loaded graph again gives the same cache document.
     assert graph_to_dict(again) == doc
-
-
-def test_graph_lengths_equal_dense_edge_lengths():
-    rng = np.random.default_rng(3)
-    cloud = PointCloud(rng.uniform(0, 0.5, size=(300, 3)).astype(np.float32))
-    graph = build_graph(cloud, 0.10, seed=0)
-    edges, lengths = build_dense_edges(
-        build_superpoints(cloud, 0.10, seed=0), 0.10)
-    assert len(edges) > 0
-    np.testing.assert_array_equal(graph.edges, edges)
-    np.testing.assert_array_equal(graph.lengths, lengths)
 
 
 def test_graph_without_edges():
@@ -194,6 +187,7 @@ def test_graph_vector_matches_positions():
             vec = graph.vector(u, v)
             assert all(type(x) is float for x in vec)
             assert vec == tuple(graph.positions[v] - graph.positions[u])
+            assert graph.vector(v, u) == tuple(-x for x in vec)
 
 
 def test_nonpositive_radius_invalid():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import edge_id, make_graph
 from label_rules import label_violations
 from skelgrow.labels import Label
 from skelgrow.skeleton import skeleton_from_dict
@@ -113,9 +113,9 @@ def test_micro_tree_oracle_confidences():
     graph = make_graph(_MICRO_POSITIONS, _MICRO_TRUE + _MICRO_FALSE)
     conf = truth.oracle_confidences(graph)
     for i, j in _MICRO_TRUE:
-        assert conf[graph.edge_id(i, j)] == 1.0
+        assert conf[edge_id(graph, i, j)] == 1.0
     for i, j in _MICRO_FALSE:
-        assert conf[graph.edge_id(i, j)] == 0.0
+        assert conf[edge_id(graph, i, j)] == 0.0
     table = truth.oracle_override_table(graph)
     assert table["0-1"] == 1.0
     assert table["1-3"] == 0.0

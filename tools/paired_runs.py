@@ -23,7 +23,12 @@ ones, one process at a time.
   ``skelgrow skeletonize`` on every tree, cold into a fresh directory and,
   with ``--warm``, again into the same one (graph and score caches hit).
   Wall seconds come from ``time.monotonic`` around the process and peak RSS
-  from ``os.wait4``. Both sides must write the same ``skeleton.json``.
+  from ``os.wait4``. Both sides must write the same ``skeleton.json`` and
+  agree on the search trajectory in ``run_manifest.json``: its
+  ``iterations``, ``tip_draws``, ``search_counts`` and
+  ``best_score_history``. The summary also gives each side's median
+  seconds per stage, from the manifest's ``timings`` and
+  ``prior_seconds``.
 - ``--bench SIZES``: ``skelgrow bench --sizes SIZES`` at K=100 (as
   acceptance criterion 8 runs it); reports each size's preprocessing share.
 - ``--pytest ARGS``: ``python -m pytest -q ARGS`` in each side's copy;
@@ -55,6 +60,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (numpy-free: the trees only)
 
 SIDES = ("parent", "change")
+# run_manifest.json keys that both sides must agree on.
+TRAJECTORY = ("iterations", "tip_draws", "search_counts",
+              "best_score_history")
+# The manifest's stage timings ("<stage>_seconds"), in pipeline order.
+STAGES = ("load", "superpoints", "scoring", "search", "side_branch")
 LAUNCH = ("import sys; from skelgrow.cli import main; "
           "sys.exit(main(sys.argv[1:]))")
 
@@ -111,6 +121,11 @@ def _digest(path: Path) -> str | None:
         if path.is_file() else None
 
 
+def _manifest(out: Path) -> dict:
+    path = out / "run_manifest.json"
+    return json.loads(path.read_text()) if path.is_file() else {}
+
+
 def _run_trees(args, sides: dict, work: Path) -> list[dict]:
     trees = [t for t in workloads.WORKLOADS[args.workload]
              if not args.trees or t.name in args.trees]
@@ -121,7 +136,7 @@ def _run_trees(args, sides: dict, work: Path) -> list[dict]:
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for tree in trees:
-            digests = {}
+            digests, trajectories = {}, {}
             for name in order:
                 out = sides[name] / "out" / tree.name
                 shutil.rmtree(out, ignore_errors=True)
@@ -130,13 +145,24 @@ def _run_trees(args, sides: dict, work: Path) -> list[dict]:
                 for mode in ("cold", "warm") if args.warm else ("cold",):
                     rc, wall, rss = _spawn(sides[name], argv,
                                            sides[name] / "run.log")
+                    manifest = _manifest(out) if rc == 0 else {}
+                    stages = {}
+                    if manifest:
+                        stages = {stage: manifest["timings"][
+                            f"{stage}_seconds"] for stage in STAGES}
+                        stages["prior"] = manifest["prior_seconds"]
                     runs.append({"pair": pair, "tree": tree.name,
                                  "side": name, "mode": mode, "rc": rc,
-                                 "seconds": wall, "peak_rss_mb": rss})
+                                 "seconds": wall, "peak_rss_mb": rss,
+                                 "stages": stages})
+                    trajectories.setdefault(name, []).append(
+                        [manifest.get(key) for key in TRAJECTORY])
                 digests[name] = _digest(out / "skeleton.json")
-            if digests["parent"] != digests["change"]:
-                raise SystemExit(f"{tree.name}: the sides' skeleton.json "
-                                 f"differ in pair {pair}")
+            for what, seen in (("skeleton.json", digests),
+                               ("search trajectories", trajectories)):
+                if seen["parent"] != seen["change"]:
+                    raise SystemExit(f"{tree.name}: the sides' {what} "
+                                     f"differ in pair {pair}")
     return runs
 
 
@@ -221,6 +247,21 @@ def summary(runs: list[dict]) -> list[str]:
             line += (f"; peak MB parent {rss['parent']:.2f} change "
                      f"{rss['change']:.2f}")
         lines.append(line)
+        if mode in ("cold", "warm"):
+            lines += _stage_lines(by, pairs)
+    return lines
+
+
+def _stage_lines(by: dict, pairs: list[int]) -> list[str]:
+    """Each side's median seconds per stage over its successful runs."""
+    lines = []
+    for side in SIDES:
+        stages = [by[side][p]["stages"] for p in pairs
+                  if by[side][p]["stages"]]
+        if stages:
+            lines.append(f"{'':>20}{side:>7} median s: " + ", ".join(
+                f"{name} {statistics.median(s[name] for s in stages):.4f}"
+                for name in (*STAGES, "prior")))
     return lines
 
 
