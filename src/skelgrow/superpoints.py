@@ -1,5 +1,5 @@
-"""Superpoint cover of the point cloud, the dense candidate-edge set, and
-the :class:`SuperpointGraph` that the rest of the pipeline reads."""
+"""Superpoint cover of the point cloud and the :class:`SuperpointGraph`
+of its positions and candidate edges that the rest of the pipeline reads."""
 
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ from .spatial import BALL_CHUNK, GridIndex, coordinate_rows
 
 #: Seeds queried together by :func:`build_superpoints`.
 COVER_BATCH = 16
-
-
-@dataclass(frozen=True)
-class Superpoint:
-    """Mean of the cloud points within r_super of the covering seed point."""
-
-    position: np.ndarray  # (3,) float64
-    member_indices: np.ndarray  # indices into the cloud
-    seed_index: int
 
 
 class UnionFind:
@@ -107,9 +98,12 @@ class SuperpointGraph:
 
 
 def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
-                      index: GridIndex | None = None) -> list[Superpoint]:
+                      index: GridIndex | None = None
+                      ) -> tuple[list[int], np.ndarray]:
     """Cover the cloud with spheres of radius r_super around random
-    uncovered seed points; each sphere's mean becomes a superpoint.
+    uncovered seed points; returns the seeds' indices into the cloud and
+    the (n, 3) float64 means of their spheres, the superpoint positions.
+    Each sphere's members are dropped once its mean is taken.
 
     Walking a single upfront permutation and skipping already-covered
     points draws each seed uniformly from the remaining uncovered set
@@ -131,7 +125,8 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     uncovered = np.ones(len(pts), dtype=bool)  # by rank in ``order``
-    out: list[Superpoint] = []
+    seed_indices: list[int] = []
+    positions: list[np.ndarray] = []
     batch_size = COVER_BATCH
     k = 0
     while uncovered[k]:
@@ -148,60 +143,44 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
             if not uncovered[r]:
                 continue
             uncovered[rank[members]] = False
-            out.append(Superpoint(
-                position=coordinate_rows(np.take(pts, members, axis=0))[1],
-                member_indices=members,
-                seed_index=idx,
-            ))
+            seed_indices.append(idx)
+            positions.append(
+                coordinate_rows(np.take(pts, members, axis=0))[1])
         batch_size = max(1, min(COVER_BATCH, BALL_CHUNK // len(members)))
         # Every seed of the batch is covered now; k stays put once no
         # point is left.
         k = batch[-1]
         k += int(np.argmax(uncovered[k:]))
-    return out
-
-
-def build_dense_edges(nodes: list[Superpoint],
-                      r_super: float) -> np.ndarray:
-    """All node pairs within 2*r_super (inclusive), each once with i < j,
-    as an (m, 2) int64 array; :class:`SuperpointGraph` derives their
-    lengths."""
-    if len(nodes) < 2:
-        raise ValueError("need at least 2 superpoints for dense edges")
-    positions = np.asarray([sp.position for sp in nodes], dtype=np.float64)
-    return GridIndex(positions, 2.0 * r_super).pairs()
+    return seed_indices, np.asarray(positions).reshape(-1, 3)
 
 
 def build_graph(cloud: PointCloud, r_super: float, seed: int,
                 index: GridIndex | None = None) -> SuperpointGraph:
-    nodes = build_superpoints(cloud, r_super, seed, index)
-    edges = build_dense_edges(nodes, r_super) if len(nodes) >= 2 else ()
-    return SuperpointGraph([sp.position for sp in nodes], edges)
+    """The superpoints of :func:`build_superpoints`, joined by an edge
+    wherever two lie within 2*r_super (inclusive) of each other."""
+    _, positions = build_superpoints(cloud, r_super, seed, index)
+    return SuperpointGraph(positions,
+                           GridIndex(positions, 2.0 * r_super).pairs())
 
 
 def graph_to_dict(graph: SuperpointGraph) -> dict:
-    return {
-        "nodes": [{"id": k, "pos": pos}
-                  for k, pos in enumerate(graph.positions.tolist())],
-        "edges": graph.edges.tolist(),
-    }
+    return {"positions": graph.positions.tolist(),
+            "edges": graph.edges.tolist()}
 
 
 def graph_from_dict(doc: dict) -> SuperpointGraph:
     """The graph of a :func:`graph_to_dict` document; raises
-    CloudFormatError unless node ids run 0..n-1, positions are finite and
-    edges are int pairs 0 <= i < j < n in strictly increasing order."""
-    n = len(doc["nodes"])
-    if [node["id"] for node in doc["nodes"]] != list(range(n)):
-        raise CloudFormatError("graph JSON node ids must be 0..n-1")
+    CloudFormatError unless positions are finite 3-vectors and edges are
+    int pairs 0 <= i < j < n in strictly increasing order."""
+    n = len(doc["positions"])
     edges = [tuple(e) for e in doc["edges"]]
     # Ordered pairs in ascending rows also rule out duplicates.
     if not all(len(e) == 2 and type(e[0]) is type(e[1]) is int
                and 0 <= e[0] < e[1] < n for e in edges) or any(
                    a >= b for a, b in zip(edges, edges[1:])):
         raise CloudFormatError("graph JSON edges must be int pairs i < j of "
-                               "node ids in strictly increasing order")
-    graph = SuperpointGraph([node["pos"] for node in doc["nodes"]], edges)
+                               "position rows in strictly increasing order")
+    graph = SuperpointGraph(doc["positions"], edges)
     if graph.num_nodes != n or not np.isfinite(graph.positions).all():
         raise CloudFormatError("graph JSON positions must be finite 3-vectors")
     return graph

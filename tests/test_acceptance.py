@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import conf_from_dict, make_graph
 from label_rules import label_violations
@@ -31,8 +32,7 @@ from skelgrow.search import PathPrior, SearchContext, rank, run_search
 from skelgrow.seeds import SeedSet, find_tips
 from skelgrow.side_branches import find_side_branches
 from skelgrow.skeleton import LabeledSkeleton
-from skelgrow.superpoints import SuperpointGraph, build_dense_edges, \
-    build_graph, build_superpoints
+from skelgrow.superpoints import build_graph, build_superpoints
 from skelgrow.synth import SynthSpec, generate
 
 CFG = SearchConfig()
@@ -161,26 +161,23 @@ def test_criterion_04_superpoint_cover(criterion):
             scale = rng.uniform(0.3, 1.0)
             pts = rng.uniform(0, scale, size=(n, 3)).astype(np.float32)
             cloud = PointCloud(pts)
-            sps = build_superpoints(cloud, r, seed=trial)
+            seeds, pos = build_superpoints(cloud, r, seed=trial)
+            # Every point lies in scipy's ball of radius r around a seed.
             covered = np.zeros(n, dtype=bool)
-            for sp in sps:
-                covered[sp.member_indices] = True
-                seed_pt = pts[sp.seed_index].astype(np.float64)
-                members = pts[sp.member_indices].astype(np.float64)
-                assert np.linalg.norm(members - seed_pt,
-                                      axis=1).max() <= r + 1e-9
+            for ball in cKDTree(pts).query_ball_point(pts[seeds], r):
+                covered[ball] = True
             assert covered.all()
-            edges = build_dense_edges(sps, r)
-            pos = np.asarray([sp.position for sp in sps])
-            lengths = SuperpointGraph(pos, edges).lengths
+            # The graph is built on that cover.
+            graph = build_graph(cloud, r, seed=trial)
+            assert np.array_equal(graph.positions, pos)
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.linalg.norm(diff, axis=2)
             expected = sorted(
-                (i, j) for i in range(len(sps))
-                for j in range(i + 1, len(sps)) if dist[i, j] <= 2 * r)
-            assert [tuple(int(v) for v in e) for e in edges] == expected
+                (i, j) for i in range(len(pos))
+                for j in range(i + 1, len(pos)) if dist[i, j] <= 2 * r)
+            assert [tuple(e) for e in graph.edges.tolist()] == expected
             np.testing.assert_allclose(
-                lengths, [dist[i, j] for i, j in expected], atol=1e-9)
+                graph.lengths, [dist[i, j] for i, j in expected], atol=1e-9)
         assert time.monotonic() - t0 < 30.0
 
 

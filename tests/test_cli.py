@@ -205,14 +205,14 @@ def test_score_cache_out_of_range_is_rebuilt(synth_dir, tmp_path, values):
     lambda doc: doc["edges"].append(doc["edges"][-1]),
     lambda doc: doc["edges"].insert(0, [-1, 0]),
     lambda doc: doc["edges"][-1].__setitem__(1, doc["edges"][-1][1] + 0.0),
-    lambda doc: doc["nodes"][3]["pos"].__setitem__(0, math.nan)],
+    lambda doc: doc["positions"][3].__setitem__(0, math.nan)],
     ids=["self-loop", "reversed", "duplicate", "negative-id", "float-id",
          "nan-position"])
 def test_graph_cache_failing_its_checks_is_rebuilt(synth_dir, tmp_path,
                                                    tamper):
-    """A graph cache with a self-loop, a reversed or repeated edge, a node
-    id that is negative or a float, or a NaN position is rebuilt, not
-    used."""
+    """A graph cache with a self-loop, a reversed or repeated edge, an
+    edge end that is negative or a float, or a NaN position is rebuilt,
+    not used."""
     cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
     out = tmp_path / "run"
     argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),

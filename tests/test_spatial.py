@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from skelgrow import spatial
 from skelgrow.spatial import (GridIndex, ball_union, coordinate_bounds,
                               coordinate_rows)
-from skelgrow.superpoints import SuperpointGraph, build_superpoints
+from skelgrow.superpoints import build_graph, build_superpoints
 from skelgrow.synth import SynthSpec, generate
 
 
@@ -57,15 +57,14 @@ def test_random_clouds(seed):
 def test_superpoint_seeds_and_edge_ends_of_a_synth_tree():
     cloud, _ = generate(SynthSpec(n_leaders=2, leader_height=1.0, seed=3))
     r = 0.10
-    nodes = build_superpoints(cloud, r, seed=3)
+    seeds, positions = build_superpoints(cloud, r, seed=3)
     points = cloud.points  # float32
-    positions = np.asarray([sp.position for sp in nodes])
-    edges = GridIndex(positions, 2 * r).pairs()
-    assert len(edges) > 20
-    assert_same_as_tree(points, r, points[[sp.seed_index for sp in nodes]],
-                        positions[edges])
+    graph = build_graph(cloud, r, seed=3)
+    assert np.array_equal(graph.positions, positions)
+    assert graph.num_edges > 20
+    assert_same_as_tree(points, r, points[seeds], positions[graph.edges])
     assert_same_as_tree(positions, 2 * r, positions)
-    assert np.all(SuperpointGraph(positions, edges).lengths <= 2 * r)
+    assert np.all(graph.lengths <= 2 * r)
 
 
 @pytest.mark.parametrize("r", [0.125, 0.25])

@@ -1,4 +1,4 @@
-"""Superpoint cover and dense candidate edges."""
+"""Superpoint cover, the graph built on it and its JSON document."""
 
 import json
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from conftest import edge_id
 from skelgrow import superpoints
 from skelgrow.cloud import PointCloud
 from skelgrow.spatial import GridIndex
-from skelgrow.superpoints import (SuperpointGraph, UnionFind,
-                                  build_dense_edges, build_graph,
+from skelgrow.superpoints import (SuperpointGraph, UnionFind, build_graph,
                                   build_superpoints, graph_from_dict,
                                   graph_to_dict)
 from skelgrow.synth import SynthSpec, generate
@@ -21,21 +21,27 @@ from skelgrow.synth import SynthSpec, generate
 def test_single_sphere_cluster():
     pts = np.array([[0, 0, 0], [0.01, 0, 0], [0, 0.02, 0],
                     [0.01, 0.01, 0], [0.02, 0, 0.01]], dtype=np.float32)
-    sps = build_superpoints(PointCloud(pts), 0.10, seed=0)
-    assert len(sps) == 1
-    np.testing.assert_allclose(sps[0].position,
+    seeds, positions = build_superpoints(PointCloud(pts), 0.10, seed=0)
+    assert len(seeds) == 1 and positions.shape == (1, 3)
+    np.testing.assert_allclose(positions[0],
                                pts.astype(np.float64).mean(axis=0),
                                atol=1e-12)
-    assert sorted(sps[0].member_indices) == [0, 1, 2, 3, 4]
+
+
+def _ball(points, centre, r):
+    """Sorted indices of the points within r of ``centre``, by scipy."""
+    return sorted(cKDTree(points).query_ball_point(centre, r))
 
 
 def test_superpoint_positions_equal_numpy_means():
     cloud, _ = generate(SynthSpec(n_side_branches=2, points_per_meter=8000,
                                   seed=0))
-    sps = build_superpoints(cloud, 0.10, seed=0)
-    for sp in sps:
-        assert np.array_equal(sp.position, cloud.points[
-            sp.member_indices].astype(np.float64).mean(axis=0))
+    seeds, positions = build_superpoints(cloud, 0.10, seed=0)
+    assert len(seeds) == len(positions)
+    for idx, position in zip(seeds, positions):
+        members = _ball(cloud.points, cloud.points[idx], 0.10)
+        assert np.array_equal(position, cloud.points[members].astype(
+            np.float64).mean(axis=0))
 
 
 def _sequential_cover(cloud, r, seed):
@@ -59,87 +65,75 @@ def _sequential_cover(cloud, r, seed):
 def test_speculative_cover_equals_sequential_cover(batch, chunk,
                                                    monkeypatch):
     """Whatever the number of seeds queried together (at most ``batch``,
-    fewer for balls that fill a ``chunk``), the cover takes the seeds,
-    members and positions of the one-seed-at-a-time cover."""
+    fewer for balls that fill a ``chunk``), the cover takes the seeds and
+    positions of the one-seed-at-a-time cover."""
     monkeypatch.setattr(superpoints, "COVER_BATCH", batch)
     monkeypatch.setattr(superpoints, "BALL_CHUNK", chunk)
     cloud, _ = generate(SynthSpec(n_leaders=3, seed=4))
     rng = np.random.default_rng(1)
     noise = PointCloud(rng.uniform(-1, 1, size=(300, 3)).astype(np.float32))
     for cl in (cloud, noise):
-        sps = build_superpoints(cl, 0.10, seed=5)
+        seeds, positions = build_superpoints(cl, 0.10, seed=5)
         expected = _sequential_cover(cl, 0.10, 5)
-        assert [sp.seed_index for sp in sps] == [i for i, _ in expected]
-        for sp, (_, members) in zip(sps, expected):
-            assert np.array_equal(sp.member_indices, members)
-            assert np.array_equal(sp.position, cl.points[members].astype(
-                np.float64).mean(axis=0))
+        assert seeds == [i for i, _ in expected]
+        assert np.array_equal(positions, [cl.points[members].astype(
+            np.float64).mean(axis=0) for _, members in expected])
 
 
 def test_two_isolated_points():
     pts = np.array([[0, 0, 0], [0.3, 0, 0]], dtype=np.float32)
-    sps = build_superpoints(PointCloud(pts), 0.10, seed=0)
-    assert len(sps) == 2
+    seeds, positions = build_superpoints(PointCloud(pts), 0.10, seed=0)
+    assert sorted(seeds) == [0, 1] and positions.shape == (2, 3)
 
 
 def test_superpoints_deterministic_per_seed():
     rng = np.random.default_rng(5)
     cloud = PointCloud(rng.uniform(size=(500, 3)).astype(np.float32))
-    a = build_superpoints(cloud, 0.10, seed=9)
-    b = build_superpoints(cloud, 0.10, seed=9)
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        np.testing.assert_array_equal(sa.member_indices, sb.member_indices)
+    seeds_a, positions_a = build_superpoints(cloud, 0.10, seed=9)
+    seeds_b, positions_b = build_superpoints(cloud, 0.10, seed=9)
+    assert seeds_a == seeds_b
+    np.testing.assert_array_equal(positions_a, positions_b)
 
 
-def test_cover_property_random_cloud():
-    rng = np.random.default_rng(2)
-    cloud = PointCloud(rng.uniform(0, 1, size=(2000, 3)).astype(np.float32))
-    sps = build_superpoints(cloud, 0.10, seed=1)
-    covered = np.zeros(len(cloud), dtype=bool)
-    for sp in sps:
-        covered[sp.member_indices] = True
-        seed_pt = cloud.points[sp.seed_index].astype(np.float64)
-        members = cloud.points[sp.member_indices].astype(np.float64)
-        assert np.linalg.norm(members - seed_pt, axis=1).max() <= 0.10 + 1e-9
-    assert covered.all()
+@pytest.mark.parametrize("pts", [[[0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],
+                         ids=["one-point", "two-isolated-points"])
+def test_graph_without_pairs(pts):
+    """One superpoint, or two more than 2*r_super apart: no edges."""
+    graph = build_graph(PointCloud(np.asarray(pts, dtype=np.float32)),
+                        0.10, seed=0)
+    assert graph.num_nodes == len(pts)
+    assert graph.edges.shape == (0, 2) and graph.lengths.shape == (0,)
 
 
 def test_dense_edge_boundary_inclusive():
     # 0.25 is exactly representable, so the pair sits exactly on the
-    # inclusive 2 * r boundary.
+    # inclusive 2 * r boundary, and each point is its own superpoint.
     pts = [[0, 0, 0], [0.25, 0, 0]]
-    sps = build_superpoints(
-        PointCloud(np.asarray(pts, dtype=np.float32)), 0.01, seed=0)
-    edges = build_dense_edges(sps, 0.125)
-    assert edges.tolist() == [[0, 1]]
-    lengths = SuperpointGraph([sp.position for sp in sps], edges).lengths
-    assert lengths[0] == pytest.approx(0.25)
+    graph = build_graph(
+        PointCloud(np.asarray(pts, dtype=np.float32)), 0.125, seed=0)
+    assert graph.edges.tolist() == [[0, 1]]
+    assert graph.lengths[0] == pytest.approx(0.25)
 
 
 def test_dense_edge_boundary_exclusive():
     pts = [[0, 0, 0], [0.2501, 0, 0]]
-    sps = build_superpoints(
-        PointCloud(np.asarray(pts, dtype=np.float32)), 0.01, seed=0)
-    edges = build_dense_edges(sps, 0.125)
-    assert len(edges) == 0
+    graph = build_graph(
+        PointCloud(np.asarray(pts, dtype=np.float32)), 0.125, seed=0)
+    assert graph.num_nodes == 2 and graph.num_edges == 0
 
 
 def test_dense_edges_match_brute_force():
     rng = np.random.default_rng(7)
-    pts = rng.uniform(0, 0.6, size=(20, 3)).astype(np.float32)
-    # Spread the points so each becomes its own superpoint.
-    sps = build_superpoints(PointCloud(pts), 1e-6, seed=0)
-    assert len(sps) == 20
-    edges = build_dense_edges(sps, 0.10)
-    pos = np.asarray([sp.position for sp in sps])
-    lengths = SuperpointGraph(pos, edges).lengths
+    pts = rng.uniform(0, 0.6, size=(300, 3)).astype(np.float32)
+    graph = build_graph(PointCloud(pts), 0.10, seed=0)
+    pos = graph.positions
+    assert graph.num_nodes > 20
     expected = sorted(
         (i, j)
-        for i in range(20) for j in range(i + 1, 20)
+        for i in range(len(pos)) for j in range(i + 1, len(pos))
         if np.linalg.norm(pos[i] - pos[j]) <= 0.2)
-    assert [tuple(e) for e in edges] == expected
-    for (i, j), length in zip(edges, lengths):
+    assert [tuple(e) for e in graph.edges.tolist()] == expected
+    for (i, j), length in zip(expected, graph.lengths):
         assert length == pytest.approx(np.linalg.norm(pos[i] - pos[j]))
 
 
