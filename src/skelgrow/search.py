@@ -390,19 +390,25 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     root = make_root_candidate(base, ctx, tips)
     population: list[Candidate] = [root] * cfg.K
     best = root
-    # Never binds: the search ends in num_nodes - 1 + len(tips) iterations.
-    max_iter = 10 * max(graph.num_nodes, 1)
+    # The winner's open tips that every copy of its skeleton still held.
+    best_open = set(tips)
     history = []
     iteration = 0
     tip_draws = 0
     draw_tips = TipDraws(cfg.seed, cfg.K)
     scans = n_proposals = grows = resample_draws = 0
 
-    while iteration < max_iter:
+    # Each iteration grows or abandons a tip in every unfinished candidate,
+    # so the search ends within num_nodes - 1 + len(tips) iterations.
+    while True:
         scores = [cand.score for cand in population]
         top = max(scores)
         if top > best.score:  # the first candidate with the top score
             best = population[scores.index(top)]
+            best_open = set(best.open)
+        for cand in population:
+            if cand.key == best.key:
+                best_open.intersection_update(cand.open)
         history.append(best.score)
 
         # Each unfinished candidate draws one of its open tips (neither
@@ -432,6 +438,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             else:
                 members.append(ci)
         if not groups:
+            final = population[scores.index(top)]
             break
 
         score_ranks = rank(scores)
@@ -500,10 +507,6 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             population.append(cand)
         iteration += 1
 
-    for cand in population:
-        if cand.score > best.score:
-            best = cand
-
     if best.lineage is None:
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
@@ -511,7 +514,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     tip_outcomes = {
         t: "reached" if best.nodes >> t & 1
         else "outside_base_component" if t in outside
-        else "open_in_winner" if t in best.open
+        else "open_in_winner" if t in best_open
         else "abandoned_reachable" for t in tips}
     for outcome, message in (
             ("open_in_winner", "the skeleton leaves tips %s open: the best "
@@ -536,6 +539,10 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "best_score_history": history,
         "best_score": best.score,
         "reached_tips": [t for t in tips if best.nodes >> t & 1],
+        # The best candidate of the final population, where every
+        # candidate has reached or abandoned each of its tips.
+        "final_best_score": top,
+        "final_reached_tips": [t for t in tips if final.nodes >> t & 1],
         "prior_seconds": prior_time,
     }
     return skeleton_from_edges(base, lineage_edges(best.lineage)), info

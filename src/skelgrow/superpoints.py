@@ -151,7 +151,7 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
         # point is left.
         k = batch[-1]
         k += int(np.argmax(uncovered[k:]))
-    return seed_indices, np.asarray(positions).reshape(-1, 3)
+    return seed_indices, np.asarray(positions)
 
 
 def build_graph(cloud: PointCloud, r_super: float, seed: int,

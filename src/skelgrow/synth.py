@@ -161,11 +161,11 @@ class SynthTruth:
         return {edge_key(int(i), int(j)): float(conf[k])
                 for k, (i, j) in enumerate(graph.edges)}
 
-    def reference_skeleton(self, graph: SuperpointGraph, tol: float = 0.05):
+    def reference_skeleton(self, graph: SuperpointGraph):
         """Ground-truth labeled skeleton over a superpoint graph's nodes.
 
         Superpoints are assigned to every branch centerline within
-        tolerance (junction superpoints straddle a branch and its parent
+        0.05 m (junction superpoints straddle a branch and its parent
         and belong to both chains), chained along each branch in arc
         order; each branch chain attaches to the parent-chain superpoint
         nearest its junction.
@@ -173,7 +173,7 @@ class SynthTruth:
         per_branch: dict[int, list] = {b.id: [] for b in self.branches}
         for n in range(graph.num_nodes):
             t, d = self.centerline_coords(graph.positions[n])
-            close = set(int(b) for b in np.nonzero(d <= tol)[0])
+            close = set(int(b) for b in np.nonzero(d <= 0.05)[0])
             if not close:
                 close = {int(np.argmin(d))}
             # At a terminal junction (a child attached at its parent's far

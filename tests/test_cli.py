@@ -522,14 +522,11 @@ def test_tips_outside_base_component_warned(caplog):
                                   "component")
 
 
-def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
-    """A tip in the base's component that the best skeleton abandoned is
-    told apart from one cut off by a gap, and a warning names it. Every
-    scan toward tip 4 comes back empty, and scans toward tip 9 beside the
-    chain do too while tip 4 is open, so each lineage abandons tip 4
-    before it grows to tip 9; ``tip_outcomes`` alone states each tip's
-    fate, with no list of abandoned tips in the manifest to disagree with
-    it."""
+def _assert_tip_4_abandoned(monkeypatch, caplog, empty):
+    """A chain from the base up to tip 4, tip 9 beside it and tip 8 cut off
+    by a gap, searched with every scan toward ``tip`` from ``cand`` empty
+    where ``empty(tip, cand)`` holds: the best skeleton reaches tip 9, and
+    tip 4 is abandoned, told apart from tip 8, and named in a warning."""
     positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
     positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
     positions += [(0.15, 0.0, 0.3)]
@@ -544,7 +541,7 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
         return built
 
     def eligible(cand, prior, ctx):
-        if tip_of[prior] == 4 or 4 in cand.open:
+        if empty(tip_of[prior], cand):
             return []
         return real_eligible(cand, prior, ctx)
 
@@ -568,6 +565,23 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
                            "base's component of the dense graph holds them")
 
 
+def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
+    """Every scan toward tip 4 comes back empty, and scans toward tip 9
+    do too while tip 4 is open, so each lineage abandons tip 4 before it
+    grows to tip 9; ``tip_outcomes`` alone states each tip's fate, with no
+    list of abandoned tips in the manifest to disagree with it."""
+    _assert_tip_4_abandoned(monkeypatch, caplog,
+                            lambda tip, cand: tip == 4 or 4 in cand.open)
+
+
+def test_tip_abandoned_after_the_winner_was_found(monkeypatch, caplog):
+    """Only the scans toward tip 4 come back empty. The first candidate
+    with the best score reached tip 9 while tip 4 was still open, and every
+    later copy of its skeleton abandoned tip 4, so tip 4 is abandoned, not
+    open in the winner."""
+    _assert_tip_4_abandoned(monkeypatch, caplog, lambda tip, cand: tip == 4)
+
+
 def test_tip_open_in_winner_warned(chain_graph, caplog):
     """Growing from tip 2 on to tip 4 costs score (confidence 0 above node
     2), so the best skeleton is the snapshot that reached tip 2 and still
@@ -582,6 +596,9 @@ def test_tip_open_in_winner_warned(chain_graph, caplog):
     assert sorted(skeleton.edges()) == [(0, 1), (1, 2)]
     assert info["tip_outcomes"] == {2: "reached", 4: "open_in_winner"}
     assert info["iterations"] == 4
+    # The final population reached tip 4, at a lower score.
+    assert info["final_reached_tips"] == [2, 4]
+    assert info["final_best_score"] < info["best_score"]
     warnings = [r.getMessage() for r in caplog.records
                 if r.levelno == logging.WARNING]
     assert warnings == ["the skeleton leaves tips [4] open: the best "

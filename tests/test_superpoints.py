@@ -26,11 +26,8 @@ def test_single_sphere_cluster():
     np.testing.assert_allclose(positions[0],
                                pts.astype(np.float64).mean(axis=0),
                                atol=1e-12)
-
-
-def _ball(points, centre, r):
-    """Sorted indices of the points within r of ``centre``, by scipy."""
-    return sorted(cKDTree(points).query_ball_point(centre, r))
+    graph = build_graph(PointCloud(pts), 0.10, seed=0)
+    assert graph.num_nodes == 1 and graph.edges.shape == (0, 2)
 
 
 def test_superpoint_positions_equal_numpy_means():
@@ -38,8 +35,9 @@ def test_superpoint_positions_equal_numpy_means():
                                   seed=0))
     seeds, positions = build_superpoints(cloud, 0.10, seed=0)
     assert len(seeds) == len(positions)
+    tree = cKDTree(cloud.points)
     for idx, position in zip(seeds, positions):
-        members = _ball(cloud.points, cloud.points[idx], 0.10)
+        members = sorted(tree.query_ball_point(cloud.points[idx], 0.10))
         assert np.array_equal(position, cloud.points[members].astype(
             np.float64).mean(axis=0))
 
@@ -93,16 +91,6 @@ def test_superpoints_deterministic_per_seed():
     seeds_b, positions_b = build_superpoints(cloud, 0.10, seed=9)
     assert seeds_a == seeds_b
     np.testing.assert_array_equal(positions_a, positions_b)
-
-
-@pytest.mark.parametrize("pts", [[[0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],
-                         ids=["one-point", "two-isolated-points"])
-def test_graph_without_pairs(pts):
-    """One superpoint, or two more than 2*r_super apart: no edges."""
-    graph = build_graph(PointCloud(np.asarray(pts, dtype=np.float32)),
-                        0.10, seed=0)
-    assert graph.num_nodes == len(pts)
-    assert graph.edges.shape == (0, 2) and graph.lengths.shape == (0,)
 
 
 def test_dense_edge_boundary_inclusive():

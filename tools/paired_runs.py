@@ -28,7 +28,9 @@ ones, one process at a time.
   ``iterations``, ``tip_draws``, ``search_counts`` and
   ``best_score_history``. The summary also gives each side's median
   seconds per stage, from the manifest's ``timings`` and
-  ``prior_seconds``.
+  ``prior_seconds``, and names every tree and pair whose sides' manifest
+  ``tip_outcomes`` differ, tip by tip; such a difference does not stop
+  the runs, since a change may alter outcomes on purpose.
 - ``--bench SIZES``: ``skelgrow bench --sizes SIZES`` at K=100 (as
   acceptance criterion 8 runs it); reports each size's preprocessing share.
 - ``--pytest ARGS``: ``python -m pytest -q ARGS`` in each side's copy;
@@ -154,7 +156,8 @@ def _run_trees(args, sides: dict, work: Path) -> list[dict]:
                     runs.append({"pair": pair, "tree": tree.name,
                                  "side": name, "mode": mode, "rc": rc,
                                  "seconds": wall, "peak_rss_mb": rss,
-                                 "stages": stages})
+                                 "stages": stages, "tip_outcomes":
+                                 manifest.get("tip_outcomes")})
                     trajectories.setdefault(name, []).append(
                         [manifest.get(key) for key in TRAJECTORY])
                 digests[name] = _digest(out / "skeleton.json")
@@ -265,6 +268,28 @@ def _stage_lines(by: dict, pairs: list[int]) -> list[str]:
     return lines
 
 
+def outcome_lines(runs: list[dict]) -> list[str]:
+    """One line per tree, pair and mode whose sides' ``tip_outcomes``
+    differ, giving each differing tip as ``tip parent/change``."""
+    seen: dict[tuple, dict] = {}
+    for r in runs:
+        if "tip_outcomes" in r:
+            seen.setdefault((r["tree"], r["pair"], r["mode"]), {})[
+                r["side"]] = r["tip_outcomes"] or {}
+    lines = []
+    for (tree, pair, mode), by in seen.items():
+        parent, change = by.get("parent", {}), by.get("change", {})
+        tips = sorted(set(parent) | set(change), key=int)
+        diff = [f"{t} {parent.get(t)}/{change.get(t)}" for t in tips
+                if parent.get(t) != change.get(t)]
+        if diff:
+            lines.append(f"{tree:>12} {mode:>6}: pair {pair} tip outcomes "
+                         f"differ (parent/change): {', '.join(diff)}")
+    if seen and not lines:
+        lines.append("tip outcomes: the same on both sides in every run")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -295,7 +320,7 @@ def main(argv=None) -> int:
             runs = _run_pytest(args, sides, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    for line in summary(runs):
+    for line in summary(runs) + outcome_lines(runs):
         print(line)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1))
