@@ -33,6 +33,7 @@ from .side_branches import find_side_branches
 from .skeleton import load_skeleton, save_skeleton
 from .spatial import GridIndex
 from .superpoints import build_graph, graph_from_dict, graph_to_dict
+from .values import dataclass_from_json, is_point
 
 log = logging.getLogger("skelgrow")
 
@@ -201,8 +202,7 @@ def _grow_skeleton(graph, conf: ConfidenceMap, base_spec, cfg: SearchConfig,
 def cmd_skeletonize(args) -> int:
     _check_at_least_one(threads=args.threads, points=args.points)
     # argparse reads "nan" and "inf" as floats; neither names a superpoint.
-    if args.base_point is not None and not all(
-            map(math.isfinite, args.base_point)):
+    if args.base_point is not None and not is_point(args.base_point):
         raise ConfigError(
             f"--base-point must be finite, got {args.base_point}")
     cfg = _load_pipeline_config(args)
@@ -257,18 +257,9 @@ def cmd_synth(args) -> int:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CloudFormatError(f"cannot read spec {args.spec}: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("synth spec root must be a JSON object")
-        known = {f.name for f in dataclasses.fields(synth.SynthSpec)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw = {**raw, "seed": args.seed}
-    try:
-        spec = synth.SynthSpec(**raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    spec = dataclass_from_json(synth.SynthSpec, raw, "synth spec")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,28 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-
-
-def check_field_types(obj, error=ConfigError) -> None:
-    """Raise ``error`` unless every field of the dataclass ``obj`` holds a
-    finite value of its annotated type: an int (not a bool) for ``int``,
-    an int or float for ``float``.
-
-    A file can hold any JSON value, and range checks assume finite numbers.
-    The annotations are strings, so the calling module must use
-    ``from __future__ import annotations``.
-    """
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        kinds = int if f.type == "int" else (int, float)
-        if (isinstance(v, bool) or not isinstance(v, kinds)
-                or not abs(v) <= sys.float_info.max):
-            raise error(f"{f.name} must be a finite {f.type}, got {v!r}")
+from .values import check_field_types, dataclass_from_json, is_point
 
 
 @dataclass(frozen=True)
@@ -86,7 +69,7 @@ class PipelineConfig:
                               f" crop.max {list(self.crop_max)} on any axis")
 
 
-_SEARCH_KEYS = {f.name for f in dataclasses.fields(SearchConfig)}
+_CROP_KEYS = ("crop.min", "crop.max")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -100,28 +83,15 @@ def load_config(path: str | Path) -> PipelineConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object of flat keys")
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    unknown = set(raw) - _SEARCH_KEYS - {"crop.min", "crop.max"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    search_kwargs = {k: raw[k] for k in raw if k in _SEARCH_KEYS}
-
-    def _box(key):
-        if key not in raw:
-            return None
-        v = raw[key]
-        if (not isinstance(v, (list, tuple)) or len(v) != 3
-                or not all(type(x) in (int, float) for x in v)):
-            raise ConfigError(f"{key} must be a list of 3 numbers")
-        return tuple(float(x) for x in v)
-
-    return PipelineConfig(
-        search=SearchConfig(**search_kwargs),
-        crop_min=_box("crop.min"),
-        crop_max=_box("crop.max"),
-    )
+    search = dataclass_from_json(SearchConfig, raw, "config", _CROP_KEYS)
+    corners = []
+    for key in _CROP_KEYS:
+        if key in raw and not is_point(raw[key]):
+            raise ConfigError(f"{key} must be a list of 3 numbers, all "
+                              f"finite, got {raw[key]!r}")
+        corners.append(tuple(map(float, raw[key])) if key in raw else None)
+    return PipelineConfig(search, *corners)

@@ -28,6 +28,7 @@ from .errors import DegenerateGeometryError, ModelFormatError, OverrideError
 from .geometry import grow_angle
 from .spatial import GridIndex, ball_union, coordinate_rows
 from .superpoints import SuperpointGraph
+from .values import is_int, is_number
 
 #: Raster shape: 32 buckets along the edge, 16 lateral.
 GRID_ALONG = 32
@@ -180,7 +181,7 @@ def _raster_blocks(cloud: PointCloud, graph: SuperpointGraph,
         yield edges, _rasterise(us, vs, r_super), frames
 
 
-def _heuristic_scores(grids: np.ndarray) -> list[float]:
+def _heuristic_scores(grids: np.ndarray) -> np.ndarray:
     """The heuristic confidence of each of the (n, 32, 16) grids:
     coverage * compactness over the along-edge columns.
 
@@ -188,9 +189,10 @@ def _heuristic_scores(grids: np.ndarray) -> list[float]:
     mean lateral intensity-weighted standard deviation over nonempty
     columns, scaled by half the lateral bucket count.
 
-    Column masses, means and deviations run over the whole block. Each
-    grid's mean deviation over its non-empty columns is taken grid by
-    grid, because a pairwise sum's rounding depends on its length.
+    Column masses, means and deviations run over the whole block. Grids
+    with equal counts of non-empty columns take their mean deviations
+    together, as rows of a C-ordered array: a pairwise sum rounds by its
+    length, and each row gets the sum its grid would get alone.
     """
     col_mass = grids.sum(axis=2)
     nonempty = col_mass > 0
@@ -200,18 +202,14 @@ def _heuristic_scores(grids: np.ndarray) -> list[float]:
     mean = (cols * lat).sum(axis=1) / mass
     var = (cols * (lat[None, :] - mean[:, None]) ** 2).sum(axis=1) / mass
     sd = np.sqrt(var)
-    scores = []
-    end = 0
-    for coverage, count in zip(nonempty.mean(axis=1).tolist(),
-                               nonempty.sum(axis=1).tolist()):
-        if count == 0:
-            scores.append(0.0)
-            continue
-        start, end = end, end + count
-        compactness = 1.0 - float(sd[start:end].mean()) / (GRID_LATERAL / 2)
-        compactness = min(max(compactness, 0.0), 1.0)
-        scores.append(min(max(coverage * compactness, 0.0), 1.0))
-    return scores
+    counts = nonempty.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    mean_sd = np.zeros(len(grids))  # a grid with no column scores 0
+    for count in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == count)
+        mean_sd[rows] = sd[starts[rows, None] + np.arange(count)].mean(axis=1)
+    compactness = np.clip(1.0 - mean_sd / (GRID_LATERAL / 2), 0.0, 1.0)
+    return nonempty.mean(axis=1) * compactness
 
 
 @dataclass(frozen=True)
@@ -242,23 +240,19 @@ class DenseModel:
                     f"layer {k}: must be an object with rows, cols, weights "
                     f"and bias")
             rows, cols = layer["rows"], layer["cols"]
-            if type(rows) is not int or rows < 1:
+            if not is_int(rows) or rows < 1:
                 raise ModelFormatError(
                     f"layer {k}: rows must be a positive int, got {rows!r}")
-            if type(cols) is not int or cols != expected:
+            if not is_int(cols) or cols != expected:
                 raise ModelFormatError(
                     f"layer {k}: expected {expected} input columns, "
                     f"got {cols!r}")
-            try:
-                w = np.asarray(layer["weights"], dtype=np.float64)
-                b = np.asarray(layer["bias"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            w, b = (np.asarray(layer[key], dtype=object)
+                    for key in ("weights", "bias"))
+            if not all(map(is_number, [*w.flat, *b.flat])):
                 raise ModelFormatError(
-                    f"layer {k}: weights and bias must be numbers: {exc}"
-                ) from exc
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ModelFormatError(
-                    f"layer {k}: weights and bias must be finite")
+                    f"layer {k}: weights and bias must be finite numbers")
+            w, b = w.astype(np.float64), b.astype(np.float64)
             if w.size != rows * cols:
                 raise ModelFormatError(
                     f"layer {k}: {w.size} weights for shape {rows}x{cols}")
@@ -313,9 +307,8 @@ def check_scores(values: list, num_edges: int, what: str) -> np.ndarray:
     if len(values) != num_edges:
         raise OverrideError(
             f"{what} has {len(values)} scores for {num_edges} graph edges")
-    # Written so that a NaN, which fails every comparison, is rejected.
-    bad = [k for k, v in enumerate(values) if isinstance(v, bool)
-           or not isinstance(v, (int, float)) or not 0 <= v <= 1]
+    bad = [k for k, v in enumerate(values)
+           if not (is_number(v) and 0 <= v <= 1)]
     if bad:
         raise OverrideError(
             f"{what} scores must lie in [0, 1]; {len(bad)} are not numbers "

@@ -9,7 +9,6 @@ mean of edges per contiguous segment.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from .errors import CorrectionError, EvalError
 from .labels import Label, parse_label
 from .skeleton import LabeledSkeleton, skeleton_from_edges
 from .superpoints import UnionFind
+from .values import is_int, is_number
 
 REPORT_LABELS = (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH)
 
@@ -51,10 +51,8 @@ class SegmentStats:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SegmentStats":
-        # Written so that a NaN, which fails every comparison, is rejected.
         if not isinstance(doc, dict) or not all(
-                type(v) in (int, float) and 0 <= v < math.inf
-                for v in doc.values()):
+                is_number(v) and v >= 0 for v in doc.values()):
             raise ValueError("segment stats must be an object mapping "
                              "labels to finite numbers >= 0")
         return cls({parse_label(k): float(v) for k, v in doc.items()})
@@ -164,6 +162,8 @@ def apply_corrections(s: LabeledSkeleton, script: list) -> LabeledSkeleton:
         try:
             kind = op["op"]
             edge = (op["parent"], op["child"])
+            if not all(map(is_int, edge)):
+                raise ValueError("parent and child must be int node ids")
             if kind == "add-edge":
                 if edge in labels:
                     raise ValueError(f"edge {edge} already present")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import AttachmentError
 from .labels import Label, parse_label
+from .values import is_int, is_point
 
 Edge = tuple[int, int]  # (parent, child)
 
@@ -219,15 +220,6 @@ def skeleton_from_edges(base: int, edges) -> LabeledSkeleton:
     return skeleton
 
 
-def _is_int(v) -> bool:
-    return type(v) is int
-
-
-def _is_pos(v) -> bool:
-    return (isinstance(v, list) and len(v) == 3
-            and all(type(x) in (int, float) for x in v))
-
-
 def _records(doc: dict, key: str, fields: dict) -> list:
     """``doc[key]`` checked to be a list of objects whose ``fields`` pass
     their checks; raises ValueError naming the first bad entry."""
@@ -246,14 +238,14 @@ def _records(doc: dict, key: str, fields: dict) -> list:
 def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
     """Parse skeleton JSON; returns (skeleton, node positions).
 
-    Raises ValueError on a missing key, a value of the wrong shape or a
-    topology violation in the document.
+    Raises ValueError on a missing key, a value of the wrong shape, a
+    position that is not finite or a topology violation in the document.
     """
-    if not isinstance(doc, dict) or not _is_int(doc.get("base")):
+    if not isinstance(doc, dict) or not is_int(doc.get("base")):
         raise ValueError("invalid skeleton document: must be an object with "
                          "an int 'base'")
-    nodes = _records(doc, "nodes", {"id": _is_int, "pos": _is_pos})
-    edges = _records(doc, "edges", {"parent": _is_int, "child": _is_int,
+    nodes = _records(doc, "nodes", {"id": is_int, "pos": is_point})
+    edges = _records(doc, "edges", {"parent": is_int, "child": is_int,
                                     "label": lambda v: isinstance(v, str)})
     positions = {n["id"]: tuple(float(x) for x in n["pos"]) for n in nodes}
     edges = [(e["parent"], e["child"], parse_label(e["label"]))

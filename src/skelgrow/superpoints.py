@@ -10,6 +10,7 @@ import numpy as np
 from .errors import CloudFormatError
 from .cloud import PointCloud
 from .spatial import BALL_CHUNK, GridIndex, coordinate_rows
+from .values import is_int, is_point
 
 
 #: Seeds queried together by :func:`build_superpoints`.
@@ -172,15 +173,14 @@ def graph_from_dict(doc: dict) -> SuperpointGraph:
     """The graph of a :func:`graph_to_dict` document; raises
     CloudFormatError unless positions are finite 3-vectors and edges are
     int pairs 0 <= i < j < n in strictly increasing order."""
-    n = len(doc["positions"])
+    positions = doc["positions"]
+    if not all(map(is_point, positions)):
+        raise CloudFormatError("graph JSON positions must be finite 3-vectors")
     edges = [tuple(e) for e in doc["edges"]]
     # Ordered pairs in ascending rows also rule out duplicates.
-    if not all(len(e) == 2 and type(e[0]) is type(e[1]) is int
-               and 0 <= e[0] < e[1] < n for e in edges) or any(
+    if not all(len(e) == 2 and is_int(e[0]) and is_int(e[1])
+               and 0 <= e[0] < e[1] < len(positions) for e in edges) or any(
                    a >= b for a, b in zip(edges, edges[1:])):
         raise CloudFormatError("graph JSON edges must be int pairs i < j of "
                                "position rows in strictly increasing order")
-    graph = SuperpointGraph(doc["positions"], edges)
-    if graph.num_nodes != n or not np.isfinite(graph.positions).all():
-        raise CloudFormatError("graph JSON positions must be finite 3-vectors")
-    return graph
+    return SuperpointGraph(positions, edges)

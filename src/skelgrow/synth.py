@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .config import check_field_types
 from .labels import Label
 from .skeleton import LabeledSkeleton
 from .superpoints import SuperpointGraph
 from .edge_scoring import ConfidenceMap, edge_key
+from .values import check_field_types
 
 
 @dataclass(frozen=True)

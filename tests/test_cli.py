@@ -205,14 +205,17 @@ def test_score_cache_out_of_range_is_rebuilt(synth_dir, tmp_path, values):
     lambda doc: doc["edges"].append(doc["edges"][-1]),
     lambda doc: doc["edges"].insert(0, [-1, 0]),
     lambda doc: doc["edges"][-1].__setitem__(1, doc["edges"][-1][1] + 0.0),
-    lambda doc: doc["positions"][3].__setitem__(0, math.nan)],
+    lambda doc: doc["positions"][3].__setitem__(0, math.nan),
+    lambda doc: doc["positions"][3].__setitem__(0, "0.5"),
+    lambda doc: doc.update(positions=[["0", "0", "0"], [True, "1e-1", 0]],
+                           edges=[[0, 1]])],
     ids=["self-loop", "reversed", "duplicate", "negative-id", "float-id",
-         "nan-position"])
+         "nan-position", "str-coordinate", "str-and-bool-graph"])
 def test_graph_cache_failing_its_checks_is_rebuilt(synth_dir, tmp_path,
                                                    tamper):
     """A graph cache with a self-loop, a reversed or repeated edge, an
-    edge end that is negative or a float, or a NaN position is rebuilt,
-    not used."""
+    edge end that is negative or a float, or a position that is NaN or
+    holds a string or a bool is rebuilt, not used."""
     cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
     out = tmp_path / "run"
     argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
@@ -489,8 +492,13 @@ def test_malformed_override_document_rejected(synth_dir, tmp_path, score,
      "bias": [0.0]},
     {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
      "weights": [0.0] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [math.nan]},
+    {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
+     "weights": ["0.5"] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [0.0]},
+    {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
+     "weights": [0.0] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [True]},
     "layer"],
-    ids=["no-rows", "str-weights", "float-rows", "nan-bias", "str-layer"])
+    ids=["no-rows", "str-weights", "float-rows", "nan-bias",
+         "numeric-str-weights", "bool-bias", "str-layer"])
 def test_malformed_model_document_rejected(synth_dir, tmp_path, layer,
                                            capsys):
     for name, doc in (("layer", {"layers": [layer]}), ("root", [layer])):
@@ -680,14 +688,21 @@ _ONE_EDGE = {"base": 0,
     {"base": 0, "edges": []}, [_ONE_EDGE], {**_ONE_EDGE, "base": [0]},
     {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0]}]},
     {**_ONE_EDGE, "edges": [{"parent": 0, "label": "Trunk"}]},
-    {**_ONE_EDGE, "edges": "0-1"}],
+    {**_ONE_EDGE, "edges": "0-1"},
+    {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0, 0]},
+                            {"id": 1, "pos": [0, 0, math.nan]}]},
+    {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0, 0]},
+                            {"id": 1, "pos": [0, math.inf, 1]}]}],
     ids=["no-nodes", "list-root", "list-base", "short-pos", "no-child",
-         "str-edges"])
+         "str-edges", "nan-pos", "inf-pos"])
 def test_malformed_skeleton_document_rejected(tmp_path, doc, capsys):
+    """Refused as the skeleton and as the reference alike."""
     good = _write_json(tmp_path / "good.json", _ONE_EDGE)
     bad = _write_json(tmp_path / "bad.json", doc)
-    assert main(["eval", "--skeleton", bad, "--reference", good]) == EXIT_DATA
-    assert "invalid skeleton document" in capsys.readouterr().err
+    for argv in (["--skeleton", bad, "--reference", good],
+                 ["--skeleton", good, "--reference", bad]):
+        assert main(["eval", *argv]) == EXIT_DATA
+        assert "invalid skeleton document" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [[1.5], {"Trunk": None}, {"Trunk": "2"},
@@ -779,15 +794,23 @@ def test_eval_with_corrections(tmp_path):
     assert json.loads(report.read_text())["global"]["distance"] == 0
 
 
-def test_eval_bad_correction_step(tmp_path):
+def test_eval_bad_correction_step(tmp_path, capsys):
+    """Removing an absent edge fails its step, and so does naming edge
+    (1, 2) by a bool or a float, which Python's dicts take for 1 and 2."""
     skel = _write_json(tmp_path / "skel.json", {
         "base": 0,
-        "nodes": [{"id": 0, "pos": [0, 0, 0]}, {"id": 1, "pos": [0, 0, 1]}],
-        "edges": [{"parent": 0, "child": 1, "label": "Trunk"}]})
-    script = _write_json(tmp_path / "fix.json", [
-        {"op": "remove-edge", "parent": 8, "child": 9}])
-    assert main(["eval", "--skeleton", skel, "--reference", skel,
-                 "--corrections", script]) == EXIT_DATA
+        "nodes": [{"id": n, "pos": [0, 0, 0.1 * n]} for n in range(3)],
+        "edges": [{"parent": 0, "child": 1, "label": "Trunk"},
+                  {"parent": 1, "child": 2, "label": "Support"}]})
+    for op in ({"op": "remove-edge", "parent": 8, "child": 9},
+               {"op": "relabel", "parent": True, "child": 2.0,
+                "label": "Leader"},
+               {"op": "relabel", "parent": 1, "child": 2.0,
+                "label": "Leader"}):
+        script = _write_json(tmp_path / "fix.json", [op])
+        assert main(["eval", "--skeleton", skel, "--reference", skel,
+                     "--corrections", script]) == EXIT_DATA
+        assert "correction step 0" in capsys.readouterr().err
 
 
 def test_bench_requires_sizes():

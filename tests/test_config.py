@@ -39,11 +39,22 @@ def test_crop_box_with_one_corner_rejected(key):
         config_from_dict({key: [5, 5, 5]})
 
 
-@pytest.mark.parametrize("corner", [[0, 0, 2], [0, 0, math.nan]],
-                         ids=["inverted", "nan"])
+@pytest.mark.parametrize("corner", [[0, 0, 2]], ids=["inverted"])
 def test_inverted_crop_box_rejected(corner):
     with pytest.raises(ConfigError, match="must not exceed"):
         config_from_dict({"crop.min": corner, "crop.max": [1, 1, 1]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["crop.min", "crop.max"])
+def test_non_finite_crop_corner_rejected(key, value):
+    """A NaN or infinite corner is refused as not finite, before the two
+    corners are compared."""
+    doc = {"crop.min": [0, 0, 0], "crop.max": [1, 1, 1]}
+    doc[key] = [0.5, value, 0.5]
+    with pytest.raises(ConfigError, match=f"{key} .* all finite"):
+        config_from_dict(doc)
 
 
 def test_crop_corner_of_booleans_rejected():

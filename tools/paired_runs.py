@@ -32,7 +32,10 @@ ones, one process at a time.
   ``tip_outcomes`` differ, tip by tip; such a difference does not stop
   the runs, since a change may alter outcomes on purpose.
 - ``--bench SIZES``: ``skelgrow bench --sizes SIZES`` at K=100 (as
-  acceptance criterion 8 runs it); reports each size's preprocessing share.
+  acceptance criterion 8 runs it); reports each size's median
+  preprocessing share and its count of runs at or above criterion 8's
+  0.20 bound, and, per side, the median preprocessing and search seconds
+  and the largest share, the margin left to that bound.
 - ``--pytest ARGS``: ``python -m pytest -q ARGS`` in each side's copy;
   reports its passes and failures.
 
@@ -187,6 +190,8 @@ def _run_bench(args, sides: dict, work: Path) -> list[dict]:
                         "tree": f"size-{row['target_size']}",
                         "mode": "bench",
                         "seconds": float(row["total_seconds"]),
+                        "preprocess_seconds":
+                            float(row["preprocess_seconds"]),
                         "search_seconds": float(row["search_seconds"]),
                         "preprocess_share": float(row["preprocess_seconds"])
                         / float(row["total_seconds"])})
@@ -252,6 +257,24 @@ def summary(runs: list[dict]) -> list[str]:
         lines.append(line)
         if mode in ("cold", "warm"):
             lines += _stage_lines(by, pairs)
+        elif mode == "bench":
+            lines += _margin_lines(by, pairs)
+    return lines
+
+
+def _margin_lines(by: dict, pairs: list[int]) -> list[str]:
+    """Each side's median preprocessing and search seconds and its largest
+    preprocessing share: how close its runs come to criterion 8's 0.20."""
+    lines = []
+    for side in SIDES:
+        runs = [by[side][p] for p in pairs]
+        lines.append(
+            f"{'':>20}{side:>7} median s: preprocess "
+            f"{statistics.median(r['preprocess_seconds'] for r in runs):.4f}"
+            f", search "
+            f"{statistics.median(r['search_seconds'] for r in runs):.4f}; "
+            f"largest share "
+            f"{max(r['preprocess_share'] for r in runs):.3f}")
     return lines
 
 
