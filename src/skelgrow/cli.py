@@ -1,7 +1,7 @@
 """Command-line entry point: skeletonize / synth / eval / bench.
 
-Exit codes: 0 success, 2 I/O or parse failure, 3 invalid configuration,
-4 data-model violation, 5 stalled search.
+A command exits 0 on success and otherwise with the exit code that
+``errors`` gives its failure.
 """
 
 from __future__ import annotations
@@ -23,25 +23,24 @@ from .cloud import (crop_cloud, export_cloud, export_colored, load_cloud,
                     random_downsample)
 from .config import PipelineConfig, SearchConfig, load_config
 from .edge_scoring import ConfidenceMap, check_scores, score_all_edges
-from .errors import (AttachmentError, CloudFormatError, ConfigError,
-                     CorrectionError, EvalError, ModelFormatError,
-                     NoTipsError, OverrideError, SearchStalledError,
-                     SkelgrowError)
+from .errors import (CloudFormatError, ConfigError, EvalError,
+                     SearchStalledError, SkelgrowError)
 from .seeds import SeedSet, find_tips, resolve_base
 from .search import run_search
 from .side_branches import find_side_branches
 from .skeleton import load_skeleton, save_skeleton
 from .spatial import GridIndex
 from .superpoints import build_graph, graph_from_dict, graph_to_dict
-from .values import dataclass_from_json, is_point
+from .values import (dataclass_from_json, is_point, read_json, replaced,
+                     write_json)
 
 log = logging.getLogger("skelgrow")
 
 EXIT_OK = 0
-EXIT_IO = 2
-EXIT_CONFIG = 3
-EXIT_DATA = 4
-EXIT_STALLED = 5
+EXIT_IO = CloudFormatError.exit_code
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_DATA = SkelgrowError.exit_code
+EXIT_STALLED = SearchStalledError.exit_code
 
 
 def _setup_logging():
@@ -117,24 +116,12 @@ def _read_cache(path: Path, parse, caches: dict, kind: str):
     outcome, value = "miss", None
     if path.exists():
         try:
-            outcome, value = "hit", parse(json.loads(path.read_text()))
+            outcome, value = "hit", parse(read_json(path))
         except (ValueError, LookupError, TypeError, SkelgrowError) as exc:
             log.warning("rebuilding unreadable cache %s: %s", path.name, exc)
             outcome = "rebuilt"
     caches[kind] = {"file": path.name, "outcome": outcome}
     return value
-
-
-def _write_cache(path: Path, doc) -> None:
-    """Write through a temporary file in the same directory and rename it,
-    so an interrupted run never leaves a partial cache behind."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
@@ -159,7 +146,7 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
     else:
         graph = build_graph(
             cloud, cfg.search.r_super, cfg.search.seed, index())
-        _write_cache(graph_cache, graph_to_dict(graph))
+        write_json(graph_cache, graph_to_dict(graph))
     timings["superpoints_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -179,7 +166,7 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
             log.info("reusing cached edge scores %s", score_cache.name)
         else:
             conf = score_all_edges(cloud, graph, scorer, cfg.search, index())
-            _write_cache(score_cache, {"values": conf.values.tolist()})
+            write_json(score_cache, {"values": conf.values.tolist()})
     timings["scoring_seconds"] = time.perf_counter() - t0
     return cloud, graph, conf
 
@@ -239,9 +226,7 @@ def cmd_skeletonize(args) -> int:
         "n_superpoints": graph.num_nodes,
         "n_edges": graph.num_edges,
     })
-    with open(out / "run_manifest.json", "w") as fh:
-        json.dump(info, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "run_manifest.json", info)
     print(f"skeleton with {skeleton.num_edges} edges -> "
           f"{out / 'skeleton.json'}")
     return EXIT_OK
@@ -250,13 +235,7 @@ def cmd_skeletonize(args) -> int:
 def cmd_synth(args) -> int:
     from . import synth
     _check_at_least_one(points=args.points)
-    raw = {}
-    if args.spec:
-        try:
-            with open(args.spec) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CloudFormatError(f"cannot read spec {args.spec}: {exc}")
+    raw = read_json(args.spec) if args.spec else {}
     if args.seed is not None and isinstance(raw, dict):
         raw = {**raw, "seed": args.seed}
     spec = dataclass_from_json(synth.SynthSpec, raw, "synth spec")
@@ -265,18 +244,14 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cloud, truth = synth.generate(spec)
     export_cloud(cloud, out / "cloud.ply")
-    with open(out / "truth.json", "w") as fh:
-        json.dump(truth.polyline_skeleton_dict(), fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
+    write_json(out / "truth.json", truth.polyline_skeleton_dict())
     # Oracle scores are keyed to the superpoint graph that skeletonize
     # will rebuild from the emitted cloud with the same seed and radius.
     search_cfg = SearchConfig(seed=spec.seed)
     graph_cloud = random_downsample(cloud, args.points, search_cfg.seed)
     graph = build_graph(graph_cloud, search_cfg.r_super, search_cfg.seed)
-    with open(out / "override.json", "w") as fh:
-        json.dump({"scores": truth.oracle_override_table(graph)}, fh)
-        fh.write("\n")
+    write_json(out / "override.json",
+               {"scores": truth.oracle_override_table(graph)})
     print(f"synthetic tree ({len(cloud)} points, "
           f"{graph.num_nodes} superpoints) -> {out}")
     return EXIT_OK
@@ -306,13 +281,10 @@ def cmd_eval(args) -> int:
         reference = apply_corrections(reference, script)
     stats = None
     if args.stats:
-        with open(args.stats) as fh:
-            stats = SegmentStats.from_dict(json.load(fh))
+        stats = SegmentStats.from_dict(read_json(args.stats))
     report = evaluate(skeleton, reference, stats)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, report.to_dict())
     print(report.table())
     return EXIT_OK
 
@@ -332,8 +304,7 @@ def _bench_spec(target_superpoints: int, seed: int):
 
 def cmd_bench(args) -> int:
     from . import synth
-    if not args.sizes:
-        raise ConfigError("bench needs at least one size")
+    _check_at_least_one(sizes=min(args.sizes))
     cfg = _load_pipeline_config(args)
     rows = []
     for size in args.sizes:
@@ -358,7 +329,7 @@ def cmd_bench(args) -> int:
             "total_seconds": round(preprocess + search, 4),
         })
         log.info("bench size %d: %s", size, rows[-1])
-    with open(args.out, "w", newline="") as fh:
+    with replaced(args.out, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
@@ -419,21 +390,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFormatError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CloudFormatError, FileNotFoundError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+    except SkelgrowError as exc:
+        print(f"error: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {CloudFormatError.prefix}{exc}", file=sys.stderr)
         return EXIT_IO
-    except (AttachmentError, OverrideError, CorrectionError, EvalError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NoTipsError, SearchStalledError) as exc:
-        print(f"error: search stalled: {exc}", file=sys.stderr)
-        return EXIT_STALLED
-    except SkelgrowError as exc:  # remaining package errors are data-model
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import CloudFormatError
 from .labels import LABEL_COLORS
+from .values import replaced
 
 _PLY_TYPES = {
     "char": "i1", "int8": "i1",
@@ -236,7 +237,7 @@ def _write_ply(path, **elements):
         header += [f"property {_PLY_NAMES[records.dtype[field].str[1:]]} "
                    f"{field}" for field in records.dtype.names]
     header.append("end_header")
-    with open(path, "wb") as fh:
+    with replaced(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for records in elements.values():
             records.tofile(fh)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .values import check_field_types, dataclass_from_json, is_point
+from .values import (check_field_types, dataclass_from_json, is_point,
+                     read_json)
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     Recognized keys are the ``SearchConfig`` field names plus ``crop.min``
     and ``crop.max`` (both or neither); anything else is an error.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path))
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:

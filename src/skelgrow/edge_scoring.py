@@ -15,7 +15,6 @@ operations. The result equals the one-edge computation in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from .errors import DegenerateGeometryError, ModelFormatError, OverrideError
 from .geometry import grow_angle
 from .spatial import GridIndex, ball_union, coordinate_rows
 from .superpoints import SuperpointGraph
-from .values import is_int, is_number
+from .values import is_int, is_number, read_json
 
 #: Raster shape: 32 buckets along the edge, 16 lateral.
 GRID_ALONG = 32
@@ -220,12 +219,6 @@ class DenseModel:
     biases: tuple   # of (rows,) float arrays
 
     @classmethod
-    def load(cls, path: str | Path) -> "DenseModel":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc)
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "DenseModel":
         layers = doc.get("layers") if isinstance(doc, dict) else None
         if not layers or not isinstance(layers, list):
@@ -249,18 +242,16 @@ class DenseModel:
                     f"got {cols!r}")
             w, b = (np.asarray(layer[key], dtype=object)
                     for key in ("weights", "bias"))
-            if not all(map(is_number, [*w.flat, *b.flat])):
+            # A ragged or deeper nesting leaves lists among the elements.
+            if (w.shape not in ((rows * cols,), (rows, cols))
+                    or b.shape != (rows,)
+                    or not all(map(is_number, [*w.flat, *b.flat]))):
                 raise ModelFormatError(
-                    f"layer {k}: weights and bias must be finite numbers")
-            w, b = w.astype(np.float64), b.astype(np.float64)
-            if w.size != rows * cols:
-                raise ModelFormatError(
-                    f"layer {k}: {w.size} weights for shape {rows}x{cols}")
-            if b.size != rows:
-                raise ModelFormatError(
-                    f"layer {k}: {b.size} biases for {rows} rows")
-            ws.append(w.reshape(rows, cols))
-            bs.append(b)
+                    f"layer {k}: weights must be {rows * cols} finite "
+                    f"numbers, flat or as {rows} rows of {cols}, and bias "
+                    f"{rows} finite numbers")
+            ws.append(w.astype(np.float64).reshape(rows, cols))
+            bs.append(b.astype(np.float64))
             expected = rows
         if expected != 1:
             raise ModelFormatError(
@@ -292,8 +283,7 @@ def edge_key(i: int, j: int) -> str:
 
 def load_override(path: str | Path) -> dict:
     """An override file's ``scores`` table; score_all_edges checks it."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     scores = doc.get("scores") if isinstance(doc, dict) else None
     if not isinstance(scores, dict):
         raise OverrideError("override file must contain a 'scores' object")
@@ -351,7 +341,7 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
     if kind == "model":
         model = scorer[1]
         if not isinstance(model, DenseModel):
-            model = DenseModel.load(model)
+            model = DenseModel.from_dict(read_json(model))
 
         def score_block(grids, frames):
             return [model.forward(np.concatenate(

@@ -1,20 +1,25 @@
 """Exception hierarchy shared across the pipeline.
 
-Exit-code mapping (see cli): I/O and parse problems -> 2, configuration
-problems -> 3, data-model problems -> 4, stalled search -> 5.
+Each class names the exit code and message prefix of a command it ends:
+2 for a malformed cloud, 3 for a bad configuration or model file, 5 for a
+stalled search and 4, a data-model problem, for any other. A file that
+cannot be read or is not JSON exits 2 too, and any other ValueError 4.
 """
 
 
 class SkelgrowError(Exception):
     """Base class for all package errors."""
+    exit_code, prefix = 4, ""
 
 
 class CloudFormatError(SkelgrowError):
     """Malformed or empty point-cloud file."""
+    exit_code, prefix = 2, "cannot read input: "
 
 
 class ConfigError(SkelgrowError):
     """Invalid configuration value or unknown config key."""
+    exit_code, prefix = 3, "invalid configuration: "
 
 
 class DegenerateGeometryError(SkelgrowError):
@@ -28,6 +33,7 @@ class OverrideError(SkelgrowError):
 
 class ModelFormatError(SkelgrowError):
     """Scorer model file with inconsistent layer dimensions."""
+    exit_code, prefix = ConfigError.exit_code, ConfigError.prefix
 
 
 class AttachmentError(SkelgrowError):
@@ -48,10 +54,12 @@ class CorrectionError(SkelgrowError):
 
 class NoTipsError(SkelgrowError):
     """No tip candidates survive filtering; search cannot start."""
+    exit_code, prefix = 5, "search stalled: "
 
 
 class SearchStalledError(SkelgrowError):
     """Population search produced no proposals before any growth."""
+    exit_code, prefix = NoTipsError.exit_code, NoTipsError.prefix
 
 
 class EvalError(SkelgrowError):

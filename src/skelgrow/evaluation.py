@@ -8,7 +8,6 @@ mean of edges per contiguous segment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from .errors import CorrectionError, EvalError
 from .labels import Label, parse_label
 from .skeleton import LabeledSkeleton, skeleton_from_edges
 from .superpoints import UnionFind
-from .values import is_int, is_number
+from .values import is_int, is_number, read_json
 
 REPORT_LABELS = (Label.TRUNK, Label.SUPPORT, Label.LEADER, Label.SIDE_BRANCH)
 
@@ -185,8 +184,7 @@ def apply_corrections(s: LabeledSkeleton, script: list) -> LabeledSkeleton:
 
 
 def load_script(path: str | Path) -> list:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     ops = doc.get("operations") if isinstance(doc, dict) else doc
     if not isinstance(ops, list):
         raise EvalError("correction file must hold a list of operations")

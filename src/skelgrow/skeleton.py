@@ -9,12 +9,11 @@ records.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .errors import AttachmentError
 from .labels import Label, parse_label
-from .values import is_int, is_point
+from .values import is_int, is_point, read_json, write_json
 
 Edge = tuple[int, int]  # (parent, child)
 
@@ -239,7 +238,8 @@ def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
     """Parse skeleton JSON; returns (skeleton, node positions).
 
     Raises ValueError on a missing key, a value of the wrong shape, a
-    position that is not finite or a topology violation in the document.
+    position that is not finite, a node (the base or an edge end) listed
+    twice or not at all or a topology violation in the document.
     """
     if not isinstance(doc, dict) or not is_int(doc.get("base")):
         raise ValueError("invalid skeleton document: must be an object with "
@@ -248,6 +248,13 @@ def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
     edges = _records(doc, "edges", {"parent": is_int, "child": is_int,
                                     "label": lambda v: isinstance(v, str)})
     positions = {n["id"]: tuple(float(x) for x in n["pos"]) for n in nodes}
+    unlisted = {doc["base"]}.union(
+        *((e["parent"], e["child"]) for e in edges)) - positions.keys()
+    if len(positions) < len(nodes) or unlisted:
+        raise ValueError(
+            f"invalid skeleton document: nodes must list each node once; "
+            f"{len(nodes) - len(positions)} listed twice, "
+            f"{sorted(unlisted)[:20]} not listed")
     edges = [(e["parent"], e["child"], parse_label(e["label"]))
              for e in edges]
     return skeleton_from_edges(doc["base"], edges), positions
@@ -255,12 +262,8 @@ def skeleton_from_dict(doc: dict) -> tuple[LabeledSkeleton, dict]:
 
 def save_skeleton(skeleton: LabeledSkeleton, positions,
                   path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(skeleton_to_dict(skeleton, positions), fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
+    write_json(path, skeleton_to_dict(skeleton, positions))
 
 
 def load_skeleton(path: str | Path) -> tuple[LabeledSkeleton, dict]:
-    with open(path) as fh:
-        return skeleton_from_dict(json.load(fh))
+    return skeleton_from_dict(read_json(path))

@@ -1,13 +1,49 @@
-"""The value checks of every JSON document the package reads: a document
-can hold any JSON value, ``NaN`` and ``Infinity`` included, and a bool is
-an int to Python; the program assumes finite numbers and int ids."""
+"""Every file read and written, and the value checks of each JSON document:
+one can hold any JSON value, ``NaN`` and ``Infinity`` included, and a bool
+is an int to Python; the program assumes finite numbers and int ids."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
+import os
 import sys
+from pathlib import Path
 
 from .errors import ConfigError
+
+
+def read_json(path):
+    """The JSON document in the file ``path``. OSError and JSONDecodeError
+    reach the caller; the latter names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
+                                       exc.pos) from None
+
+
+@contextlib.contextmanager
+def replaced(path, mode: str = "w", **open_kwargs):
+    """A file open on ``<path>.<pid>.tmp``, renamed over ``path`` if the
+    block succeeds and removed if it raises: no partial file remains."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    with replaced(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def is_int(v) -> bool:

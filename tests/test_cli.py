@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,13 +20,14 @@ from conftest import conf_from_dict, make_graph, uniform_conf
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _grow_skeleton, _parse_scorer,
                           cmd_bench, main)
-from skelgrow.cloud import load_cloud
+from skelgrow.cloud import PointCloud, _write_ply, export_cloud, load_cloud
 from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import GRID_ALONG, GRID_LATERAL
 from skelgrow.errors import ConfigError
 from skelgrow.search import SearchContext, run_search
 from skelgrow.seeds import SeedSet
 from skelgrow.spatial import GridIndex
+from skelgrow.values import write_json
 
 _SMALL_SPEC = {"n_leaders": 2, "leader_height": 1.0, "seed": 1}
 #: test_golden's digest of this tree's skeleton (override, K=50, seed 1).
@@ -496,9 +498,12 @@ def test_malformed_override_document_rejected(synth_dir, tmp_path, score,
      "weights": ["0.5"] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [0.0]},
     {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
      "weights": [0.0] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [True]},
-    "layer"],
+    "layer",
+    # The row written as its transpose: 516 lists of 1.
+    {"rows": 1, "cols": GRID_ALONG * GRID_LATERAL + 4,
+     "weights": [[0.0]] * (GRID_ALONG * GRID_LATERAL + 4), "bias": [0.0]}],
     ids=["no-rows", "str-weights", "float-rows", "nan-bias",
-         "numeric-str-weights", "bool-bias", "str-layer"])
+         "numeric-str-weights", "bool-bias", "str-layer", "transposed"])
 def test_malformed_model_document_rejected(synth_dir, tmp_path, layer,
                                            capsys):
     for name, doc in (("layer", {"layers": [layer]}), ("root", [layer])):
@@ -692,9 +697,15 @@ _ONE_EDGE = {"base": 0,
     {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0, 0]},
                             {"id": 1, "pos": [0, 0, math.nan]}]},
     {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0, 0]},
-                            {"id": 1, "pos": [0, math.inf, 1]}]}],
+                            {"id": 1, "pos": [0, math.inf, 1]}]},
+    {**_ONE_EDGE, "nodes": [{"id": 0, "pos": [0, 0, 0]},
+                            {"id": 1, "pos": [0, 0, 1]},
+                            {"id": 1, "pos": [5, 5, 5]}]},
+    {**_ONE_EDGE, "edges": [{"parent": 0, "child": 7, "label": "Trunk"}]},
+    {"base": 0, "nodes": [{"id": 1, "pos": [0, 0, 1]}], "edges": []}],
     ids=["no-nodes", "list-root", "list-base", "short-pos", "no-child",
-         "str-edges", "nan-pos", "inf-pos"])
+         "str-edges", "nan-pos", "inf-pos", "node-twice", "end-unlisted",
+         "base-unlisted"])
 def test_malformed_skeleton_document_rejected(tmp_path, doc, capsys):
     """Refused as the skeleton and as the reference alike."""
     good = _write_json(tmp_path / "good.json", _ONE_EDGE)
@@ -725,6 +736,68 @@ def test_eval_none_edge_label_rejected(tmp_path, capsys):
         "edges": [{"parent": 0, "child": 1, "label": "None"}]})
     assert main(["eval", "--skeleton", bad, "--reference", good]) == EXIT_DATA
     assert "unknown label 'None'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "not-json"])
+@pytest.mark.parametrize("option", [
+    "--config", "--spec", "--stats", "--corrections", "model:", "override:",
+    "--skeleton", "--reference"])
+def test_unreadable_input_file_exits_2(synth_dir, tmp_path, option, content,
+                                       capsys):
+    """Every JSON document a command reads fails alike, naming the file,
+    when it is missing or is not JSON."""
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    good = _write_json(tmp_path / "good.json", _ONE_EDGE)
+    run = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+           "--seed", "1", "--out", str(tmp_path / "run")]
+    argv = {
+        "--config": [*run, "--config", str(bad)],
+        "--spec": ["synth", "--spec", str(bad), "--out", str(tmp_path)],
+        "model:": [*run, "--scorer", f"model:{bad}"],
+        "override:": [*run, "--scorer", f"override:{bad}"],
+        "--skeleton": ["eval", "--skeleton", str(bad), "--reference", good],
+        "--reference": ["eval", "--skeleton", good, "--reference", str(bad)],
+    }.get(option, ["eval", "--skeleton", good, "--reference", good,
+                   option, str(bad)])
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read input: ") and str(bad) in err
+
+
+class _FailingRecords(np.ndarray):
+    """PLY element records whose write fails, as on a full disk."""
+
+    def tofile(self, fh):
+        raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("kind", ["json", "ply"])
+def test_interrupted_write_keeps_previous_file(tmp_path, kind):
+    """A write that fails partway leaves the file as it was and no
+    temporary file beside it."""
+    path = tmp_path / f"out.{kind}"
+    if kind == "json":
+        write_json(path, {"a": list(range(100))})
+        # The list is written before the object that cannot be encoded.
+        write = functools.partial(
+            write_json, path, {"a": list(range(1000)), "z": object()})
+        error = TypeError
+    else:
+        export_cloud(PointCloud(
+            np.arange(30, dtype=np.float32).reshape(10, 3)), path)
+        edges = np.zeros(2, dtype=[("vertex1", "<i4"), ("vertex2", "<i4")])
+        write = functools.partial(
+            _write_ply, path, vertex=np.zeros(10, dtype=[("x", "<f4")]),
+            edge=edges.view(_FailingRecords))
+        error = OSError
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -813,10 +886,17 @@ def test_eval_bad_correction_step(tmp_path, capsys):
         assert "correction step 0" in capsys.readouterr().err
 
 
-def test_bench_requires_sizes():
-    args = Namespace(sizes=[], config=None, seed=None, out="unused.csv")
-    with pytest.raises(ConfigError):
-        cmd_bench(args)
+def test_bench_requires_sizes(tmp_path, capsys):
+    """At least one size, each at least 1: an empty list is refused by the
+    parser, and a size below 1 before any tree is built."""
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "--out", str(out)])
+    assert exc.value.code == 2
+    assert main(["bench", "--sizes", "100", "-5", "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert "--sizes must be at least 1, got -5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_builds_one_cloud_index(tmp_path, monkeypatch):

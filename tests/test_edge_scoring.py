@@ -220,6 +220,24 @@ def test_model_dimension_mismatch():
              "bias": [0.0, 0.0]}]})  # final layer must output one row
 
 
+def test_model_weight_layouts():
+    """A layer's weights are read as a flat row-major list or as one list
+    per row; the same numbers as one list per column are refused, not read
+    scrambled."""
+    n_in = GRID_ALONG * GRID_LATERAL + 4
+    w1 = np.arange(2 * n_in, dtype=np.float64).reshape(2, n_in)
+
+    def model(weights):
+        return DenseModel.from_dict({"layers": [
+            {"rows": 2, "cols": n_in, "weights": weights, "bias": [0, 0]},
+            {"rows": 1, "cols": 2, "weights": [[1, 1]], "bias": [0]}]})
+
+    for layout in (w1.reshape(-1), w1):
+        np.testing.assert_array_equal(model(layout.tolist()).weights[0], w1)
+    with pytest.raises(ModelFormatError, match="as 2 rows of 516"):
+        model(w1.T.tolist())
+
+
 def test_override_full_coverage():
     graph = make_graph([(0, 0, 0), (0.1, 0, 0), (0.2, 0, 0)],
                        [(0, 1), (1, 2)])

@@ -1,0 +1,104 @@
+"""Search-seed sweep of the benchmark's dense trees: how often a K=20
+search misses a reachable tip, and what that costs in matched edges.
+
+Usage (from the root of a checkout):
+
+    python3 tools/dense_sweep.py
+
+For each tree of perfbench's ``dense-scan`` workload (``dense-8000`` and
+``dense-16000``) it writes the tree's inputs with ``skelgrow synth``, then
+builds the superpoint graph and its heuristic edge scores once, with the
+tree's own seed and ``--points``, as ``skelgrow skeletonize`` does. On
+that fixed graph it runs base, tips, population search and side branches
+with search seeds 0-19 at the tree's K, all in this process. Per tree it
+prints:
+
+- the runs that miss a tip in the base's component (``tip_outcomes``),
+  split into runs that abandoned one (``abandoned_reachable``) and runs
+  whose only missed tips are ``open_in_winner``, with their seeds;
+- the median and minimum matched edges over the runs, counted with
+  ``perfbench/checks.py``'s ``matched_edges`` against ``truth.json``.
+
+The figures are deterministic; the whole sweep takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import json
+import logging
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import workloads  # noqa: E402
+from checks import load_truth, matched_edges  # noqa: E402
+from skelgrow import cli  # noqa: E402
+from skelgrow.cloud import load_cloud, random_downsample  # noqa: E402
+from skelgrow.config import SearchConfig  # noqa: E402
+from skelgrow.edge_scoring import score_all_edges  # noqa: E402
+from skelgrow.skeleton import skeleton_to_dict  # noqa: E402
+from skelgrow.spatial import GridIndex  # noqa: E402
+from skelgrow.superpoints import build_graph  # noqa: E402
+
+SEARCH_SEEDS = range(20)
+MISSED = ("abandoned_reachable", "open_in_winner")
+
+
+def sweep(tree: workloads.Tree, where: Path) -> str:
+    """One summary line per tree."""
+    (where / "spec.json").write_text(json.dumps(tree.spec))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["synth", "--spec", str(where / "spec.json"),
+                       "--points", str(tree.points), "--out", str(where)])
+    if rc != 0:
+        raise SystemExit(f"synth failed for {tree.name} with exit {rc}")
+    cfg = SearchConfig(**{**tree.config, "seed": tree.seed})
+    cloud = random_downsample(load_cloud(where / "cloud.ply"), tree.points,
+                              cfg.seed)
+    index = GridIndex(cloud.points, cfg.r_super)
+    graph = build_graph(cloud, cfg.r_super, cfg.seed, index)
+    conf = score_all_edges(cloud, graph, ("heuristic",), cfg, index)
+    truth = load_truth(where / "truth.json")
+
+    lost = {outcome: [] for outcome in MISSED}
+    matched = []
+    for seed in SEARCH_SEEDS:
+        skeleton, info = cli._grow_skeleton(
+            graph, conf, "lowest-z", dataclasses.replace(cfg, seed=seed), {})
+        outcomes = set(info["tip_outcomes"].values())
+        # A run that abandoned a tip counts there even if it left another
+        # open in the winner.
+        for outcome in MISSED:
+            if outcome in outcomes:
+                lost[outcome].append(seed)
+                break
+        positions = {n: graph.positions[n].tolist() for n in skeleton.nodes}
+        matched.append(matched_edges(skeleton_to_dict(skeleton, positions),
+                                     truth)[0])
+    abandoned, open_only = lost.values()
+    return (f"{tree.name}: {len(abandoned) + len(open_only)}/"
+            f"{len(SEARCH_SEEDS)} runs miss a reachable tip "
+            f"(abandoned: seeds {abandoned}; only open in the winner: seeds "
+            f"{open_only}); matched edges median "
+            f"{statistics.median(matched):g}, min {min(matched)}")
+
+
+def main() -> int:
+    # The search warns about every missed tip; the summary counts them.
+    logging.getLogger("skelgrow").setLevel(logging.ERROR)
+    with tempfile.TemporaryDirectory() as tmp:
+        for tree in workloads.WORKLOADS["dense-scan"]:
+            where = Path(tmp) / tree.name
+            where.mkdir()
+            print(sweep(tree, where), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
