@@ -4,7 +4,8 @@ Path priors are Dijkstra shortest paths on the directed line graph:
 states are directed dense edges, transition cost is the confidence-length
 term of the entered edge plus its bend penalty. A population of
 candidate skeletons grows one edge-label pair per iteration, with
-rank-product weighted resampling.
+rank-product weighted resampling, until each candidate has reached or
+abandoned every tip; the best of that final population is the result.
 
 A candidate holds its growth steps as a lineage, a linked list shared
 with its ancestors, and the record of each frontier edge's tail node, so a
@@ -362,12 +363,13 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
-    every tip; returns (best skeleton, manifest dict). Only the winner
-    becomes a :class:`LabeledSkeleton`, built from its lineage by the
-    loader's :func:`skeleton_from_edges`, which checks the topology and
-    every attach rule. Only tips in the base's component of the dense
-    graph get a :class:`PathPrior` and scans; a candidate that draws one
-    outside it carries on with it abandoned, as after an empty scan."""
+    every tip; returns (skeleton, manifest dict). The winner is the first
+    candidate of that final population with its top score. Only it becomes
+    a :class:`LabeledSkeleton`, built from its lineage by the loader's
+    :func:`skeleton_from_edges`, which checks the topology and every
+    attach rule. Only tips in the base's component of the dense graph get
+    a :class:`PathPrior` and scans; a candidate that draws one outside it
+    carries on with it abandoned, as after an empty scan."""
     if not seeds.tips:
         raise NoTipsError("no tip candidates; nothing to grow toward")
     ctx = SearchContext(graph, conf, cfg)
@@ -389,9 +391,7 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
     root = make_root_candidate(base, ctx, tips)
     population: list[Candidate] = [root] * cfg.K
-    best = root
-    # The winner's open tips that every copy of its skeleton still held.
-    best_open = set(tips)
+    best_score = root.score  # running maximum of the iterations' top scores
     history = []
     iteration = 0
     tip_draws = 0
@@ -403,13 +403,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     while True:
         scores = [cand.score for cand in population]
         top = max(scores)
-        if top > best.score:  # the first candidate with the top score
-            best = population[scores.index(top)]
-            best_open = set(best.open)
-        for cand in population:
-            if cand.key == best.key:
-                best_open.intersection_update(cand.open)
-        history.append(best.score)
+        best_score = max(best_score, top)
+        history.append(best_score)
 
         # Each unfinished candidate draws one of its open tips (neither
         # reached nor abandoned). Candidate ci with n >= 2 open tips takes
@@ -507,24 +502,18 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
             population.append(cand)
         iteration += 1
 
-    if best.lineage is None:
+    if final.lineage is None:
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
 
     tip_outcomes = {
-        t: "reached" if best.nodes >> t & 1
+        t: "reached" if final.nodes >> t & 1
         else "outside_base_component" if t in outside
-        else "open_in_winner" if t in best_open
         else "abandoned_reachable" for t in tips}
-    for outcome, message in (
-            ("open_in_winner", "the skeleton leaves tips %s open: the best "
-             "candidate was found before the search grew to them, and no "
-             "candidate grown further scored higher"),
-            ("abandoned_reachable", "the skeleton abandons tips %s although "
-             "the base's component of the dense graph holds them")):
-        named = [t for t in tips if tip_outcomes[t] == outcome]
-        if named:
-            log.warning(message, named)
+    abandoned = [t for t in tips if tip_outcomes[t] == "abandoned_reachable"]
+    if abandoned:
+        log.warning("the skeleton abandons tips %s although the base's "
+                    "component of the dense graph holds them", abandoned)
     info = {
         "tips": list(tips),
         "base": base,
@@ -537,12 +526,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         "search_counts": {"scans": scans, "proposals": n_proposals,
                           "grows": grows, "resample_draws": resample_draws},
         "best_score_history": history,
-        "best_score": best.score,
-        "reached_tips": [t for t in tips if best.nodes >> t & 1],
-        # The best candidate of the final population, where every
-        # candidate has reached or abandoned each of its tips.
-        "final_best_score": top,
-        "final_reached_tips": [t for t in tips if final.nodes >> t & 1],
+        "best_score": final.score,
+        "reached_tips": [t for t in tips if final.nodes >> t & 1],
         "prior_seconds": prior_time,
     }
-    return skeleton_from_edges(base, lineage_edges(best.lineage)), info
+    return skeleton_from_edges(base, lineage_edges(final.lineage)), info

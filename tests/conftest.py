@@ -31,6 +31,16 @@ def conf_from_dict(graph, table, default=0.0):
     return ConfidenceMap(values=values)
 
 
+def recomputed_score(skel, ctx):
+    """The search's score of a skeleton: the sum of its edges' rewards
+    under a :class:`SearchContext`."""
+    total = 0.0
+    for (p, c), lab in skel.edge_labels.items():
+        pred_tail, pred_label = skel.parent_of(p) or (None, None)
+        total += ctx.reward((p, c), lab, pred_tail, pred_label)
+    return total
+
+
 @pytest.fixture
 def chain_graph():
     """Vertical 5-node chain, 0 at the bottom, consecutive edges only."""

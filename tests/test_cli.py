@@ -16,7 +16,8 @@ import pytest
 
 import skelgrow
 from skelgrow import cli, search
-from conftest import conf_from_dict, make_graph, uniform_conf
+from conftest import (conf_from_dict, make_graph, recomputed_score,
+                      uniform_conf)
 from skelgrow.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK,
                           EXIT_STALLED, _grow_skeleton, _parse_scorer,
                           cmd_bench, main)
@@ -587,36 +588,40 @@ def test_abandoned_reachable_tip_warned(monkeypatch, caplog):
                             lambda tip, cand: tip == 4 or 4 in cand.open)
 
 
-def test_tip_abandoned_after_the_winner_was_found(monkeypatch, caplog):
-    """Only the scans toward tip 4 come back empty. The first candidate
-    with the best score reached tip 9 while tip 4 was still open, and every
-    later copy of its skeleton abandoned tip 4, so tip 4 is abandoned, not
-    open in the winner."""
+def test_final_winner_abandons_tip_4_and_reaches_tip_9(monkeypatch,
+                                                       caplog):
+    """Only the scans toward tip 4 come back empty, so every candidate of
+    the final population has abandoned tip 4: the winner reaches tip 9,
+    and tip 4 is ``abandoned_reachable`` and named in a warning."""
     _assert_tip_4_abandoned(monkeypatch, caplog, lambda tip, cand: tip == 4)
 
 
-def test_tip_open_in_winner_warned(chain_graph, caplog):
+def test_final_winner_reaches_tip_past_a_costly_edge(chain_graph, caplog):
     """Growing from tip 2 on to tip 4 costs score (confidence 0 above node
-    2), so the best skeleton is the snapshot that reached tip 2 and still
-    held tip 4 open. The search did grow every lineage on to tip 4 (four
-    iterations, no tip abandoned), at a lower score, so tip 4 is
-    ``open_in_winner``, not abandoned, and the warning says so."""
+    2), yet every lineage grows on to tip 4, so the winner of the final
+    population reaches both tips with no warning. Its score is its own,
+    below the best score of the snapshot that stopped at tip 2, which
+    ``best_score_history`` still records; the manifest has no ``final_*``
+    keys. With every confidence 0 no candidate ever scores above zero, and
+    the winner is still the grown chain, not a stalled search."""
     conf = conf_from_dict(chain_graph, {(0, 1): 1.0, (1, 2): 1.0})
+    cfg = SearchConfig(K=5)
     with caplog.at_level(logging.WARNING, logger="skelgrow"):
         skeleton, info = run_search(chain_graph, conf,
-                                    SeedSet(tips=(2, 4), base=0),
-                                    SearchConfig(K=5))
-    assert sorted(skeleton.edges()) == [(0, 1), (1, 2)]
-    assert info["tip_outcomes"] == {2: "reached", 4: "open_in_winner"}
-    assert info["iterations"] == 4
-    # The final population reached tip 4, at a lower score.
-    assert info["final_reached_tips"] == [2, 4]
-    assert info["final_best_score"] < info["best_score"]
-    warnings = [r.getMessage() for r in caplog.records
-                if r.levelno == logging.WARNING]
-    assert warnings == ["the skeleton leaves tips [4] open: the best "
-                        "candidate was found before the search grew to "
-                        "them, and no candidate grown further scored higher"]
+                                    SeedSet(tips=(2, 4), base=0), cfg)
+    assert sorted(skeleton.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert info["reached_tips"] == [2, 4]
+    assert info["tip_outcomes"] == {2: "reached", 4: "reached"}
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    ctx = SearchContext(chain_graph, conf, cfg)
+    assert info["best_score"] == pytest.approx(
+        recomputed_score(skeleton, ctx), rel=1e-9)
+    assert info["best_score"] < max(info["best_score_history"])
+    assert not [key for key in info if key.startswith("final_")]
+    skeleton, info = run_search(chain_graph, uniform_conf(chain_graph, 0.0),
+                                SeedSet(tips=(2, 4), base=0), cfg)
+    assert sorted(skeleton.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert info["best_score"] < max(info["best_score_history"]) == 0.0
 
 
 def test_default_tree_tip_outcomes(tmp_path):

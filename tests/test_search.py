@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, rankdata
 
-from conftest import conf_from_dict, make_graph, uniform_conf
+from conftest import (conf_from_dict, make_graph, recomputed_score,
+                      uniform_conf)
 from label_rules import label_violations
 from prior_reference import brute_force_costs
 from reward_reference import reward
@@ -682,14 +683,6 @@ def test_potential_no_penalties_is_score_plus_esum():
 
 # -- run_search ------------------------------------------------------------
 
-def _recomputed_score(skel, ctx):
-    total = 0.0
-    for (p, c), lab in skel.edge_labels.items():
-        pred_tail, pred_label = skel.parent_of(p) or (None, None)
-        total += ctx.reward((p, c), lab, pred_tail, pred_label)
-    return total
-
-
 def test_run_search_linear_chain(chain_graph):
     conf = uniform_conf(chain_graph)
     cfg = SearchConfig(K=10, seed=0)
@@ -702,7 +695,7 @@ def test_run_search_linear_chain(chain_graph):
     assert label_violations(skel) == []
     assert info["reached_tips"] == [4]
     ctx = SearchContext(chain_graph, conf, cfg)
-    assert info["best_score"] == pytest.approx(_recomputed_score(skel, ctx),
+    assert info["best_score"] == pytest.approx(recomputed_score(skel, ctx),
                                                rel=1e-9)
 
 
@@ -791,7 +784,7 @@ def test_run_search_two_leader_tree_exact():
     labels = set(skel.edge_labels.values())
     assert labels == {Label.TRUNK, Label.SUPPORT, Label.LEADER}
     ctx = SearchContext(graph, conf, cfg)
-    assert info["best_score"] == pytest.approx(_recomputed_score(skel, ctx),
+    assert info["best_score"] == pytest.approx(recomputed_score(skel, ctx),
                                                rel=1e-9)
 
 

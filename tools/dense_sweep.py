@@ -1,5 +1,5 @@
 """Search-seed sweep of the benchmark's dense trees: how often a K=20
-search misses a reachable tip, and what that costs in matched edges.
+search abandons a reachable tip, and what that costs in matched edges.
 
 Usage (from the root of a checkout):
 
@@ -13,9 +13,8 @@ that fixed graph it runs base, tips, population search and side branches
 with search seeds 0-19 at the tree's K, all in this process. Per tree it
 prints:
 
-- the runs that miss a tip in the base's component (``tip_outcomes``),
-  split into runs that abandoned one (``abandoned_reachable``) and runs
-  whose only missed tips are ``open_in_winner``, with their seeds;
+- the runs that abandon a tip in the base's component
+  (``abandoned_reachable`` in ``tip_outcomes``), with their seeds;
 - the median and minimum matched edges over the runs, counted with
   ``perfbench/checks.py``'s ``matched_edges`` against ``truth.json``.
 
@@ -47,7 +46,6 @@ from skelgrow.spatial import GridIndex  # noqa: E402
 from skelgrow.superpoints import build_graph  # noqa: E402
 
 SEARCH_SEEDS = range(20)
-MISSED = ("abandoned_reachable", "open_in_winner")
 
 
 def sweep(tree: workloads.Tree, where: Path) -> str:
@@ -66,31 +64,23 @@ def sweep(tree: workloads.Tree, where: Path) -> str:
     conf = score_all_edges(cloud, graph, ("heuristic",), cfg, index)
     truth = load_truth(where / "truth.json")
 
-    lost = {outcome: [] for outcome in MISSED}
+    abandoned = []
     matched = []
     for seed in SEARCH_SEEDS:
         skeleton, info = cli._grow_skeleton(
             graph, conf, "lowest-z", dataclasses.replace(cfg, seed=seed), {})
-        outcomes = set(info["tip_outcomes"].values())
-        # A run that abandoned a tip counts there even if it left another
-        # open in the winner.
-        for outcome in MISSED:
-            if outcome in outcomes:
-                lost[outcome].append(seed)
-                break
+        if "abandoned_reachable" in info["tip_outcomes"].values():
+            abandoned.append(seed)
         positions = {n: graph.positions[n].tolist() for n in skeleton.nodes}
         matched.append(matched_edges(skeleton_to_dict(skeleton, positions),
                                      truth)[0])
-    abandoned, open_only = lost.values()
-    return (f"{tree.name}: {len(abandoned) + len(open_only)}/"
-            f"{len(SEARCH_SEEDS)} runs miss a reachable tip "
-            f"(abandoned: seeds {abandoned}; only open in the winner: seeds "
-            f"{open_only}); matched edges median "
+    return (f"{tree.name}: {len(abandoned)}/{len(SEARCH_SEEDS)} runs abandon "
+            f"a reachable tip (seeds {abandoned}); matched edges median "
             f"{statistics.median(matched):g}, min {min(matched)}")
 
 
 def main() -> int:
-    # The search warns about every missed tip; the summary counts them.
+    # The search warns about every abandoned tip; the summary counts them.
     logging.getLogger("skelgrow").setLevel(logging.ERROR)
     with tempfile.TemporaryDirectory() as tmp:
         for tree in workloads.WORKLOADS["dense-scan"]:

@@ -329,6 +329,8 @@ def main(argv=None) -> int:
                         help="work directory (default: a temporary one)")
     parser.add_argument("--json", type=Path, help="write every run here")
     args = parser.parse_args(argv)
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="paired-", dir=args.work))
     try:
         # "a" and "b": side directories of equal path length.
