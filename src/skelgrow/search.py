@@ -10,15 +10,12 @@ abandoned every tip; the best of that final population is the result.
 A candidate holds its growth steps as a lineage, a linked list shared
 with its ancestors, and the record of each frontier edge's tail node, so a
 growth costs what it changes; only the winner's edges are walked out of
-its lineage. The tip draws come from :class:`draws.TipDraws`, which
-computes the generators' first words for a block of iterations at a time,
-and each iteration reads its resampling uniforms in one ``rng.random``
-call, with the same numbers the per-member calls gave.
+its lineage. Each iteration draws its tips and its resampling from one
+generator, seeded with (seed, iteration).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import logging
@@ -27,7 +24,6 @@ import time
 import numpy as np
 
 from .config import SearchConfig
-from .draws import TipDraws
 from .edge_scoring import ConfidenceMap
 from .errors import SearchStalledError, NoTipsError
 from .geometry import bend_penalty, edge_cost, edge_score, grow_penalty
@@ -318,53 +314,56 @@ def rank(values) -> list[float]:
 
 
 def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
-    """K weighted draws with replacement, each index capped at k_max_rep
-    copies. A capped index's weight is zeroed and the rest renormalized;
-    if all weights hit zero, remaining slots cycle the distinct indices in
-    descending original-weight order.
+    """K indices into ``weights``, ascending, none more than k_max_rep
+    times: capped systematic resampling (Kitagawa 1996).
 
-    The weights must not be negative. Every draw lands on a positive
-    weight, so the draws stop after K of them or once each of the ``nnz``
-    positive weights is capped: the uniforms are read in one
-    ``rng.random(min(K, nnz * k_max_rep))`` call, the very numbers one
-    ``rng.random()`` per draw would give.
+    The expected counts ``K * w / sum(w)`` are capped at k_max_rep, and the
+    excess is spread over the uncapped entries in proportion to their
+    weights. One uniform ``u = rng.random()`` then places the points
+    ``u + j``, j < K, on the cumulative capped counts, so each entry gets
+    the floor or the ceiling of its capped expectation. When every entry
+    can take k_max_rep copies and still leave slots (``len(weights) *
+    k_max_rep <= K``), each takes k_max_rep and the slots left cycle the
+    entries in descending weight order, ties by index; no uniform is read.
+    The weights must not be negative.
     """
-    w = np.asarray(weights, dtype=np.float64).copy()
-    if w.size == 0:
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.size
+    if n == 0:
         raise SearchStalledError("no next-generation candidates to resample")
-    orig = w.copy()
-    counts = [0] * w.size
-    chosen: list[int] = []
-    cdf = None
-    nnz = int(np.count_nonzero(w > 0))
-    for u in rng.random(min(K, nnz * k_max_rep)).tolist():
-        if cdf is None:
-            # The CDF ``rng.choice(w.size, p=w / total)`` would build; the
-            # weights, and so the CDF, change only when a cap is hit.
-            cum = (w / w.sum()).cumsum()
-            cum /= cum[-1]
-            cdf = cum.tolist()
-        idx = bisect.bisect_right(cdf, u)
-        chosen.append(idx)
-        counts[idx] += 1
-        if counts[idx] >= k_max_rep:
-            w[idx] = 0.0
-            cdf = None
-    if len(chosen) < K:
-        # Stable descending weight order; ties by index.
-        order = np.lexsort((np.arange(orig.size), -orig))
-        k = 0
-        while len(chosen) < K:
-            chosen.append(int(order[k % orig.size]))
-            k += 1
-    return chosen
+    counts = np.full(n, k_max_rep)
+    if n * k_max_rep <= K:
+        order = np.lexsort((np.arange(n), -w))
+        left = K - n * k_max_rep
+        counts[order] += left // n
+        counts[order[:left % n]] += 1
+        return np.repeat(np.arange(n), counts).tolist()
+    # Cap every entry whose expectation reaches the cap until none does:
+    # capping only raises the others' expectations.
+    capped = np.zeros(n, dtype=bool)
+    while True:
+        free = np.where(capped, 0.0, w)
+        if not free.any():  # only zero weights are left uncapped
+            free = (~capped).astype(np.float64)
+        expected = (K - k_max_rep * capped.sum()) * free / free.sum()
+        over = expected >= k_max_rep
+        if not over.any():
+            break
+        capped |= over
+    # A capped entry's interval holds k_max_rep points wherever it starts,
+    # so the points fall on the uncapped entries alone as on the whole line.
+    cum = expected[~capped].cumsum()
+    cum[-1] = K - k_max_rep * capped.sum()
+    counts[~capped] = np.diff(np.ceil(cum - rng.random()), prepend=0.0)
+    return np.repeat(np.arange(n), counts).tolist()
 
 
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
-    every tip; returns (skeleton, manifest dict). The winner is the first
-    candidate of that final population with its top score. Only it becomes
+    every tip; returns (skeleton, manifest dict). The population is kept in
+    pool-key order, so the winner is the final population's top-scoring
+    candidate with the smallest key. Only it becomes
     a :class:`LabeledSkeleton`, built from its lineage by the loader's
     :func:`skeleton_from_edges`, which checks the topology and every
     attach rule. Only tips in the base's component of the dense graph get
@@ -395,7 +394,6 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     history = []
     iteration = 0
     tip_draws = 0
-    draw_tips = TipDraws(cfg.seed, cfg.K)
     scans = n_proposals = grows = resample_draws = 0
 
     # Each iteration grows or abandons a tip in every unfinished candidate,
@@ -405,16 +403,19 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         top = max(scores)
         best_score = max(best_score, top)
         history.append(best_score)
+        member_tips = [cand.open for cand in population]
+        if not any(member_tips):
+            final = population[scores.index(top)]
+            break
 
         # Each unfinished candidate draws one of its open tips (neither
-        # reached nor abandoned). Candidate ci with n >= 2 open tips takes
-        # ``default_rng((seed, iteration, ci)).integers(n)``, as
-        # ``draw_tips`` computes it.
-        member_tips = [cand.open for cand in population]
-        drawing = [ci for ci, ts in enumerate(member_tips) if len(ts) > 1]
-        draws = iter(draw_tips(iteration, drawing,
-                               [len(member_tips[ci]) for ci in drawing]))
-        tip_draws += len(drawing)
+        # reached nor abandoned): those with two or more draw, in population
+        # order, from the iteration's generator, which then resamples.
+        rng = np.random.default_rng((cfg.seed, iteration))
+        open_counts = [len(ts) for ts in member_tips if len(ts) > 1]
+        draws = iter(rng.integers(open_counts).tolist() if open_counts
+                     else ())
+        tip_draws += len(open_counts)
         # Identical (skeleton, tip) pairs are grouped so eligibility and
         # potential are computed once per group.
         groups: dict[tuple, list[int]] = {}
@@ -432,9 +433,6 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 groups[group] = [ci]
             else:
                 members.append(ci)
-        if not groups:
-            final = population[scores.index(top)]
-            break
 
         score_ranks = rank(scores)
 
@@ -483,11 +481,10 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
 
         keys = sorted(pool)
         entries = [pool[key] for key in keys]
-        rng_rs = np.random.default_rng((cfg.seed, iteration, 1 << 30))
-        chosen = resample([e[0] for e in entries], cfg.K, cfg.k_max_rep,
-                          rng_rs)
-        # Every pool weight is positive: see resample.
-        resample_draws += min(cfg.K, len(entries) * cfg.k_max_rep)
+        # Ascending indices, so the population stays in pool-key order.
+        chosen = resample([e[0] for e in entries], cfg.K, cfg.k_max_rep, rng)
+        # One uniform, unless every entry fits under the cap.
+        resample_draws += len(entries) * cfg.k_max_rep > cfg.K
         realized: dict[int, Candidate] = {}
         population = []
         for idx in chosen:

@@ -659,7 +659,7 @@ def test_search_counts_repeat_and_leave_the_skeleton(synth_dir, tmp_path):
     assert sorted(counts) == ["grows", "proposals", "resample_draws",
                               "scans"]
     assert all(type(v) is int and v > 0 for v in counts.values())
-    assert counts["resample_draws"] <= 50 * manifests[0]["iterations"]
+    assert counts["resample_draws"] <= manifests[0]["iterations"]
     assert skeletons[0] == skeletons[1]
     assert hashlib.sha256(skeletons[0]).hexdigest() == ORACLE_2_LEADERS
 

@@ -28,17 +28,17 @@ GOLDEN = [
      "override",
      "f24180a5595fe024259315543f40c9364749150807a7e6f9545a59ded989e69c",
      "572a1eaeedfea895573229a2a7c5aa6547b08850eb3ebe1feb228eaf22e8fb48",
-     (23, 876, {"scans": 620, "proposals": 1079, "grows": 484,
-               "resample_draws": 988},
-      "4f6d6a26ca5f7d561f0f5de996dcca9e1fe2b0db2ac9a6192a4b9bd8c726e62b")),
+     (23, 942, {"scans": 724, "proposals": 1256, "grows": 621,
+               "resample_draws": 17},
+      "5a3c8dd97c10a1d492afaaa38826fe7c602a6b9feb23b08fbfbb8efb5c23484a")),
     # Heuristic scores on a tree with side branches (105 superpoints).
     ({"n_leaders": 4, "n_side_branches": 2, "seed": 0}, {"K": 20},
      "heuristic",
-     "c6fec764885653edc912c51da0b24294cacea22408b9a5bd41844219e0d189c4",
-     "474dce418742c37c29661378fb56c0172d86a11b8cd6a19af985d0da13b5ea52",
-     (41, 715, {"scans": 522, "proposals": 1167, "grows": 448,
-               "resample_draws": 802},
-      "c1faa7330b5673c8176b6bc3ed93840dcb4f551a68ba58edb8dc375b01978c94")),
+     "4656f108197fe32a396bd000cd14254c59bacf3ad699edee7926046f2f42b099",
+     "99316e92c2cb232cc904f4ee434591a89d1f8304877c85ad30dce65611434d64",
+     (46, 863, {"scans": 556, "proposals": 1153, "grows": 538,
+               "resample_draws": 43},
+      "738e953d9146a5d90fd5f44ff87602675f91d771dd35d54cde595f7a20fab919")),
     # The oracle-corpus tree clean-0 at K=200: its iterations hit the
     # k_max_rep cap in resampling.
     ({"n_leaders": 7, "leader_spacing": 0.35, "leader_height": 2.0,
@@ -46,16 +46,16 @@ GOLDEN = [
      "override",
      "8ce6aab11536281fece0b04055a236722fbf6c3ae92d6ba242169bb4b05cfeec",
      "e0475417e2870ac947168668abfd2769f9b4b669e0936b671d63c0e997f4124a",
-     (127, 24952, {"scans": 21257, "proposals": 30708, "grows": 13575,
-               "resample_draws": 23911},
-      "08a6d276ee84ba24f8eb307edb39af1922d22e51bd74e2e6df8db24ed6b87f53")),
+     (127, 24912, {"scans": 22251, "proposals": 31714, "grows": 17359,
+               "resample_draws": 115},
+      "341acbf25bedd15fc66d4545f9d64be93ef5d4b56c478ab87142a31cc988eda0")),
     # A deep skeleton: 32 tips and 316 edges, heuristic scores.
     ({"n_leaders": 32, "seed": 0}, {"K": 100}, "heuristic",
-     "ef65ec4912c832b0baf7db097be007e209dabc7aede7c60d3f887dc5dd871292",
-     "035cb56a284e438a010322814d8a2db11d9cd6990219a779ac52d5c31ad734bf",
-     (330, 32812, {"scans": 25297, "proposals": 35047, "grows": 16937,
-               "resample_draws": 32524},
-      "34d17e0a65df17a33fa82fdc69a0fe5194c69ccee392f772a536815e4898f5d5")),
+     "ea02fa7ba820acf1ea02f05b4fd07a23ff57a55b2ac1494fa71157c1840ce534",
+     "a56910a82ef9cc6df5137f30eb9202db32a6bcc969746d7772f706f7b466f51c",
+     (330, 32773, {"scans": 24360, "proposals": 32225, "grows": 20247,
+               "resample_draws": 318},
+      "0017b559b3825d84344c867d535b714b49efa5612add16bef342253840871445")),
 ]
 
 
@@ -135,7 +135,7 @@ def test_search_trajectory(golden_run):
 # Heuristic skeleton of the side-branch tree against its reference skeleton,
 # so the per-label segment counts cover several Leader and SideBranch runs.
 EVAL_DIGEST = (
-    "56390dff7f286d86441651a465987b012d7ab47cce3def4285f669762a1bacd8")
+    "254034da1dc96d948602dd21b781841b78055979819f11ad75bfbea398f70a6b")
 
 
 def test_eval_report_digest(tmp_path):

@@ -18,7 +18,6 @@ from skelgrow.errors import NoTipsError, SearchStalledError
 from skelgrow.geometry import bend_penalty, edge_cost
 from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow import search
-from skelgrow.draws import BLOCK_WORDS, TipDraws, first_words
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              eligible_pairs, grow_candidate, lineage_edges,
                              make_root_candidate, rank, resample, run_search)
@@ -132,52 +131,81 @@ def test_resample_uniform_matches_multinomial():
     assert p > 1e-3
 
 
-def _resample_per_draw_choice(weights, K, k_max_rep, rng):
-    """``resample`` as it was written with one ``rng.choice`` per draw."""
-    w = np.asarray(weights, dtype=np.float64).copy()
-    orig = w.copy()
-    counts = np.zeros(w.size, dtype=np.int64)
-    chosen = []
-    for _ in range(K):
-        total = w.sum()
-        if total <= 0:
-            break
-        idx = int(rng.choice(w.size, p=w / total))
-        chosen.append(idx)
-        counts[idx] += 1
-        if counts[idx] >= k_max_rep:
-            w[idx] = 0.0
-    order = np.lexsort((np.arange(orig.size), -orig))
-    k = 0
-    while len(chosen) < K:
-        chosen.append(int(order[k % orig.size]))
-        k += 1
-    return chosen
-
-
-def test_resample_matches_per_draw_choice():
-    """Draw for draw, the kept CDF gives the indices ``rng.choice`` gave
-    and consumes the same generator stream, including when every cap is
-    hit and the fill takes over."""
-    rng = np.random.default_rng(7)
-    exhausted = 0
-    for trial in range(400):
-        n = int(rng.integers(1, 400))
-        w = rng.random(n)
+def _random_weights(rng, n):
+    """Positive weights; a third of the sets rounded into ties, as rank
+    products often are, and a third with some zeros."""
+    w = rng.random(n) + 1e-3
+    kind = rng.integers(3)
+    if kind == 1:
+        w = np.round(w * 8) / 8 + 0.125
+    elif kind == 2:
         w[rng.random(n) < 0.3] = 0.0
-        if trial % 4 == 0:  # rank-product weights: many ties
-            w = np.round(w * 8) / 8
-        if not w.any():
-            w[0] = 1.0
-        K = int(rng.choice([1, 7, 50, 200, 500]))
+        w[0] = 1.0
+    return w
+
+
+def _capped_expectations(w, K, k_max_rep):
+    """The capped expected counts, by a reference water-filling: the
+    largest entries are capped one at a time while the rest's share of the
+    slots left puts them at or above the cap."""
+    order = np.argsort(-w, kind="stable")
+    expected = np.zeros(w.size)
+    left = float(K)
+    for m, i in enumerate(order):
+        rest = order[m:]
+        total = w[rest].sum()
+        if total > 0 and left * w[i] / total >= k_max_rep:
+            expected[i] = k_max_rep
+            left -= k_max_rep
+            continue
+        # Only zero weights left: the slots left spread evenly.
+        expected[rest] = (left * w[rest] / total if total > 0
+                          else left / rest.size)
+        break
+    return expected
+
+
+def test_resample_counts_are_capped_floors_or_ceilings():
+    """Exactly K ascending draws, none above the cap, and each entry's
+    count the floor or the ceiling of its capped expectation."""
+    rng = np.random.default_rng(7)
+    for trial in range(600):
+        n = int(rng.integers(1, 300))
+        w = _random_weights(rng, n)
+        K = int(rng.choice([1, 7, 20, 50, 200, 500]))
         k_max_rep = int(rng.choice([1, 2, 3, 5]))
-        exhausted += K > np.count_nonzero(w) * k_max_rep
-        a = np.random.default_rng((trial, 1))
-        b = np.random.default_rng((trial, 1))
-        assert resample(w.tolist(), K, k_max_rep, a) == \
-            _resample_per_draw_choice(w, K, k_max_rep, b)
-        assert a.random() == b.random()
-    assert exhausted > 50
+        if n * k_max_rep <= K:
+            continue
+        chosen = resample(w.tolist(), K, k_max_rep, rng)
+        assert len(chosen) == K and chosen == sorted(chosen)
+        counts = np.bincount(chosen, minlength=n)
+        assert counts.max() <= k_max_rep
+        expected = _capped_expectations(w, K, k_max_rep)
+        assert expected.sum() == pytest.approx(K)
+        assert np.all(counts >= np.floor(expected - 1e-9))
+        assert np.all(counts <= np.ceil(expected + 1e-9))
+
+
+def test_resample_fallback_cycles_by_descending_weight():
+    """When every entry fits under the cap, each takes k_max_rep copies
+    and the slots left cycle the entries in descending weight order, ties
+    by index, without reading the generator."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    # 4 entries x 2 copies, then 3 slots: entries 1, 3 and 0.
+    chosen = resample([1.0, 3.0, 0.5, 2.0], K=11, k_max_rep=2, rng=rng)
+    assert chosen == [0] * 3 + [1] * 3 + [2] * 2 + [3] * 3
+    # 2 entries x 1 copy, then 5 slots: two rounds, then the tie's first.
+    assert resample([1.0, 1.0], K=7, k_max_rep=1, rng=rng) == \
+        [0] * 4 + [1] * 3
+    assert rng.bit_generator.state == state
+
+
+def test_resample_same_rng_same_draws():
+    for seed in range(20):
+        w = _random_weights(np.random.default_rng(seed), 40).tolist()
+        a = resample(w, 50, 3, np.random.default_rng((seed, 1)))
+        assert a == resample(w, 50, 3, np.random.default_rng((seed, 1)))
 
 
 class _FixedDraws:
@@ -186,34 +214,30 @@ class _FixedDraws:
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self, size=None):
-        if size is None:
-            return self.draws.pop(0)
-        taken, self.draws = self.draws[:size], self.draws[size:]
-        return np.array(taken)
+    def random(self):
+        return self.draws.pop(0)
 
 
 def test_resample_draw_on_a_cdf_step_takes_the_next_index():
-    # Like rng.choice, a draw equal to a CDF value picks the first index
-    # whose CDF exceeds it, so a zero-weight entry is never chosen.
+    # A point that falls on a boundary of the cumulative expected counts
+    # belongs to the entry after it, so a zero-weight entry gets none.
     chosen = resample([0.0, 1.0, 1.0, 0.0, 2.0], K=3, k_max_rep=5,
-                      rng=_FixedDraws([0.0, 0.25, 0.5]))
+                      rng=_FixedDraws([0.0]))
     assert chosen == [1, 2, 4]
 
 
-def test_resample_reads_min_k_nnz_cap_uniforms():
-    """The generator advances by exactly min(K, nnz * k_max_rep) uniforms,
-    nnz being the number of positive weights: the draws the per-draw loop
-    made, so the stream after resampling is unchanged."""
+def test_resample_reads_one_uniform_unless_every_slot_is_filled():
+    """The generator advances by one uniform, or by none when
+    ``len(weights) * k_max_rep <= K`` and the fallback fills every slot."""
     cases = [([1.0, 0.0, 2.0], 10, 2), ([0.5] * 5, 3, 2), ([0.0, 1.0], 1, 4),
-             ([3.0, 1.0, 0.0, 1.0], 200, 5), ([0.0, 0.0], 4, 3),
-             ([1.0] * 40, 200, 5), ([1.0] * 40, 200, 3)]
+             ([3.0, 1.0, 0.0, 1.0], 200, 5), ([1.0] * 40, 200, 5),
+             ([1.0] * 40, 200, 6)]
     for seed, (weights, K, k_max_rep) in enumerate(cases):
-        nnz = sum(w > 0 for w in weights)
         rng = np.random.default_rng(seed)
         resample(weights, K, k_max_rep, rng)
         ref = np.random.default_rng(seed)
-        ref.random(min(K, nnz * k_max_rep))
+        if len(weights) * k_max_rep > K:
+            ref.random()
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -222,124 +246,6 @@ def test_resample_respects_cap_until_fill():
     chosen = resample([0.5, 0.5], K=10, k_max_rep=3, rng=rng)
     # 6 capped draws, then fill cycles both entries twice.
     assert sorted(chosen) == [0] * 5 + [1] * 5
-
-
-# -- tip draws -------------------------------------------------------------
-
-def _numpy_draws(seed, iteration, cis, ns):
-    """The per-candidate generators that ``TipDraws`` replays."""
-    return [int(np.random.default_rng((seed, iteration, ci)).integers(n))
-            for ci, n in zip(cis, ns)]
-
-
-def test_candidate_draws_match_numpy():
-    """Draw for draw, the batched tip draws equal numpy's, for seeds of one
-    to three entropy words, iterations 0-5000, ci 0-600 and bounds 2-64."""
-    rng = np.random.default_rng(11)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5]
-    seeds += rng.integers(0, 2**62, size=4).tolist()
-    for seed in seeds:
-        for iteration in [0, 1, 5000] + rng.integers(2, 5000, 3).tolist():
-            cis = np.flatnonzero(rng.random(601) < 0.5).tolist()
-            ns = rng.integers(2, 65, size=len(cis)).tolist()
-            assert TipDraws(seed, 601)(iteration, cis, ns) == \
-                _numpy_draws(seed, iteration, cis, ns)
-    assert TipDraws(3, 601)(4, [], []) == []
-
-
-def test_candidate_draws_match_numpy_through_rejection():
-    """With n = 3 * 2**30 the first uint32 of a quarter of the streams
-    falls below Lemire's threshold, so the draw reads further words."""
-    n = 3 * 2**30
-    threshold = (2**32 - n) % n
-    rejected = 0
-    for seed, iteration in ((0, 0), (5, 17), (2**40 + 3, 4999)):
-        cis = list(range(601))
-        assert TipDraws(seed, 601)(iteration, cis, [n] * len(cis)) == \
-            _numpy_draws(seed, iteration, cis, [n] * len(cis))
-        for ci in cis:
-            gen = np.random.default_rng((seed, iteration, ci)).bit_generator
-            rejected += (gen.random_raw() & 0xFFFFFFFF) * n % 2**32 \
-                < threshold
-    assert 300 < rejected < 600
-
-
-@pytest.mark.parametrize("size", [1, 2, 20, 200])
-def test_candidate_draws_match_numpy_at_batch_sizes(size):
-    """Batches of 1 to 200 draws, bounds from 2 up to 2**32 - 1 (the
-    larger ones often enter Lemire's rejection test)."""
-    rng = np.random.default_rng(size)
-    for seed, iteration in ((0, 0), (9, 311), (2**33 + 1, 4999)):
-        cis = np.sort(rng.choice(600, size, replace=False)).tolist()
-        ns = np.where(rng.random(size) < 0.5, rng.integers(2, 65, size),
-                      rng.integers(2, 2**32, size)).tolist()
-        assert TipDraws(seed, 601)(iteration, cis, ns) == \
-            _numpy_draws(seed, iteration, cis, ns)
-
-
-def test_candidate_draws_replay_only_draws_entering_rejection(monkeypatch):
-    """In a batch that mixes bounds 2-64 with bounds near 3 * 2**30, only
-    draws whose first uint32 enters Lemire's rejection test build numpy's
-    generator, and every draw still equals numpy's."""
-    cis = list(range(400))
-    ns = [3 * 2**30 + ci if ci % 2 else 2 + ci % 63 for ci in cis]
-    expected = _numpy_draws(5, 17, cis, ns)
-    built = []
-    real = np.random.default_rng
-
-    def counting(seed):
-        built.append(seed)
-        return real(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    assert TipDraws(5, 601)(17, cis, ns) == expected
-    # A draw with bound n enters the test with chance n / 2**32: about
-    # 3 in 4 of the large bounds, next to none of the small ones.
-    assert 100 < len(built) < 200
-
-
-def test_first_words_match_numpy_streams():
-    """Each (iteration, ci) cell holds the low uint32 of the first raw
-    word of numpy's generator, for seeds of one to three entropy words."""
-    for seed in (0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 5):
-        iterations, cis = [0, 1, 2, 999, 2**32 - 1], [0, 1, 5, 63, 2**31]
-        words = first_words(seed, iterations, cis)
-        assert words.shape == (5, 5)
-        for row, it in zip(words.tolist(), iterations):
-            assert row == [np.random.default_rng(
-                (seed, it, ci)).bit_generator.random_raw() & 0xFFFFFFFF
-                for ci in cis]
-
-
-@pytest.mark.parametrize("seed", [3, 2**32 + 5])
-@pytest.mark.parametrize("K", [1, 7, 200])
-def test_tip_draws_match_numpy_across_blocks(seed, K):
-    """Iteration by iteration, as the search asks, the block draws equal
-    numpy's per-candidate draws, on both sides of block boundaries, for
-    one candidate and for many, and for a seed of two entropy words."""
-    draw_tips = TipDraws(seed, K)
-    rows = draw_tips.rows
-    assert rows == max(1, BLOCK_WORDS // K)
-    rng = np.random.default_rng(K)
-    iterations = sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows - 1,
-                         2 * rows, 2 * rows + 1, 5 * rows + 3})
-    if K > 1:  # every iteration through two block boundaries
-        iterations = range(2 * rows + 2)
-    for it in iterations:
-        cis = np.flatnonzero(rng.random(K) < 0.7).tolist()
-        ns = rng.integers(2, 65, size=len(cis)).tolist()
-        assert draw_tips(it, cis, ns) == _numpy_draws(seed, it, cis, ns)
-    assert draw_tips(2 * rows + 2, [], []) == []
-
-
-def test_tip_draws_match_numpy_through_rejection():
-    """Bounds near 3 * 2**30 send about 3 in 4 block draws through
-    Lemire's rejection test; each still equals numpy's."""
-    draw_tips = TipDraws(5, 100)
-    cis = list(range(100))
-    for it in (0, draw_tips.rows - 1, draw_tips.rows):
-        ns = [3 * 2**30 + ci if ci % 2 else 2 + ci % 63 for ci in cis]
-        assert draw_tips(it, cis, ns) == _numpy_draws(5, it, cis, ns)
 
 
 # -- path priors -----------------------------------------------------------
@@ -724,8 +630,7 @@ def test_run_search_best_score_monotone(chain_graph):
 def test_run_search_skips_tip_outside_base_component(monkeypatch):
     """Two vertical chains with no edge between them: tip 8 on the second
     chain gets no prior and no scan, and candidates that draw it carry on
-    with it abandoned. The skeleton, draws and counts are those of the
-    search that still scanned toward tip 8, less its 4 empty scans."""
+    with it abandoned. The skeleton, draws and counts are pinned."""
     positions = [(0.0, 0.0, 0.15 * k) for k in range(5)]
     positions += [(1.0, 0.0, 0.15 * k) for k in range(1, 5)]
     graph = make_graph(positions, [(k, k + 1) for k in range(4)]
@@ -753,10 +658,10 @@ def test_run_search_skips_tip_outside_base_component(monkeypatch):
                              "tips_outside_base_component": 1}
     assert [(e, skel.edge_labels[e]) for e in sorted(skel.edges())] == [
         ((0, 1), Label.TRUNK), ((1, 2), Label.TRUNK),
-        ((2, 3), Label.LEADER), ((3, 4), Label.LEADER)]
-    assert (info["iterations"], info["tip_draws"]) == (5, 13)
-    assert info["search_counts"] == {"scans": 10, "proposals": 19,
-                                     "grows": 11, "resample_draws": 25}
+        ((2, 3), Label.TRUNK), ((3, 4), Label.LEADER)]
+    assert (info["iterations"], info["tip_draws"]) == (5, 7)
+    assert info["search_counts"] == {"scans": 8, "proposals": 14,
+                                     "grows": 11, "resample_draws": 4}
 
 
 def _two_leader_tree():
@@ -798,9 +703,8 @@ def _three_leader_tree():
 
 
 def test_run_search_builds_one_generator_per_iteration(monkeypatch):
-    """The tip draws of this run build no generator (none enters Lemire's
-    rejection test): each iteration constructs only the resampling one, at
-    (seed, iteration, 1 << 30)."""
+    """Each iteration constructs one generator, at (seed, iteration), and
+    draws its tips and its resampling from it."""
     graph, conf, _, seeds = _two_leader_tree()
     made = []
     real = np.random.default_rng
@@ -812,7 +716,7 @@ def test_run_search_builds_one_generator_per_iteration(monkeypatch):
     monkeypatch.setattr(search.np.random, "default_rng", counting)
     _, info = run_search(graph, conf, seeds, SearchConfig(K=50, seed=1))
     assert info["tip_draws"] > 0
-    assert made == [((1, it, 1 << 30),) for it in range(info["iterations"])]
+    assert made == [((1, it),) for it in range(info["iterations"])]
 
 
 def test_run_search_attaches_only_the_result(monkeypatch):
@@ -836,34 +740,6 @@ def test_run_search_attaches_only_the_result(monkeypatch):
     skel, _ = run_search(graph, conf, seeds, SearchConfig(K=50, seed=1))
     assert len(grown) > 10 * skel.num_edges > 0
     assert calls == skel.edges()
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
-@pytest.mark.parametrize("fixture", [_two_leader_tree, _three_leader_tree])
-def test_run_search_matches_per_candidate_generators(monkeypatch, seed,
-                                                     fixture):
-    """A run with the tip draws computed in blocks of iterations equals the
-    run with one numpy generator per draw, skeleton and manifest alike,
-    also for a seed of two entropy words; ``tip_draws`` counts the draws
-    made."""
-    graph, conf, *_, seeds = fixture()
-    assert len(seeds.tips) >= 2
-    cfg = SearchConfig(K=40, seed=seed)
-    skel, info = run_search(graph, conf, seeds, cfg)
-    drawn = []
-
-    def per_candidate(seed, K):
-        def draws(iteration, cis, ns):
-            drawn.extend(cis)
-            return _numpy_draws(seed, iteration, cis, ns)
-        return draws
-
-    monkeypatch.setattr(search, "TipDraws", per_candidate)
-    ref_skel, ref_info = run_search(graph, conf, seeds, cfg)
-    assert skel == ref_skel
-    del info["prior_seconds"], ref_info["prior_seconds"]
-    assert info == ref_info
-    assert info["tip_draws"] == len(drawn) > 0
 
 
 class _CountingRng:

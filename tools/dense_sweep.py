@@ -3,7 +3,7 @@ search abandons a reachable tip, and what that costs in matched edges.
 
 Usage (from the root of a checkout):
 
-    python3 tools/dense_sweep.py
+    python3 tools/dense_sweep.py [--json PATH]
 
 For each tree of perfbench's ``dense-scan`` workload (``dense-8000`` and
 ``dense-16000``) it writes the tree's inputs with ``skelgrow synth``, then
@@ -18,11 +18,13 @@ prints:
 - the median and minimum matched edges over the runs, counted with
   ``perfbench/checks.py``'s ``matched_edges`` against ``truth.json``.
 
-The figures are deterministic; the whole sweep takes a few seconds.
+``--json PATH`` also writes one record per run. The figures are
+deterministic; the whole sweep takes a few seconds.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -48,8 +50,10 @@ from skelgrow.superpoints import build_graph  # noqa: E402
 SEARCH_SEEDS = range(20)
 
 
-def sweep(tree: workloads.Tree, where: Path) -> str:
-    """One summary line per tree."""
+def sweep(tree: workloads.Tree, where: Path,
+          records: list[dict]) -> str:
+    """One summary line per tree; appends one record per run to
+    ``records``."""
     (where / "spec.json").write_text(json.dumps(tree.spec))
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["synth", "--spec", str(where / "spec.json"),
@@ -69,24 +73,35 @@ def sweep(tree: workloads.Tree, where: Path) -> str:
     for seed in SEARCH_SEEDS:
         skeleton, info = cli._grow_skeleton(
             graph, conf, "lowest-z", dataclasses.replace(cfg, seed=seed), {})
-        if "abandoned_reachable" in info["tip_outcomes"].values():
+        lost = [int(t) for t, outcome in info["tip_outcomes"].items()
+                if outcome == "abandoned_reachable"]
+        if lost:
             abandoned.append(seed)
         positions = {n: graph.positions[n].tolist() for n in skeleton.nodes}
         matched.append(matched_edges(skeleton_to_dict(skeleton, positions),
                                      truth)[0])
+        records.append({"tree": tree.name, "seed": seed,
+                        "matched_edges": matched[-1], "lost_tips": lost})
     return (f"{tree.name}: {len(abandoned)}/{len(SEARCH_SEEDS)} runs abandon "
             f"a reachable tip (seeds {abandoned}); matched edges median "
             f"{statistics.median(matched):g}, min {min(matched)}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--json", type=Path,
+                        help="also write one record per run to this file")
+    args = parser.parse_args(argv)
+    records: list[dict] = []
     # The search warns about every abandoned tip; the summary counts them.
     logging.getLogger("skelgrow").setLevel(logging.ERROR)
     with tempfile.TemporaryDirectory() as tmp:
         for tree in workloads.WORKLOADS["dense-scan"]:
             where = Path(tmp) / tree.name
             where.mkdir()
-            print(sweep(tree, where), flush=True)
+            print(sweep(tree, where, records), flush=True)
+    if args.json is not None:
+        args.json.write_text(json.dumps(records, indent=1) + "\n")
     return 0
 
 
