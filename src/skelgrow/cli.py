@@ -22,7 +22,8 @@ from pathlib import Path
 from .cloud import (crop_cloud, export_cloud, export_colored, load_cloud,
                     random_downsample)
 from .config import PipelineConfig, SearchConfig, load_config
-from .edge_scoring import ConfidenceMap, check_scores, score_all_edges
+from .edge_scoring import (ConfidenceMap, DenseModel, check_scores,
+                           load_override, score_all_edges)
 from .errors import (CloudFormatError, ConfigError, EvalError,
                      SearchStalledError, SkelgrowError)
 from .seeds import SeedSet, find_tips, resolve_base
@@ -152,7 +153,8 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
     t0 = time.perf_counter()
     if scorer[0] == "override":
         # Overrides are read from their file on every run; nothing to cache.
-        conf = score_all_edges(cloud, graph, scorer, cfg.search)
+        table = load_override(scorer[1])
+        conf = score_all_edges(cloud, graph, ("override", table), cfg.search)
         caches["scores"] = {"file": None, "outcome": "none"}
     else:
         # A model is keyed by its file's bytes, so editing it rescores.
@@ -165,6 +167,8 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
         if conf is not None:
             log.info("reusing cached edge scores %s", score_cache.name)
         else:
+            if scorer[0] == "model":
+                scorer = ("model", DenseModel.from_dict(read_json(scorer[1])))
             conf = score_all_edges(cloud, graph, scorer, cfg.search, index())
             write_json(score_cache, {"values": conf.values.tolist()})
     timings["scoring_seconds"] = time.perf_counter() - t0

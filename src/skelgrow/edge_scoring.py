@@ -313,17 +313,14 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
     as ``tests/raster_reference.py`` does alone; ``index`` is a GridIndex
     over the cloud with radius r_super, if given.
 
-    ``scorer`` is one of:
-      - ("heuristic",)
-      - ("model", DenseModel | path)
-      - ("override", mapping "i-j" -> score | path)
-    Degenerate edges score 0; an override must cover every edge.
+    ``scorer`` is ("heuristic",), ("model", DenseModel) or ("override",
+    {"i-j": score}), each loaded by the caller (``load_override``,
+    ``DenseModel.from_dict``). Degenerate edges score 0; an override must
+    cover every edge.
     """
     kind = scorer[0]
     if kind == "override":
         table = scorer[1]
-        if not isinstance(table, dict):
-            table = load_override(table)
         keys = [edge_key(i, j) for i, j in graph.edges.tolist()]
         missing = [key for key in keys if key not in table]
         if missing:
@@ -340,8 +337,6 @@ def score_all_edges(cloud: PointCloud | None, graph: SuperpointGraph,
 
     if kind == "model":
         model = scorer[1]
-        if not isinstance(model, DenseModel):
-            model = DenseModel.from_dict(read_json(model))
 
         def score_block(grids, frames):
             return [model.forward(np.concatenate(

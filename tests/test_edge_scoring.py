@@ -16,7 +16,7 @@ from skelgrow.cloud import PointCloud
 from skelgrow.config import SearchConfig
 from skelgrow.edge_scoring import (GRID_ALONG, GRID_LATERAL, DenseModel,
                                    _heuristic_scores, edge_key,
-                                   score_all_edges)
+                                   load_override, score_all_edges)
 from skelgrow.errors import (DegenerateGeometryError, ModelFormatError,
                              OverrideError)
 from skelgrow.geometry import grow_angle
@@ -263,7 +263,8 @@ def test_override_file_round_trip(tmp_path):
     graph = make_graph([(0, 0, 0), (0.1, 0, 0)], [(0, 1)])
     path = tmp_path / "override.json"
     path.write_text(json.dumps({"scores": {"0-1": 0.25}}))
-    conf = score_all_edges(None, graph, ("override", str(path)), CFG)
+    conf = score_all_edges(None, graph, ("override", load_override(path)),
+                           CFG)
     assert conf[0] == pytest.approx(0.25)
 
 

@@ -10,6 +10,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from skelgrow.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,21 +27,27 @@ def _tracer():
     return module.Tracer()
 
 
-def test_traced_skeletonize_reports_every_per_layer_metric(tmp_path):
-    """A heuristic ``skeletonize`` of a small tree under the tracer reports
-    every per-layer metric BENCHMARK.json names, all finite, and writes
-    the same ``skeleton.json`` as an untraced run."""
+@pytest.mark.parametrize("scorer", ["heuristic", "override"])
+def test_traced_skeletonize_reports_every_per_layer_metric(tmp_path,
+                                                           scorer):
+    """A ``skeletonize`` of a small tree under the tracer, with the
+    heuristic or with synth's oracle override table (the ``oracle-corpus``
+    scorer), reports every per-layer metric BENCHMARK.json names, all
+    finite, and writes the same ``skeleton.json`` as an untraced run."""
     (tmp_path / "spec.json").write_text(json.dumps(
         {"n_leaders": 2, "leader_height": 1.0, "seed": 1}))
-    (tmp_path / "cfg.json").write_text(json.dumps({"K": 20}))
+    # The override table is keyed to the graph of synth's own seed.
+    (tmp_path / "cfg.json").write_text(json.dumps({"K": 20, "seed": 1}))
     synth = tmp_path / "synth"
     assert main(["synth", "--spec", str(tmp_path / "spec.json"),
                  "--out", str(synth)]) == EXIT_OK
+    if scorer == "override":
+        scorer = f"override:{synth / 'override.json'}"
 
     def skeletonize(out):
         assert main(["skeletonize", "--cloud", str(synth / "cloud.ply"),
                      "--config", str(tmp_path / "cfg.json"),
-                     "--out", str(out)]) == EXIT_OK
+                     "--scorer", scorer, "--out", str(out)]) == EXIT_OK
         return (out / "skeleton.json").read_bytes()
 
     untraced = skeletonize(tmp_path / "untraced")

@@ -23,21 +23,28 @@ ones, one process at a time.
   ``skelgrow skeletonize`` on every tree, cold into a fresh directory and,
   with ``--warm``, again into the same one (graph and score caches hit).
   Wall seconds come from ``time.monotonic`` around the process and peak RSS
-  from ``os.wait4``. Both sides must write the same ``skeleton.json`` and
-  agree on the search trajectory in ``run_manifest.json``: its
-  ``iterations``, ``tip_draws``, ``search_counts`` and
-  ``best_score_history``. The summary also gives each side's median
-  seconds per stage, from the manifest's ``timings`` and
-  ``prior_seconds``, and names every tree and pair whose sides' manifest
-  ``tip_outcomes`` differ, tip by tip; such a difference does not stop
-  the runs, since a change may alter outcomes on purpose.
+  from ``os.wait4``. Every pair runs to the end; the summary then lists
+  each tree, pair and mode where the sides write different
+  ``skeleton.json`` or disagree on the search trajectory in
+  ``run_manifest.json`` (its ``iterations``, ``tip_draws``,
+  ``search_counts`` and ``best_score_history``), and the script exits 1
+  if there is any. The summary also gives each side's median seconds per
+  stage, from the manifest's ``timings`` and ``prior_seconds``, and names
+  every tree and pair whose sides' manifest ``tip_outcomes`` differ, tip
+  by tip; those differences alone do not change the exit code, since a
+  change may alter outcomes on purpose.
 - ``--bench SIZES``: ``skelgrow bench --sizes SIZES`` at K=100 (as
-  acceptance criterion 8 runs it); reports each size's median
-  preprocessing share and its count of runs at or above criterion 8's
-  0.20 bound, and, per side, the median preprocessing and search seconds
-  and the largest share, the margin left to that bound.
+  acceptance criterion 8 runs it); reports each side's failed runs, each
+  size's median preprocessing share and its count of runs at or above
+  criterion 8's 0.20 bound, and, per side, the median preprocessing and
+  search seconds and the largest share, the margin left to that bound. A
+  failed run is recorded with its exit code and no rows.
 - ``--pytest ARGS``: ``python -m pytest -q ARGS`` in each side's copy;
   reports its passes and failures.
+
+Every run writes its own log. The last 20 lines of each failed run's log
+go into its ``--json`` record and into the summary (runs with the same
+lines are listed together); the work directory is removed at the end.
 
 This script imports no numpy: the ``ru_maxrss`` of a child can never be
 below its parent's high-water mark when it was started, so a parent that
@@ -72,6 +79,8 @@ TRAJECTORY = ("iterations", "tip_draws", "search_counts",
 STAGES = ("load", "superpoints", "scoring", "search", "side_branch")
 LAUNCH = ("import sys; from skelgrow.cli import main; "
           "sys.exit(main(sys.argv[1:]))")
+# Log lines kept from each failed run.
+TAIL = 20
 
 
 def _copy_side(checkout: Path, dest: Path) -> Path:
@@ -86,29 +95,38 @@ def _copy_side(checkout: Path, dest: Path) -> Path:
     return dest
 
 
-def _spawn(side: Path, argv: list[str], log: Path) -> tuple[int, float,
-                                                            float]:
-    """(exit code, wall s, peak RSS MB) of one process run in ``side``."""
+def _spawn(side: Path, argv: list[str], log: str) -> dict:
+    """The exit code ``rc``, wall ``seconds`` and ``peak_rss_mb`` of one
+    process run in ``side``, with its output in ``side/logs/<log>.log``;
+    a failed run also gives its last TAIL lines as ``log_tail``."""
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
-    with open(log, "wb") as fh:
+    path = side / "logs" / f"{log}.log"
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "wb") as fh:
         t0 = time.monotonic()
         proc = subprocess.Popen([sys.executable, *argv], stdout=fh,
                                 stderr=subprocess.STDOUT, env=env, cwd=side)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.monotonic() - t0
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0
+    run = {"rc": os.waitstatus_to_exitcode(status), "seconds": wall,
+           "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    if run["rc"] != 0:
+        lines = path.read_text(errors="replace").splitlines()
+        run["log_tail"] = lines[-TAIL:]
+    return run
 
 
 def _prepare(tree, side: Path, inp: Path) -> None:
     inp.mkdir(parents=True)
     (inp / "spec.json").write_text(json.dumps(tree.spec))
     (inp / "config.json").write_text(json.dumps(tree.config))
-    rc, _, _ = _spawn(side, ["-c", LAUNCH, "synth", "--spec",
-                             str(inp / "spec.json"), "--points",
-                             str(tree.points), "--out", str(inp)],
-                      inp / "synth.log")
-    if rc != 0:
-        raise SystemExit(f"synth failed for {tree.name} with exit {rc}")
+    run = _spawn(side, ["-c", LAUNCH, "synth", "--spec",
+                        str(inp / "spec.json"), "--points", str(tree.points),
+                        "--out", str(inp)], f"synth-{tree.name}")
+    if run["rc"] != 0:
+        raise SystemExit("\n".join([
+            f"synth failed for {tree.name} with exit {run['rc']}:",
+            *run["log_tail"]]))
 
 
 def _skeletonize(tree, inp: Path, out: Path) -> list[str]:
@@ -121,9 +139,8 @@ def _skeletonize(tree, inp: Path, out: Path) -> list[str]:
             "--out", str(out)]
 
 
-def _digest(path: Path) -> str | None:
-    return hashlib.sha256(path.read_bytes()).hexdigest() \
-        if path.is_file() else None
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _manifest(out: Path) -> dict:
@@ -141,34 +158,31 @@ def _run_trees(args, sides: dict, work: Path) -> list[dict]:
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for tree in trees:
-            digests, trajectories = {}, {}
             for name in order:
                 out = sides[name] / "out" / tree.name
                 shutil.rmtree(out, ignore_errors=True)
                 out.mkdir(parents=True)
                 argv = _skeletonize(tree, inputs / tree.name, out)
                 for mode in ("cold", "warm") if args.warm else ("cold",):
-                    rc, wall, rss = _spawn(sides[name], argv,
-                                           sides[name] / "run.log")
-                    manifest = _manifest(out) if rc == 0 else {}
+                    run = _spawn(sides[name], argv,
+                                 f"{tree.name}-{pair}-{mode}")
+                    manifest = _manifest(out) if run["rc"] == 0 else {}
                     stages = {}
                     if manifest:
                         stages = {stage: manifest["timings"][
                             f"{stage}_seconds"] for stage in STAGES}
                         stages["prior"] = manifest["prior_seconds"]
-                    runs.append({"pair": pair, "tree": tree.name,
-                                 "side": name, "mode": mode, "rc": rc,
-                                 "seconds": wall, "peak_rss_mb": rss,
-                                 "stages": stages, "tip_outcomes":
-                                 manifest.get("tip_outcomes")})
-                    trajectories.setdefault(name, []).append(
-                        [manifest.get(key) for key in TRAJECTORY])
-                digests[name] = _digest(out / "skeleton.json")
-            for what, seen in (("skeleton.json", digests),
-                               ("search trajectories", trajectories)):
-                if seen["parent"] != seen["change"]:
-                    raise SystemExit(f"{tree.name}: the sides' {what} "
-                                     f"differ in pair {pair}")
+                    trajectory = [manifest.get(key) for key in TRAJECTORY]
+                    runs.append({
+                        "pair": pair, "tree": tree.name, "side": name,
+                        "mode": mode, **run, "stages": stages,
+                        "tip_outcomes": manifest.get("tip_outcomes"),
+                        # Digests of what both sides must agree on.
+                        "skeleton.json": _digest(
+                            (out / "skeleton.json").read_bytes())
+                        if run["rc"] == 0 else None,
+                        "search trajectory": _digest(
+                            json.dumps(trajectory).encode())})
     return runs
 
 
@@ -179,14 +193,21 @@ def _run_bench(args, sides: dict, work: Path) -> list[dict]:
     for pair in range(args.pairs):
         for name in SIDES if pair % 2 == 0 else SIDES[::-1]:
             out = sides[name] / "bench.csv"
-            rc, wall, rss = _spawn(
+            out.unlink(missing_ok=True)
+            run = _spawn(
                 sides[name], ["-c", LAUNCH, "bench", "--sizes",
                               *map(str, args.bench), "--config", str(cfg),
-                              "--out", str(out)], sides[name] / "run.log")
+                              "--out", str(out)], f"bench-{pair}")
+            # One record per process, then one per size of a run that
+            # succeeded.
+            runs.append({"pair": pair, "side": name, "tree": "bench",
+                         "mode": "exit", **run})
+            if run["rc"] != 0:
+                continue
             with open(out, newline="") as fh:
                 for row in csv.DictReader(fh):
                     runs.append({
-                        "pair": pair, "side": name, "rc": rc,
+                        "pair": pair, "side": name, "rc": run["rc"],
                         "tree": f"size-{row['target_size']}",
                         "mode": "bench",
                         "seconds": float(row["total_seconds"]),
@@ -202,12 +223,11 @@ def _run_pytest(args, sides: dict, work: Path) -> list[dict]:
     runs = []
     for pair in range(args.pairs):
         for name in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            rc, wall, rss = _spawn(
+            run = _spawn(
                 sides[name], ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-                              *args.pytest.split()], sides[name] / "run.log")
+                              *args.pytest.split()], f"pytest-{pair}")
             runs.append({"pair": pair, "side": name, "tree": "pytest",
-                         "mode": "pytest", "rc": rc, "seconds": wall,
-                         "peak_rss_mb": rss})
+                         "mode": "pytest", **run})
     return runs
 
 
@@ -227,11 +247,14 @@ def summary(runs: list[dict]) -> list[str]:
               for s in SIDES}
         pairs = sorted(set(by["parent"]) & set(by["change"]))
         line = f"{tree:>12} {mode:>6}:"
-        if mode == "pytest":
+        if mode in ("pytest", "exit"):
             fails = {s: sum(by[s][p]["rc"] != 0 for p in pairs)
                      for s in SIDES}
             lines.append(f"{line} failed runs parent {fails['parent']} / "
                          f"change {fails['change']} of {len(pairs)}")
+            continue
+        if not pairs:
+            lines.append(f"{line} no pair in which both sides ran")
             continue
         sec = {s: [by[s][p]["seconds"] for p in pairs] for s in SIDES}
         ratios = [c / p for p, c in zip(sec["parent"], sec["change"])]
@@ -313,6 +336,42 @@ def outcome_lines(runs: list[dict]) -> list[str]:
     return lines
 
 
+def difference_lines(runs: list[dict]) -> list[str]:
+    """One line per tree, pair and mode whose sides write different
+    ``skeleton.json`` or search trajectories."""
+    seen: dict[tuple, dict] = {}
+    for r in runs:
+        if "skeleton.json" in r:
+            seen.setdefault((r["tree"], r["pair"], r["mode"]), {})[
+                r["side"]] = r
+    lines = []
+    for (tree, pair, mode), by in seen.items():
+        diff = [what for what in ("skeleton.json", "search trajectory")
+                if by["parent"][what] != by["change"][what]]
+        if diff:
+            lines.append(f"{tree:>12} {mode:>6}: pair {pair} the sides "
+                         f"differ in {' and '.join(diff)}")
+    return lines
+
+
+def failure_lines(runs: list[dict]) -> list[str]:
+    """The last log lines of every failed run, once for each set of runs
+    whose lines are the same."""
+    tails: dict[tuple, dict] = {}
+    for r in runs:
+        if "log_tail" in r:
+            tails.setdefault(tuple(r["log_tail"]), {}).setdefault(
+                (r["side"], r["tree"], r["mode"]), []).append(r["pair"])
+    lines = []
+    for tail, where in tails.items():
+        names = "; ".join(f"{side} {tree} {mode} pairs "
+                          f"{','.join(map(str, pairs))}"
+                          for (side, tree, mode), pairs in where.items())
+        lines.append(f"failed ({names}), last lines of the log:")
+        lines += [f"    | {line}" for line in tail]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -345,11 +404,13 @@ def main(argv=None) -> int:
             runs = _run_pytest(args, sides, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    for line in summary(runs) + outcome_lines(runs):
+    differences = difference_lines(runs)
+    for line in (summary(runs) + outcome_lines(runs) + failure_lines(runs)
+                 + differences):
         print(line)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1))
-    return 0
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":
