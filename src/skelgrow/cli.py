@@ -32,8 +32,8 @@ from .side_branches import find_side_branches
 from .skeleton import load_skeleton, save_skeleton
 from .spatial import GridIndex
 from .superpoints import build_graph, graph_from_dict, graph_to_dict
-from .values import (dataclass_from_json, is_point, read_json, replaced,
-                     write_json)
+from .values import (dataclass_from_json, is_point, read_json,
+                     read_json_bytes, replaced, write_json)
 
 log = logging.getLogger("skelgrow")
 
@@ -136,9 +136,9 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
     index = functools.cache(
         lambda: GridIndex(cloud.points, cfg.search.r_super))
 
+    # The cloud's bytes already reflect the crop and the downsampling.
     key = _digest(_code_digest(), cloud.points.tobytes(),
-                  cfg.search.r_super, cfg.search.seed, args.points,
-                  cfg.crop_min, cfg.crop_max)
+                  cfg.search.r_super, cfg.search.seed)
     graph_cache = out / f"cache_graph_{key}.json"
     t0 = time.perf_counter()
     graph = _read_cache(graph_cache, graph_from_dict, caches, "graph")
@@ -157,9 +157,15 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
         conf = score_all_edges(cloud, graph, ("override", table), cfg.search)
         caches["scores"] = {"file": None, "outcome": "none"}
     else:
-        # A model is keyed by its file's bytes, so editing it rescores.
-        model = [Path(scorer[1]).read_bytes()] if scorer[0] == "model" else []
-        score_cache = out / f"cache_scores_{_digest(key, scorer, *model)}.json"
+        # A model is keyed by its file's bytes, not its path, so editing it
+        # rescores and moving it does not; its weights come from the same
+        # bytes.
+        model = b""
+        if scorer[0] == "model":
+            model, doc = read_json_bytes(scorer[1])
+            scorer = ("model", DenseModel.from_dict(doc))
+        score_key = _digest(key, scorer[0], model)
+        score_cache = out / f"cache_scores_{score_key}.json"
         # A cached vector passes the checks an override table does.
         conf = _read_cache(score_cache, lambda doc: ConfidenceMap(
             values=check_scores(doc["values"], graph.num_edges,
@@ -167,8 +173,6 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
         if conf is not None:
             log.info("reusing cached edge scores %s", score_cache.name)
         else:
-            if scorer[0] == "model":
-                scorer = ("model", DenseModel.from_dict(read_json(scorer[1])))
             conf = score_all_edges(cloud, graph, scorer, cfg.search, index())
             write_json(score_cache, {"values": conf.values.tolist()})
     timings["scoring_seconds"] = time.perf_counter() - t0

@@ -403,49 +403,41 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
         top = max(scores)
         best_score = max(best_score, top)
         history.append(best_score)
-        member_tips = [cand.open for cand in population]
-        if not any(member_tips):
+        if not any(cand.open for cand in population):
             final = population[scores.index(top)]
             break
+        score_ranks = rank(scores)
+
+        # child key -> [weight, candidate, proposal or None if carried]
+        pool: dict[int, list] = {}
+
+        def enter(key, weight, cand, proposal=None):
+            # A key met again only adds its weight.
+            entry = pool.get(key)
+            if entry is None:
+                pool[key] = [weight, cand, proposal]
+            else:
+                entry[0] += weight
 
         # Each unfinished candidate draws one of its open tips (neither
         # reached nor abandoned): those with two or more draw, in population
         # order, from the iteration's generator, which then resamples.
         rng = np.random.default_rng((cfg.seed, iteration))
-        open_counts = [len(ts) for ts in member_tips if len(ts) > 1]
+        open_counts = [len(c.open) for c in population if len(c.open) > 1]
         draws = iter(rng.integers(open_counts).tolist() if open_counts
                      else ())
         tip_draws += len(open_counts)
-        # Identical (skeleton, tip) pairs are grouped so eligibility and
-        # potential are computed once per group.
+        # A finished candidate is entered as it is. Identical (skeleton,
+        # tip) pairs are grouped so eligibility and potential are computed
+        # once per group.
         groups: dict[tuple, list[int]] = {}
-        finished: list[int] = []
-        for ci, ts in enumerate(member_tips):
-            if len(ts) > 1:
-                group = (population[ci].key, ts[next(draws)])
-            elif ts:
-                group = (population[ci].key, ts[0])
-            else:
-                finished.append(ci)
+        for ci, cand in enumerate(population):
+            ts = cand.open
+            if not ts:
+                enter(cand.key, score_ranks[ci], cand)
                 continue
-            members = groups.get(group)
-            if members is None:
-                groups[group] = [ci]
-            else:
-                members.append(ci)
-
-        score_ranks = rank(scores)
-
-        # child key -> [weight, candidate, proposal or None if carried];
-        # a key met again only adds its weight.
-        pool: dict[int, list] = {}
-        for ci in finished:
-            cand = population[ci]
-            entry = pool.get(cand.key)
-            if entry is None:
-                pool[cand.key] = [score_ranks[ci], cand, None]
-            else:
-                entry[0] += score_ranks[ci]
+            tip = ts[next(draws)] if len(ts) > 1 else ts[0]
+            groups.setdefault((cand.key, tip), []).append(ci)
 
         for (key, tip), members in sorted(groups.items()):
             cand = population[members[0]]
@@ -457,27 +449,18 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                 n_proposals += len(proposals)
             if not proposals:
                 # Carried with the tip abandoned.
-                entry = pool.get(key)
+                carried = Candidate(cand.lineage, cand.score, cand.nodes,
+                                    cand.frontier,
+                                    tuple(t for t in cand.open if t != tip),
+                                    key)
                 for ci in members:
-                    if entry is None:
-                        entry = pool[key] = [score_ranks[ci], Candidate(
-                            cand.lineage, cand.score, cand.nodes,
-                            cand.frontier,
-                            tuple(t for t in cand.open if t != tip), key),
-                            None]
-                    else:
-                        entry[0] += score_ranks[ci]
+                    enter(key, score_ranks[ci], carried)
                 continue
             pot_ranks = rank([p[3] for p in proposals])
             group_score_rank = sum([score_ranks[ci] for ci in members])
             for proposal, pot_rank in zip(proposals, pot_ranks):
-                child = _child_key(key, proposal[0], proposal[1])
-                entry = pool.get(child)
-                if entry is None:
-                    pool[child] = [group_score_rank * pot_rank, cand,
-                                   proposal]
-                else:
-                    entry[0] += group_score_rank * pot_rank
+                enter(_child_key(key, proposal[0], proposal[1]),
+                      group_score_rank * pot_rank, cand, proposal)
 
         keys = sorted(pool)
         entries = [pool[key] for key in keys]

@@ -17,12 +17,19 @@ from .errors import ConfigError
 def read_json(path):
     """The JSON document in the file ``path``. OSError and JSONDecodeError
     reach the caller; the latter names the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
-                                       exc.pos) from None
+    return read_json_bytes(path)[1]
+
+
+def read_json_bytes(path) -> tuple[bytes, object]:
+    """The bytes of the file ``path`` and the JSON document they hold, read
+    once, so the two agree even if the file is replaced meanwhile. Raises
+    as :func:`read_json` does."""
+    data = Path(path).read_bytes()
+    try:
+        return data, json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
+                                   exc.pos) from None
 
 
 @contextlib.contextmanager

@@ -19,7 +19,7 @@ from conftest import conf_from_dict, make_graph
 from label_rules import label_violations
 from prior_reference import brute_force_costs
 from reward_reference import turn_penalty
-from skelgrow.cli import EXIT_OK, main
+from skelgrow.cli import EXIT_OK, _grow_skeleton, main
 from skelgrow.cloud import PointCloud
 from skelgrow.config import SearchConfig
 from skelgrow.errors import AttachmentError, CorrectionError, NoTipsError, \
@@ -28,9 +28,7 @@ from skelgrow.evaluation import (apply_corrections, compute_segment_stats,
                                  edit_distance, per_label_ratio)
 from skelgrow.geometry import edge_cost, edge_score, grow_penalty
 from skelgrow.labels import Label
-from skelgrow.search import PathPrior, SearchContext, rank, run_search
-from skelgrow.seeds import SeedSet, find_tips
-from skelgrow.side_branches import find_side_branches
+from skelgrow.search import PathPrior, SearchContext, rank
 from skelgrow.skeleton import LabeledSkeleton
 from skelgrow.superpoints import build_graph, build_superpoints
 from skelgrow.synth import SynthSpec, generate
@@ -67,12 +65,8 @@ def _run_corpus(gap_probability):
         conf = truth.oracle_confidences(graph)
         ref, _ = truth.reference_skeleton(graph)
         cfg = SearchConfig(K=200, seed=seed)
-        tips = tuple(t for t in find_tips(graph, conf, cfg)
-                     if t != ref.base)
         try:
-            skel, _ = run_search(graph, conf,
-                                 SeedSet(tips=tips, base=ref.base), cfg)
-            skel = find_side_branches(skel, graph, conf, cfg)
+            skel, _ = _grow_skeleton(graph, conf, ref.base, cfg, {})
             _, ratio = edit_distance(skel, ref)
         except (NoTipsError, SearchStalledError, ValueError):
             skel, ratio = None, 1.0

@@ -260,6 +260,80 @@ def test_edited_model_file_is_rescored(synth_dir, tmp_path):
     assert len(list((tmp_path / "run").glob("cache_scores_*.json"))) == 2
 
 
+def test_model_file_swapped_after_its_read_is_not_cached(
+        synth_dir, tmp_path, monkeypatch):
+    """The score cache's key and the model's weights come from one read of
+    its file: a file swapped for another model right after that read leaves
+    no scores of the other model under its key, so a later run with the
+    original file into the same directory writes what a fresh run does."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    model = tmp_path / "model.json"
+
+    def run(out):
+        return main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg, "--scorer", f"model:{model}",
+                     "--out", str(tmp_path / out)])
+
+    read_bytes = Path.read_bytes
+
+    def read_then_swap(path):
+        data = read_bytes(path)
+        if path == model:
+            _zero_weight_model(model, -5.0)  # every edge below alpha_conf
+        return data
+
+    _zero_weight_model(model, 5.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "read_bytes", read_then_swap)
+        run("run")
+    _zero_weight_model(model, 5.0)
+    assert run("fresh") == EXIT_OK
+    assert run("run") == EXIT_OK
+    assert _cache_outcomes(tmp_path / "run") == {"graph": "hit",
+                                                 "scores": "hit"}
+    assert (tmp_path / "run" / "skeleton.json").read_bytes() == \
+        (tmp_path / "fresh" / "skeleton.json").read_bytes()
+
+
+def test_moved_model_file_reuses_its_scores(synth_dir, tmp_path):
+    """Scores are keyed by the model's bytes, not its path."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+
+    def run(model):
+        assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg, "--scorer", f"model:{model}",
+                     "--out", str(out)]) == EXIT_OK
+        return (out / "skeleton.json").read_bytes()
+
+    first = run(_zero_weight_model(tmp_path / "model.json", 5.0))
+    moved = tmp_path / "moved.json"
+    (tmp_path / "model.json").rename(moved)
+    assert run(moved) == first
+    assert _cache_outcomes(out) == {"graph": "hit", "scores": "hit"}
+
+
+def test_points_above_cloud_size_hits_both_caches(synth_dir, tmp_path):
+    """The graph cache is keyed by what the graph is built from: the code,
+    the cloud's bytes after cropping and downsampling, r_super and seed.
+    A rerun with --points raised above the cloud's size reads the same
+    cloud, so it hits both caches and writes the same skeleton."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    n = len(load_cloud(synth_dir / "cloud.ply"))
+
+    def run(points):
+        assert main(["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+                     "--config", cfg, "--points", str(points),
+                     "--out", str(out)]) == EXIT_OK
+        return (out / "skeleton.json").read_bytes()
+
+    first = run(n)
+    assert _cache_outcomes(out) == {"graph": "miss", "scores": "miss"}
+    assert run(2 * n) == first
+    assert _cache_outcomes(out) == {"graph": "hit", "scores": "hit"}
+
+
 def test_override_scores_are_not_cached(synth_dir, tmp_path):
     cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
     out = tmp_path / "run"

@@ -7,10 +7,11 @@ Usage (from the root of a checkout):
 
 The trees are acceptance criterion 6's 20 clean corpus trees
 (``n_leaders`` 7-9, spacing 0.35 m, height 2 m, tree seeds 0-19, no
-gaps). Each tree's superpoint graph, oracle confidences, reference
-skeleton and tips are built once, as criterion 6 builds them; on that
-fixed graph the population search and side branches then run with search
-seeds 0-14 at K=200, all in this process. It prints:
+gaps). Each tree's superpoint graph, oracle confidences and reference
+skeleton are built once, as criterion 6 builds them; on that fixed graph
+``cli._grow_skeleton`` (tips, population search and side branches, the
+path ``skelgrow skeletonize`` takes) then runs with search seeds 0-14 at
+K=200, all in this process. It prints:
 
 - the share of runs whose edit ratio against the reference is at most
   0.05, and the median and worst ratio over the runs;
@@ -33,12 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+from skelgrow.cli import _grow_skeleton  # noqa: E402
 from skelgrow.config import SearchConfig  # noqa: E402
 from skelgrow.errors import NoTipsError, SearchStalledError  # noqa: E402
 from skelgrow.evaluation import edit_distance  # noqa: E402
-from skelgrow.search import run_search  # noqa: E402
-from skelgrow.seeds import SeedSet, find_tips  # noqa: E402
-from skelgrow.side_branches import find_side_branches  # noqa: E402
 from skelgrow.superpoints import build_graph  # noqa: E402
 from skelgrow.synth import SynthSpec, generate  # noqa: E402
 
@@ -57,15 +56,12 @@ def sweep_tree(tree_seed: int) -> list[dict]:
     graph = build_graph(cloud, cfg.r_super, tree_seed)
     conf = truth.oracle_confidences(graph)
     ref, _ = truth.reference_skeleton(graph)
-    tips = tuple(t for t in find_tips(graph, conf, cfg) if t != ref.base)
     records = []
     for seed in SEARCH_SEEDS:
         cfg = SearchConfig(K=K, seed=seed)
         lost = []
         try:
-            skel, info = run_search(graph, conf,
-                                    SeedSet(tips=tips, base=ref.base), cfg)
-            skel = find_side_branches(skel, graph, conf, cfg)
+            skel, info = _grow_skeleton(graph, conf, ref.base, cfg, {})
             _, ratio = edit_distance(skel, ref)
             lost = [int(t) for t, outcome in info["tip_outcomes"].items()
                     if outcome == "abandoned_reachable"]
