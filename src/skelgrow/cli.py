@@ -141,7 +141,8 @@ def _graph_with_scores(args, cfg: PipelineConfig, out: Path, timings: dict,
                   cfg.search.r_super, cfg.search.seed)
     graph_cache = out / f"cache_graph_{key}.json"
     t0 = time.perf_counter()
-    graph = _read_cache(graph_cache, graph_from_dict, caches, "graph")
+    graph = _read_cache(graph_cache, lambda doc: graph_from_dict(
+        doc, cfg.search.r_super), caches, "graph")
     if graph is not None:
         log.info("reusing cached superpoint graph %s", graph_cache.name)
     else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import logging
 import time
 
@@ -358,6 +359,85 @@ def resample(weights, K: int, k_max_rep: int, rng) -> list[int]:
     return np.repeat(np.arange(n), counts).tolist()
 
 
+def step(population: list[Candidate], scores: list[float], iteration: int,
+         priors: dict[int, PathPrior], ctx: SearchContext
+         ) -> tuple[list[Candidate], dict[str, int]]:
+    """One search iteration: the next population, in pool-key order, and
+    a record of its counts (``run_search``'s ``iteration_counts``)."""
+    cfg = ctx.cfg
+    score_ranks = rank(scores)
+    # child key -> [weight, candidate, proposal or None if carried]
+    pool: dict[int, list] = {}
+
+    def enter(key, weight, cand, proposal=None):
+        if key in pool:  # a key met again only adds its weight
+            pool[key][0] += weight
+        else:
+            pool[key] = [weight, cand, proposal]
+
+    # Each unfinished candidate draws one of its open tips (neither
+    # reached nor abandoned): those with two or more draw, in population
+    # order, from the iteration's generator, which then resamples.
+    rng = np.random.default_rng((cfg.seed, iteration))
+    open_counts = [len(c.open) for c in population if len(c.open) > 1]
+    draws = iter(rng.integers(open_counts).tolist() if open_counts else ())
+    # A finished candidate is entered as it is; identical (skeleton, tip)
+    # pairs share one group, whose eligibility and potential are computed once.
+    groups: dict[tuple, list[int]] = {}
+    for ci, cand in enumerate(population):
+        ts = cand.open
+        if not ts:
+            enter(cand.key, score_ranks[ci], cand)
+            continue
+        tip = ts[next(draws)] if len(ts) > 1 else ts[0]
+        groups.setdefault((cand.key, tip), []).append(ci)
+
+    scans = n_proposals = 0
+    for (key, tip), members in sorted(groups.items()):
+        cand = population[members[0]]
+        prior = priors.get(tip)
+        proposals = []  # for a tip outside the base's component
+        if prior is not None:
+            proposals = eligible_pairs(cand, prior, ctx)
+            scans += 1
+            n_proposals += len(proposals)
+        if not proposals:
+            # Carried with the tip abandoned.
+            carried = Candidate(cand.lineage, cand.score, cand.nodes,
+                                cand.frontier,
+                                tuple(t for t in cand.open if t != tip), key)
+            for ci in members:
+                enter(key, score_ranks[ci], carried)
+            continue
+        pot_ranks = rank([p[3] for p in proposals])
+        group_score_rank = sum([score_ranks[ci] for ci in members])
+        for proposal, pot_rank in zip(proposals, pot_ranks):
+            enter(_child_key(key, proposal[0], proposal[1]),
+                  group_score_rank * pot_rank, cand, proposal)
+
+    keys = sorted(pool)
+    entries = [pool[key] for key in keys]
+    # Ascending indices, so the population stays in pool-key order.
+    chosen = resample([e[0] for e in entries], cfg.K, cfg.k_max_rep, rng)
+    record = {
+        "tip_draws": len(open_counts), "groups": len(groups),
+        "scans": scans, "proposals": n_proposals, "pool": len(entries),
+        "finished": sum(not c.open for c in population),
+        # One uniform, unless every entry fits under the cap.
+        "resample_draws": int(len(entries) * cfg.k_max_rep > cfg.K)}
+    # Only the chosen entries live through the grows: freeing the rest after
+    # them would make the garbage collector run about three times as often.
+    picked = {idx: entries[idx] for idx in chosen}
+    del groups, pool, entries
+    realized: dict[int, Candidate] = {}
+    for idx, (_, cand, proposal) in picked.items():
+        if proposal is not None:
+            cand = grow_candidate(cand, *proposal[:3], keys[idx], ctx)
+        realized[idx] = cand
+    record["grows"] = sum(e[2] is not None for e in picked.values())
+    return [realized[idx] for idx in chosen], record
+
+
 def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                cfg: SearchConfig):
     """Grow the population until every candidate has reached or abandoned
@@ -388,100 +468,19 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     priors = {t: PathPrior(ctx, t) for t in tips if t not in outside}
     prior_time = time.perf_counter() - t0
 
-    root = make_root_candidate(base, ctx, tips)
-    population: list[Candidate] = [root] * cfg.K
-    best_score = root.score  # running maximum of the iterations' top scores
-    history = []
-    iteration = 0
-    tip_draws = 0
-    scans = n_proposals = grows = resample_draws = 0
-
+    population = [make_root_candidate(base, ctx, tips)] * cfg.K
+    tops, records = [], []
     # Each iteration grows or abandons a tip in every unfinished candidate,
     # so the search ends within num_nodes - 1 + len(tips) iterations.
     while True:
         scores = [cand.score for cand in population]
-        top = max(scores)
-        best_score = max(best_score, top)
-        history.append(best_score)
+        tops.append(max(scores))
         if not any(cand.open for cand in population):
-            final = population[scores.index(top)]
             break
-        score_ranks = rank(scores)
-
-        # child key -> [weight, candidate, proposal or None if carried]
-        pool: dict[int, list] = {}
-
-        def enter(key, weight, cand, proposal=None):
-            # A key met again only adds its weight.
-            entry = pool.get(key)
-            if entry is None:
-                pool[key] = [weight, cand, proposal]
-            else:
-                entry[0] += weight
-
-        # Each unfinished candidate draws one of its open tips (neither
-        # reached nor abandoned): those with two or more draw, in population
-        # order, from the iteration's generator, which then resamples.
-        rng = np.random.default_rng((cfg.seed, iteration))
-        open_counts = [len(c.open) for c in population if len(c.open) > 1]
-        draws = iter(rng.integers(open_counts).tolist() if open_counts
-                     else ())
-        tip_draws += len(open_counts)
-        # A finished candidate is entered as it is. Identical (skeleton,
-        # tip) pairs are grouped so eligibility and potential are computed
-        # once per group.
-        groups: dict[tuple, list[int]] = {}
-        for ci, cand in enumerate(population):
-            ts = cand.open
-            if not ts:
-                enter(cand.key, score_ranks[ci], cand)
-                continue
-            tip = ts[next(draws)] if len(ts) > 1 else ts[0]
-            groups.setdefault((cand.key, tip), []).append(ci)
-
-        for (key, tip), members in sorted(groups.items()):
-            cand = population[members[0]]
-            prior = priors.get(tip)
-            proposals = []  # for a tip outside the base's component
-            if prior is not None:
-                proposals = eligible_pairs(cand, prior, ctx)
-                scans += 1
-                n_proposals += len(proposals)
-            if not proposals:
-                # Carried with the tip abandoned.
-                carried = Candidate(cand.lineage, cand.score, cand.nodes,
-                                    cand.frontier,
-                                    tuple(t for t in cand.open if t != tip),
-                                    key)
-                for ci in members:
-                    enter(key, score_ranks[ci], carried)
-                continue
-            pot_ranks = rank([p[3] for p in proposals])
-            group_score_rank = sum([score_ranks[ci] for ci in members])
-            for proposal, pot_rank in zip(proposals, pot_ranks):
-                enter(_child_key(key, proposal[0], proposal[1]),
-                      group_score_rank * pot_rank, cand, proposal)
-
-        keys = sorted(pool)
-        entries = [pool[key] for key in keys]
-        # Ascending indices, so the population stays in pool-key order.
-        chosen = resample([e[0] for e in entries], cfg.K, cfg.k_max_rep, rng)
-        # One uniform, unless every entry fits under the cap.
-        resample_draws += len(entries) * cfg.k_max_rep > cfg.K
-        realized: dict[int, Candidate] = {}
-        population = []
-        for idx in chosen:
-            cand = realized.get(idx)
-            if cand is None:
-                _, cand, proposal = entries[idx]
-                if proposal is not None:
-                    cand = grow_candidate(cand, *proposal[:3], keys[idx],
-                                          ctx)
-                    grows += 1
-                realized[idx] = cand
-            population.append(cand)
-        iteration += 1
-
+        population, record = step(population, scores, len(records), priors,
+                                  ctx)
+        records.append(record)
+    final = population[scores.index(tops[-1])]
     if final.lineage is None:
         raise SearchStalledError(
             "no eligible first edge from the base; nothing was grown")
@@ -494,6 +493,8 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
     if abandoned:
         log.warning("the skeleton abandons tips %s although the base's "
                     "component of the dense graph holds them", abandoned)
+    # The root has open tips, so there is at least one record.
+    counts = {name: [r[name] for r in records] for name in records[0]}
     info = {
         "tips": list(tips),
         "base": base,
@@ -501,11 +502,12 @@ def run_search(graph: SuperpointGraph, conf: ConfidenceMap, seeds: SeedSet,
                   "base_component_size": base_size,
                   "tips_outside_base_component": len(outside)},
         "tip_outcomes": tip_outcomes,
-        "iterations": iteration,
-        "tip_draws": tip_draws,
-        "search_counts": {"scans": scans, "proposals": n_proposals,
-                          "grows": grows, "resample_draws": resample_draws},
-        "best_score_history": history,
+        "iterations": len(records),
+        "tip_draws": sum(counts["tip_draws"]),
+        "search_counts": {name: sum(counts[name]) for name in (
+            "scans", "proposals", "grows", "resample_draws")},
+        "iteration_counts": counts,
+        "best_score_history": list(itertools.accumulate(tops, max)),
         "best_score": final.score,
         "reached_tips": [t for t in tips if final.nodes >> t & 1],
         "prior_seconds": prior_time,

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import CloudFormatError
 from .cloud import PointCloud
 from .spatial import BALL_CHUNK, GridIndex, coordinate_rows
-from .values import is_int, is_point
+from .values import is_point
 
 
 #: Seeds queried together by :func:`build_superpoints`.
@@ -155,32 +155,29 @@ def build_superpoints(cloud: PointCloud, r_super: float, seed: int,
     return seed_indices, np.asarray(positions)
 
 
-def build_graph(cloud: PointCloud, r_super: float, seed: int,
-                index: GridIndex | None = None) -> SuperpointGraph:
-    """The superpoints of :func:`build_superpoints`, joined by an edge
-    wherever two lie within 2*r_super (inclusive) of each other."""
-    _, positions = build_superpoints(cloud, r_super, seed, index)
+def join_superpoints(positions, r_super: float) -> SuperpointGraph:
+    """The graph over superpoint ``positions``, with an edge wherever two
+    lie within 2*r_super (inclusive) of each other."""
     return SuperpointGraph(positions,
                            GridIndex(positions, 2.0 * r_super).pairs())
 
 
+def build_graph(cloud: PointCloud, r_super: float, seed: int,
+                index: GridIndex | None = None) -> SuperpointGraph:
+    """The superpoints of :func:`build_superpoints`, joined by
+    :func:`join_superpoints`."""
+    _, positions = build_superpoints(cloud, r_super, seed, index)
+    return join_superpoints(positions, r_super)
+
+
 def graph_to_dict(graph: SuperpointGraph) -> dict:
-    return {"positions": graph.positions.tolist(),
-            "edges": graph.edges.tolist()}
+    return {"positions": graph.positions.tolist()}
 
 
-def graph_from_dict(doc: dict) -> SuperpointGraph:
-    """The graph of a :func:`graph_to_dict` document; raises
-    CloudFormatError unless positions are finite 3-vectors and edges are
-    int pairs 0 <= i < j < n in strictly increasing order."""
+def graph_from_dict(doc: dict, r_super: float) -> SuperpointGraph:
+    """The graph of a :func:`graph_to_dict` document, edges rebuilt from its
+    positions; raises CloudFormatError unless they are finite 3-vectors."""
     positions = doc["positions"]
     if not all(map(is_point, positions)):
         raise CloudFormatError("graph JSON positions must be finite 3-vectors")
-    edges = [tuple(e) for e in doc["edges"]]
-    # Ordered pairs in ascending rows also rule out duplicates.
-    if not all(len(e) == 2 and is_int(e[0]) and is_int(e[1])
-               and 0 <= e[0] < e[1] < len(positions) for e in edges) or any(
-                   a >= b for a, b in zip(edges, edges[1:])):
-        raise CloudFormatError("graph JSON edges must be int pairs i < j of "
-                               "position rows in strictly increasing order")
-    return SuperpointGraph(positions, edges)
+    return join_superpoints(np.asarray(positions, dtype=np.float64), r_super)

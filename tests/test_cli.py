@@ -203,22 +203,14 @@ def test_score_cache_out_of_range_is_rebuilt(synth_dir, tmp_path, values):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda doc: doc["edges"].append([7, 7]),
-    lambda doc: doc["edges"].append([3, 0]),
-    lambda doc: doc["edges"].append(doc["edges"][-1]),
-    lambda doc: doc["edges"].insert(0, [-1, 0]),
-    lambda doc: doc["edges"][-1].__setitem__(1, doc["edges"][-1][1] + 0.0),
     lambda doc: doc["positions"][3].__setitem__(0, math.nan),
     lambda doc: doc["positions"][3].__setitem__(0, "0.5"),
-    lambda doc: doc.update(positions=[["0", "0", "0"], [True, "1e-1", 0]],
-                           edges=[[0, 1]])],
-    ids=["self-loop", "reversed", "duplicate", "negative-id", "float-id",
-         "nan-position", "str-coordinate", "str-and-bool-graph"])
+    lambda doc: doc.update(positions=[["0", "0", "0"], [True, "1e-1", 0]])],
+    ids=["nan-position", "str-coordinate", "str-and-bool-graph"])
 def test_graph_cache_failing_its_checks_is_rebuilt(synth_dir, tmp_path,
                                                    tamper):
-    """A graph cache with a self-loop, a reversed or repeated edge, an
-    edge end that is negative or a float, or a position that is NaN or
-    holds a string or a bool is rebuilt, not used."""
+    """A graph cache with a position that is NaN or holds a string or a
+    bool is rebuilt, not used."""
     cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
     out = tmp_path / "run"
     argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
@@ -231,6 +223,40 @@ def test_graph_cache_failing_its_checks_is_rebuilt(synth_dir, tmp_path,
     cache.write_text(json.dumps(doc))
     assert main(argv) == EXIT_OK
     assert _cache_outcomes(out)["graph"] == "rebuilt"
+    assert (out / "skeleton.json").read_bytes() == cold
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda edges: edges.append([7, 7]),
+    lambda edges: edges.append([3, 0]),
+    lambda edges: edges.append(edges[-1]),
+    lambda edges: edges.insert(0, [-1, 0]),
+    lambda edges: edges[-1].__setitem__(1, edges[-1][1] + 0.0),
+    lambda edges: edges.__setitem__(slice(None), [
+        e for e in edges if 5 not in e])],
+    ids=["self-loop", "reversed", "duplicate", "negative-id", "float-id",
+         "node-dropped"])
+def test_graph_cache_edges_are_not_read(synth_dir, tmp_path, tamper):
+    """The graph's edges follow from its positions and r_super, so edges
+    written into a graph cache, well formed or not, change nothing: the
+    rerun hits the cache and writes the cold run's skeleton."""
+    cfg = _write_json(tmp_path / "cfg.json", {"K": 20, "seed": 1})
+    out = tmp_path / "run"
+    argv = ["skeletonize", "--cloud", str(synth_dir / "cloud.ply"),
+            "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    cold = (out / "skeleton.json").read_bytes()
+    (cache,) = out.glob("cache_graph_*.json")
+    doc = json.loads(cache.read_text())
+    edges = doc.setdefault("edges", GridIndex(
+        np.asarray(doc["positions"]), 2 * SearchConfig().r_super
+    ).pairs().tolist())
+    before = json.dumps(edges)
+    tamper(edges)
+    assert json.dumps(edges) != before
+    cache.write_text(json.dumps(doc))
+    assert main(argv) == EXIT_OK
+    assert _cache_outcomes(out)["graph"] == "hit"
     assert (out / "skeleton.json").read_bytes() == cold
 
 
@@ -351,7 +377,7 @@ def test_skeletonize_builds_one_cloud_index(synth_dir, tmp_path,
     """A cold run builds one neighbour index over the cloud, shared by the
     superpoint cover and the scoring (plus one over the superpoints for
     the dense edges), and misses both caches; a warm rerun hits both
-    caches and builds none."""
+    caches and builds only the index over the cached superpoints."""
     built = []
     init = GridIndex.__init__
 
@@ -373,7 +399,7 @@ def test_skeletonize_builds_one_cloud_index(synth_dir, tmp_path,
 
     built.clear()
     assert main(argv) == EXIT_OK
-    assert built == []
+    assert built == [n_superpoints]
     assert _cache_outcomes(out) == {"graph": "hit", "scores": "hit"}
     assert (out / "skeleton.json").read_bytes() == first
 

@@ -123,13 +123,23 @@ def test_search_ends_within_node_and_tip_bound(golden_run):
 
 def test_search_trajectory(golden_run):
     """(iterations, tip draws, search counts, sha256 of the JSON list of
-    best scores per iteration), as the manifest records them."""
+    best scores per iteration), as the manifest records them, and the
+    per-iteration counts behind those totals."""
     _, out, _, _, trajectory = golden_run
     manifest = json.loads((out / "run_manifest.json").read_text())
     history = json.dumps(manifest["best_score_history"]).encode()
     assert (manifest["iterations"], manifest["tip_draws"],
             manifest["search_counts"],
             hashlib.sha256(history).hexdigest()) == trajectory
+    # One entry per iteration in each column of iteration_counts, summing
+    # to the totals pinned above.
+    columns = manifest["iteration_counts"]
+    assert set(columns) == {"tip_draws", "groups", "scans", "proposals",
+                            "pool", "grows", "finished", "resample_draws"}
+    assert all(len(c) == manifest["iterations"] for c in columns.values())
+    assert sum(columns["tip_draws"]) == manifest["tip_draws"]
+    for name, total in manifest["search_counts"].items():
+        assert sum(columns[name]) == total
 
 
 # Heuristic skeleton of the side-branch tree against its reference skeleton,

@@ -20,7 +20,8 @@ from skelgrow.labels import Label, STRUCTURAL_LABELS
 from skelgrow import search
 from skelgrow.search import (PathPrior, SearchContext, _child_key,
                              eligible_pairs, grow_candidate, lineage_edges,
-                             make_root_candidate, rank, resample, run_search)
+                             make_root_candidate, rank, resample, run_search,
+                             step)
 from skelgrow.skeleton import LabeledSkeleton, skeleton_from_edges
 from skelgrow.seeds import SeedSet, find_tips, resolve_base
 from skelgrow.superpoints import UnionFind, build_graph
@@ -786,3 +787,37 @@ def test_run_search_counts_its_work(monkeypatch):
         "scans": len(scans), "proposals": sum(scans), "grows": len(grows),
         "resample_draws": sum(uniforms)}
     assert all(v > 0 for v in info["search_counts"].values())
+
+
+def test_step_keeps_k_candidates_and_counts_them():
+    """``step``, from the root population of the two-leader tree on: K
+    candidates in ascending key order; the finished candidates plus the
+    unfinished ones, which fall into the groups, make K; no more grows than
+    pool entries; the same arguments give the same keys and record; and
+    the records are the columns of ``run_search``'s iteration_counts."""
+    graph, conf, _, seeds = _two_leader_tree()
+    cfg = SearchConfig(K=50, seed=1)
+    ctx = SearchContext(graph, conf, cfg)
+    tips = tuple(sorted(seeds.tips))
+    priors = {t: PathPrior(ctx, t) for t in tips}
+    population = [make_root_candidate(seeds.base, ctx, tips)] * cfg.K
+    records = []
+    while any(c.open for c in population):
+        scores = [c.score for c in population]
+        args = (population, scores, len(records), priors, ctx)
+        population, record = step(*args)
+        keys = [c.key for c in population]
+        assert len(keys) == cfg.K and keys == sorted(keys)
+        unfinished = [c for c in args[0] if c.open]
+        assert record["finished"] + len(unfinished) == cfg.K
+        assert 0 < record["groups"] <= len(unfinished)
+        assert record["tip_draws"] == sum(len(c.open) > 1
+                                          for c in unfinished)
+        assert record["grows"] <= record["pool"]
+        again, again_record = step(*args)
+        assert [c.key for c in again] == keys and again_record == record
+        records.append(record)
+    assert any(r["finished"] for r in records)
+    _, info = run_search(graph, conf, seeds, cfg)
+    assert info["iteration_counts"] == {
+        name: [r[name] for r in records] for name in records[0]}

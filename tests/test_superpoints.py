@@ -140,11 +140,14 @@ def test_graph_neighbors_and_edge_id():
 
 
 def test_graph_json_round_trip():
+    """The document holds the positions only; reading it back with the
+    same r_super rebuilds the same edges."""
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.uniform(0, 0.5, size=(200, 3)).astype(np.float32))
     graph = build_graph(cloud, 0.10, seed=0)
     doc = graph_to_dict(graph)
-    again = graph_from_dict(json.loads(json.dumps(doc)))
+    assert list(doc) == ["positions"]
+    again = graph_from_dict(json.loads(json.dumps(doc)), 0.10)
     assert again.num_nodes == graph.num_nodes
     np.testing.assert_array_equal(again.edges, graph.edges)
     np.testing.assert_array_equal(again.positions, graph.positions)
